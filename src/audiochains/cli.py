@@ -35,9 +35,9 @@ PROG = "audiochains"
 
 DEFAULT_BLOCK_SWEEP = (16, 32, 64, 128)
 DEFAULT_SPEED_SWEEP = (adcdac.SamplingSpeed.LOW_SPEED, adcdac.SamplingSpeed.HIGH_SPEED)
-DEFAULT_I2S_RATE = 44100.0
-DEFAULT_ADCDAC_RATE = 96000.0
-LATENCY_OVERSAMPLE = 16  # latency runs simulate at 16x the nominal 96 kHz
+DEFAULT_RATE = {"i2s": 44100.0, "adcdac": 96000.0}
+# adcdac latency runs simulate at 16x the nominal 96 kHz
+LATENCY_OVERSAMPLE = {"i2s": 1, "adcdac": 16}
 
 # Characterization targets the distortion polynomial is calibrated against.
 THD_TARGETS_DB = {
@@ -53,8 +53,7 @@ STIMULUS_VRMS = 0.5
 STIMULUS_SECONDS = 3.0
 WARMUP_SECONDS = 0.15
 ADCDAC_WAV_FULL_SCALE = 2.5  # output carries the DAC's standing offset
-MLS_ORDER_I2S = 16
-MLS_ORDER_ADCDAC = 12
+MLS_ORDER = {"i2s": 16, "adcdac": 12}
 MLS_AMPLITUDE = 0.5
 SPECTRUM_SEGMENT = 16384
 
@@ -63,8 +62,7 @@ SPECTRUM_SEGMENT = 16384
 class Scenario:
     chain: str
     measurement: str
-    block_sizes: tuple[int, ...]
-    speeds: tuple[adcdac.SamplingSpeed, ...]
+    params: tuple  # block sizes (i2s) or sampling speeds (adcdac)
     sample_rate: float | None
     seed: int
     out_path: str
@@ -98,36 +96,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _scenario_from_args(args: argparse.Namespace, argv: list[str]) -> Scenario:
+def _sweep_params(args: argparse.Namespace) -> tuple:
+    """The swept parameter list: i2s block sizes or adcdac sampling speeds."""
     if args.chain == "i2s":
         if args.sampling_speed is not None:
             raise ValueError("--sampling-speed applies only to --chain adcdac")
-        blocks = tuple(args.block_samples) if args.block_samples else DEFAULT_BLOCK_SWEEP
-        speeds = ()
-    else:
-        if args.block_samples:
-            raise ValueError("--block-samples applies only to --chain i2s")
-        blocks = ()
-        if args.sampling_speed is None:
-            speeds = DEFAULT_SPEED_SWEEP
-        else:
-            speeds = (
-                adcdac.SamplingSpeed.LOW_SPEED
-                if args.sampling_speed == "low"
-                else adcdac.SamplingSpeed.HIGH_SPEED,
-            )
-    if args.wav_in and args.measure == "latency":
-        raise ValueError("--wav-in does not combine with the MLS latency scenario")
-    if args.wav_out and args.measure == "latency":
-        raise ValueError("--wav-out does not combine with the MLS latency scenario")
-    n_params = len(blocks) if args.chain == "i2s" else len(speeds)
-    if args.measure == "spectrum" and n_params > 1:
+        return tuple(args.block_samples) if args.block_samples else DEFAULT_BLOCK_SWEEP
+    if args.block_samples:
+        raise ValueError("--block-samples applies only to --chain i2s")
+    if args.sampling_speed is None:
+        return DEFAULT_SPEED_SWEEP
+    return (adcdac.SamplingSpeed(f"{args.sampling_speed.upper()}_SPEED"),)
+
+
+def _scenario_from_args(args: argparse.Namespace, argv: list[str]) -> Scenario:
+    params = _sweep_params(args)
+    for flag, value in (("--wav-in", args.wav_in), ("--wav-out", args.wav_out)):
+        if value and args.measure == "latency":
+            raise ValueError(f"{flag} does not combine with the MLS latency scenario")
+    if args.measure == "spectrum" and len(params) > 1:
         raise ValueError("spectrum reports have no parameter column; sweep one value")
     return Scenario(
         chain=args.chain,
         measurement=args.measure,
-        block_sizes=blocks,
-        speeds=speeds,
+        params=params,
         sample_rate=args.sample_rate,
         seed=args.seed,
         out_path=args.out,
@@ -175,10 +167,8 @@ def _param_rng(seed: int, index: int) -> np.random.Generator:
 
 def _stimulus(scenario: Scenario, sample_rate: float) -> tuple[Signal, Signal]:
     if scenario.wav_in is not None:
-        channels = read_wav(scenario.wav_in)
-        if len(channels) == 1:
-            return channels[0], channels[0]
-        return channels[0], channels[1]
+        channels = read_wav(scenario.wav_in)  # mono feeds both inputs
+        return channels[0], channels[-1]
     sine = generate_sine(STIMULUS_HZ, STIMULUS_VRMS, STIMULUS_SECONDS, sample_rate)
     return sine, sine
 
@@ -193,105 +183,79 @@ def _discard_warmup(sig: Signal) -> Signal:
     return Signal(sig.samples[skip:], sig.sample_rate)
 
 
-def _i2s_config(scenario: Scenario, block: int, sample_rate: float, with_distortion: bool):
+def _row_label(param) -> str:
+    return param.value if isinstance(param, adcdac.SamplingSpeed) else str(param)
+
+
+def _chain_config(chain: str, param, sample_rate: float, with_distortion: bool):
+    """Chain config for one swept parameter (block size or sampling speed)."""
     distortion = None
     if with_distortion:
         distortion = calibrate_distortion(
-            target_hd3_db=THD_TARGETS_DB[("i2s", None)],
+            target_hd3_db=THD_TARGETS_DB[(chain, None if chain == "i2s" else param)],
             peak_amplitude=STIMULUS_VRMS * np.sqrt(2.0),
         )
-    return i2s.BlockPipelineConfig(
-        block_samples=block, sample_rate=sample_rate, distortion=distortion
-    )
-
-
-def _adcdac_config(
-    scenario: Scenario,
-    speed: adcdac.SamplingSpeed,
-    sample_rate: float,
-    with_distortion: bool,
-):
-    distortion = None
-    if with_distortion:
-        distortion = calibrate_distortion(
-            target_hd3_db=THD_TARGETS_DB[("adcdac", speed)],
-            peak_amplitude=STIMULUS_VRMS * np.sqrt(2.0),
+    if chain == "i2s":
+        return i2s.BlockPipelineConfig(
+            block_samples=param, sample_rate=sample_rate, distortion=distortion
         )
     return adcdac.SampleChainConfig(
-        sample_rate=sample_rate, sampling_speed=speed, distortion=distortion
+        sample_rate=sample_rate, sampling_speed=param, distortion=distortion
     )
 
 
 def _run_latency(scenario: Scenario) -> list[tuple]:
+    chain = scenario.chain
+    sample_rate = scenario.sample_rate or DEFAULT_RATE[chain] * LATENCY_OVERSAMPLE[chain]
+    mls = MlsConfig(MLS_ORDER[chain], MLS_AMPLITUDE, seed=1, sample_rate=sample_rate)
+    bias = FrontEndConfig().bias_voltage
     rows = []
-    if scenario.chain == "i2s":
-        sample_rate = scenario.sample_rate or DEFAULT_I2S_RATE
-        for index, block in enumerate(scenario.block_sizes):
-            rng = _param_rng(scenario.seed, index)
-            cfg = _i2s_config(scenario, block, sample_rate, with_distortion=False)
+    for index, param in enumerate(scenario.params):
+        rng = _param_rng(scenario.seed, index)
+        cfg = _chain_config(chain, param, sample_rate, with_distortion=False)
 
-            def system(stimulus: Signal) -> Signal:
+        def system(stimulus: Signal) -> Signal:
+            if chain == "i2s":
                 left, _ = i2s.run_block_pipeline(stimulus, stimulus, cfg, rng=rng)
                 return left
+            # Conditioning bypassed: its group delay is already folded into
+            # the calibrated conversion time.  Bias keeps the MLS inside the
+            # converter range.
+            shifted = Signal(stimulus.samples + bias, stimulus.sample_rate)
+            return adcdac.run_sample_pipeline(shifted, shifted, None, cfg, rng)
 
-            mls = MlsConfig(MLS_ORDER_I2S, MLS_AMPLITUDE, seed=1, sample_rate=sample_rate)
-            report = estimate_latency(measure_impulse_response(system, mls))
-            rows.append((str(block), report.latency_seconds))
-    else:
-        sample_rate = scenario.sample_rate or DEFAULT_ADCDAC_RATE * LATENCY_OVERSAMPLE
-        for index, speed in enumerate(scenario.speeds):
-            rng = _param_rng(scenario.seed, index)
-            cfg = _adcdac_config(scenario, speed, sample_rate, with_distortion=False)
-            bias = FrontEndConfig().bias_voltage
-
-            def system(stimulus: Signal) -> Signal:
-                # Conditioning bypassed: its group delay is already folded
-                # into the calibrated conversion time.  Bias keeps the MLS
-                # inside the converter range.
-                shifted = Signal(stimulus.samples + bias, stimulus.sample_rate)
-                return adcdac.run_sample_pipeline(shifted, shifted, None, cfg, rng)
-
-            mls = MlsConfig(MLS_ORDER_ADCDAC, MLS_AMPLITUDE, seed=1, sample_rate=sample_rate)
-            report = estimate_latency(measure_impulse_response(system, mls))
-            rows.append((speed.value, report.latency_seconds))
+        report = estimate_latency(measure_impulse_response(system, mls))
+        rows.append((_row_label(param), report.latency_seconds))
     return rows
 
 
-def _chain_output(scenario: Scenario, index: int, param, sample_rate: float):
+def _chain_output(scenario: Scenario, index: int):
     """Processed 1 kHz stimulus (or the wav-in payload) for one parameter."""
     rng = _param_rng(scenario.seed, index)
-    in0, in1 = _stimulus(scenario, sample_rate)
+    in0, in1 = _stimulus(scenario, scenario.sample_rate or DEFAULT_RATE[scenario.chain])
+    cfg = _chain_config(
+        scenario.chain, scenario.params[index], in0.sample_rate, with_distortion=True
+    )
     if scenario.chain == "i2s":
-        cfg = _i2s_config(scenario, param, in0.sample_rate, with_distortion=True)
         left, right = i2s.run_block_pipeline(in0, in1, cfg, rng=rng)
         return left, (left, right)
-    cfg = _adcdac_config(scenario, param, in0.sample_rate, with_distortion=True)
     out = adcdac.run_sample_pipeline(in0, in1, FrontEndConfig(), cfg, rng)
     return out, (out,)
 
 
 def _run_distortion(scenario: Scenario) -> list[tuple]:
     rows = []
-    params = scenario.block_sizes if scenario.chain == "i2s" else scenario.speeds
-    sample_rate = scenario.sample_rate or (
-        DEFAULT_I2S_RATE if scenario.chain == "i2s" else DEFAULT_ADCDAC_RATE
-    )
-    for index, param in enumerate(params):
-        measured, wav_channels = _chain_output(scenario, index, param, sample_rate)
+    for index, param in enumerate(scenario.params):
+        measured, wav_channels = _chain_output(scenario, index)
         report = measure_thd(_discard_warmup(measured), STIMULUS_HZ)
-        label = str(param) if scenario.chain == "i2s" else param.value
-        rows.append((label, report.thd_db, report.thdn_db))
+        rows.append((_row_label(param), report.thd_db, report.thdn_db))
         if index == 0 and scenario.wav_out:
             _write_wav_out(scenario, wav_channels)
     return rows
 
 
 def _run_spectrum(scenario: Scenario) -> list[tuple]:
-    params = scenario.block_sizes if scenario.chain == "i2s" else scenario.speeds
-    sample_rate = scenario.sample_rate or (
-        DEFAULT_I2S_RATE if scenario.chain == "i2s" else DEFAULT_ADCDAC_RATE
-    )
-    measured, wav_channels = _chain_output(scenario, 0, params[0], sample_rate)
+    measured, wav_channels = _chain_output(scenario, 0)
     trimmed = _discard_warmup(measured)
     # AC-couple before the estimate: the sample chain output carries its
     # standing DAC offset.

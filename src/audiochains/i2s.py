@@ -21,9 +21,9 @@ from typing import Callable
 
 import numpy as np
 
-from .distortion import PolynomialDistortion, calibrate_distortion  # noqa: F401
+from .distortion import PolynomialDistortion
 from .errors import NonStandardBlockSizeWarning, ShapeMismatch
-from .quantize import round_half_away
+from .quantize import INT16_MAX, int16_codes, int16_volts, round_half_away
 from .signals import Signal, delay_samples
 
 CONVERSION_ADC = 1.0 / 65535.0
@@ -79,11 +79,6 @@ def predicted_latency(cfg: BlockPipelineConfig) -> float:
     return cfg.pipeline_block_count * cfg.block_samples / cfg.sample_rate + cfg.fixed_delay
 
 
-def _to_block_codes(volts: np.ndarray, cfg: BlockPipelineConfig) -> np.ndarray:
-    scaled = volts / cfg.full_scale_volts * 32767.0
-    return np.clip(round_half_away(scaled), -32768, 32767)
-
-
 def run_block_pipeline(
     input_left: Signal,
     input_right: Signal,
@@ -117,7 +112,7 @@ def run_block_pipeline(
             x = cfg.distortion.apply(x)
         if cfg.noise_floor_rms > 0.0:
             x = x + rng.normal(0.0, cfg.noise_floor_rms, size=x.shape)
-        channels.append(_to_block_codes(x, cfg))
+        channels.append(int16_codes(x / cfg.full_scale_volts * INT16_MAX))
 
     n_blocks = -(-n // block)
     padded = n_blocks * block
@@ -140,7 +135,6 @@ def run_block_pipeline(
     delay = int(round_half_away(predicted_latency(cfg) * cfg.sample_rate))
     outputs = []
     for data in (out_l, out_r):
-        codes = np.clip(round_half_away(data), -32768, 32767)
-        volts = codes[:n] / 32767.0 * cfg.full_scale_volts
+        volts = int16_volts(int16_codes(data)[:n], cfg.full_scale_volts)
         outputs.append(Signal(delay_samples(volts, delay), cfg.sample_rate))
     return outputs[0], outputs[1]

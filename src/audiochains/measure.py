@@ -14,12 +14,15 @@ relative to the period and settles within it; an identity system yields a
 unit impulse at lag zero.
 
 THD integrates each harmonic's power over +/-3 bins of a Hann-windowed
-spectrum (ENBW-corrected) and ratios it against the fundamental band.  For
-THD+N the fundamental (and DC) is removed exactly by a least-squares
-sin/cos fit at the stated frequency; binwise notching would leave window
-sidelobe leakage of the fundamental in the residual, putting a floor well
-above the quantization-level residuals this suite has to resolve.  The
-analysis window is first trimmed to a whole number of fundamental cycles.
+spectrum (ENBW-corrected) and ratios it against the fundamental band; the
+window scaling is `spectrum.windowed_power`'s.  For THD+N the fundamental
+(and DC) is removed exactly by a least-squares sin/cos fit at the stated
+frequency; binwise notching would leave window sidelobe leakage of the
+fundamental in the residual, putting a floor well above the
+quantization-level residuals this suite has to resolve.  The analysis
+window is first trimmed to a whole number of fundamental cycles.  One
+analysis yields both figures, so `measure_thdn` is an alias of
+`measure_thd`.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import numpy as np
 from .errors import EmptySignal, FundamentalNotFound, NoPeak, TruncatedResponse
 from .mls import MlsConfig, generate_mls
 from .signals import Signal
-from .spectrum import window_samples
+from .spectrum import window_samples, windowed_power
 
 SystemTransform = Callable[[Signal], Signal]
 
@@ -118,7 +121,10 @@ def _trim_whole_cycles(sig: Signal, fundamental_hz: float) -> np.ndarray:
     return sig.samples[:n_trim]
 
 
-def _analyze(sig: Signal, fundamental_hz: float, max_harmonics: int) -> DistortionReport:
+def measure_thd(
+    sig: Signal, fundamental_hz: float, max_harmonics: int = MAX_HARMONICS
+) -> DistortionReport:
+    """THD and THD+N of `sig` against its fundamental, in dB (see module docstring)."""
     if len(sig) == 0:
         raise EmptySignal("cannot analyze an empty signal")
     if not 0.0 < fundamental_hz < sig.sample_rate / 2.0:
@@ -140,12 +146,7 @@ def _analyze(sig: Signal, fundamental_hz: float, max_harmonics: int) -> Distorti
     thdn_db = 10.0 * np.log10(max(float(np.mean(residual**2)), _FLOOR) / p1_fit)
 
     # Banded harmonic powers from one Hann-windowed spectrum.
-    w = window_samples("hann", n)
-    coherent_gain = w.sum()
-    enbw_bins = n * float(np.sum(w * w)) / coherent_gain**2
-    spec = np.fft.rfft((x - x.mean()) * w)
-    powers = 2.0 * np.abs(spec) ** 2 / coherent_gain**2
-    powers[0] /= 2.0
+    powers, enbw_bins = windowed_power((x - x.mean())[np.newaxis], window_samples("hann", n))
 
     def band(freq: float) -> float:
         center = int(round(freq * n / fs))
@@ -185,13 +186,4 @@ def _analyze(sig: Signal, fundamental_hz: float, max_harmonics: int) -> Distorti
     )
 
 
-def measure_thd(
-    sig: Signal, fundamental_hz: float, max_harmonics: int = MAX_HARMONICS
-) -> DistortionReport:
-    """Harmonic-to-fundamental power ratio in dB (see module docstring)."""
-    return _analyze(sig, fundamental_hz, max_harmonics)
-
-
-def measure_thdn(sig: Signal, fundamental_hz: float) -> DistortionReport:
-    """Everything-but-the-fundamental to fundamental power ratio in dB."""
-    return _analyze(sig, fundamental_hz, MAX_HARMONICS)
+measure_thdn = measure_thd

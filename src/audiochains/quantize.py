@@ -19,6 +19,24 @@ def round_half_away(x):
     return np.sign(x) * np.floor(np.abs(x) + 0.5)
 
 
+INT16_MAX = 32767.0
+
+
+def int16_codes(x):
+    """Round code-unit values to signed 16-bit codes, saturating at the rails.
+
+    Ties go away from zero and the result is clipped to [-32768, 32767]; it
+    stays a float array so callers can keep working in code units.  Volts
+    map onto code units as volts / full_scale * INT16_MAX.
+    """
+    return np.clip(round_half_away(x), -INT16_MAX - 1.0, INT16_MAX)
+
+
+def int16_volts(codes, full_scale: float = 1.0):
+    """Map signed 16-bit codes to volts: +/-32767 reads as +/-full_scale."""
+    return codes / INT16_MAX * full_scale
+
+
 @dataclass(frozen=True)
 class QuantizerSpec:
     """Bit depth, full-scale range and optional ENOB of one converter.

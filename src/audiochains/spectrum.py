@@ -31,6 +31,26 @@ def window_samples(window: str, n: int) -> np.ndarray:
     raise ValueError(f"window must be one of {WINDOWS}")
 
 
+def windowed_power(frames: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, float]:
+    """Mean one-sided power of the rows of `frames` under window `w`.
+
+    Bins carry the coherent-gain scaling of the module docstring, with DC
+    and an even-length Nyquist bin counted once.  Also returns the window's
+    equivalent noise bandwidth in bins, the divisor for band power.
+    """
+    n = len(w)
+    coherent_gain = w.sum()
+    enbw_bins = n * float(np.sum(w * w)) / coherent_gain**2
+    acc = np.zeros(n // 2 + 1)
+    for frame in frames:
+        acc += np.abs(np.fft.rfft(frame * w)) ** 2
+    powers = acc / len(frames) * 2.0 / coherent_gain**2
+    powers[0] /= 2.0
+    if n % 2 == 0:
+        powers[-1] /= 2.0
+    return powers, enbw_bins
+
+
 @dataclass(frozen=True, eq=False)
 class Spectrum:
     """One-sided averaged power spectrum of a signal."""
@@ -71,20 +91,9 @@ def power_spectrum(sig: Signal, window: str = "hann", segment_len: int | None = 
     if segment_len > n:
         raise ValueError("segment_len exceeds the signal length")
 
-    w = window_samples(window, segment_len)
-    coherent_gain = w.sum()
-    enbw_bins = segment_len * float(np.sum(w * w)) / coherent_gain ** 2
-
     n_segments = n // segment_len
-    acc = np.zeros(segment_len // 2 + 1)
-    for k in range(n_segments):
-        seg = sig.samples[k * segment_len : (k + 1) * segment_len]
-        spec = np.fft.rfft(seg * w)
-        acc += np.abs(spec) ** 2
-    powers = acc / n_segments * 2.0 / coherent_gain ** 2
-    powers[0] /= 2.0
-    if segment_len % 2 == 0:
-        powers[-1] /= 2.0
+    frames = sig.samples[: n_segments * segment_len].reshape(n_segments, segment_len)
+    powers, enbw_bins = windowed_power(frames, window_samples(window, segment_len))
 
     resolution = sig.sample_rate / segment_len
     freqs = np.arange(segment_len // 2 + 1) * resolution

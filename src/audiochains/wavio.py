@@ -2,7 +2,9 @@
 
 Analog volts map onto the integer codes through a full-scale field:
 +/-full_scale volts corresponds to +/-32767 (default 1 V peak), so a write
-followed by a read is exact to within half an LSB per sample.  Files are
+followed by a read is exact to within half an LSB per sample.  Code -32768
+reads as -32768/32767 full scale and is written back exactly; only samples
+more than half an LSB outside [-32768, 32767] are rejected.  Files are
 little-endian RIFF/WAVE with the canonical 44-byte header; anything else is
 rejected as UnsupportedWav.
 """
@@ -14,10 +16,8 @@ import wave
 import numpy as np
 
 from .errors import UnsupportedWav
-from .quantize import round_half_away
+from .quantize import INT16_MAX, int16_codes, int16_volts
 from .signals import Signal
-
-_CODE_MAX = 32767.0
 
 
 def write_wav(
@@ -33,14 +33,15 @@ def write_wav(
     ):
         raise ValueError("stereo channels must share length and sample rate")
     data = np.stack([c.samples for c in channels], axis=1)
-    if np.any(np.abs(data) > full_scale):
+    scaled = data / full_scale * INT16_MAX
+    codes = int16_codes(scaled)
+    if not np.all(np.abs(codes - scaled) <= 0.5):
         raise ValueError("samples exceed full scale and are not representable")
-    codes = round_half_away(data / full_scale * _CODE_MAX).astype("<i2")
     with wave.open(path, "wb") as f:
         f.setnchannels(len(channels))
         f.setsampwidth(2)
         f.setframerate(int(round(sig.sample_rate)))
-        f.writeframes(codes.tobytes())
+        f.writeframes(codes.astype("<i2").tobytes())
 
 
 def read_wav(path: str, full_scale: float = 1.0) -> list[Signal]:
@@ -58,5 +59,5 @@ def read_wav(path: str, full_scale: float = 1.0) -> list[Signal]:
     if n_channels not in (1, 2):
         raise UnsupportedWav(f"only mono or stereo is supported, got {n_channels} channels")
     codes = np.frombuffer(frames, dtype="<i2").reshape(-1, n_channels)
-    volts = codes.astype(np.float64) / _CODE_MAX * full_scale
+    volts = int16_volts(codes, full_scale)
     return [Signal(volts[:, ch], float(rate)) for ch in range(n_channels)]

@@ -70,16 +70,27 @@ def test_single_parameter_run(tmp_path):
     assert len(rows) == 1 and rows[0][0] == "64"
 
 
-def test_thd_report_format(tmp_path):
-    out = str(tmp_path / "thd.csv")
+@pytest.fixture(scope="module")
+def thd_rows(tmp_path_factory):
+    out = str(tmp_path_factory.mktemp("thd") / "thd.csv")
     assert run_cli(
         "--chain", "i2s", "--measure", "thd", "--block-samples", "128", "--out", out
+    ) == 0
+    return cli.read_csv(out)[2]
+
+
+@pytest.mark.parametrize("measure", ["thd", "thdn"])
+def test_thd_report_format(tmp_path, thd_rows, measure):
+    out = str(tmp_path / "thd.csv")
+    assert run_cli(
+        "--chain", "i2s", "--measure", measure, "--block-samples", "128", "--out", out
     ) == 0
     _, header, rows = cli.read_csv(out)
     assert header == ["parameter", "thd_db", "thdn_db"]
     assert rows[0][0] == "128"
     assert float(rows[0][1]) == pytest.approx(-80.0, abs=0.5)
     assert float(rows[0][2]) == pytest.approx(-68.0, abs=1.0)
+    assert rows == thd_rows  # both spellings run the same analysis
 
 
 def test_spectrum_report(tmp_path):
@@ -147,6 +158,29 @@ def test_wav_in_and_out_flow(tmp_path):
     powers = np.array([float(r[1]) for r in rows])
     freqs = np.array([float(r[0]) for r in rows])
     assert abs(freqs[int(np.argmax(powers))] - 1000.0) <= 44100.0 / 16384
+
+
+def test_wav_in_holding_code_minus_32768_passes_through(tmp_path):
+    import wave
+
+    # A full-scale negative input saturates the chain output at -32768,
+    # which --wav-out must write back rather than reject.
+    codes = np.round(16000 * np.sin(2 * np.pi * 1000 * np.arange(52920) / 44100))
+    frames = np.stack([codes, codes], axis=1).astype("<i2")
+    frames[1000, 0] = -32768
+    stim_path = str(tmp_path / "neg.wav")
+    with wave.open(stim_path, "wb") as f:
+        f.setnchannels(2)
+        f.setsampwidth(2)
+        f.setframerate(44100)
+        f.writeframes(frames.tobytes())
+    wav_out = str(tmp_path / "processed.wav")
+    assert run_cli(
+        "--chain", "i2s", "--measure", "spectrum", "--block-samples", "128",
+        "--out", str(tmp_path / "spec.csv"), "--wav-in", stim_path, "--wav-out", wav_out,
+    ) == 0
+    left, _ = read_wav(wav_out)
+    assert left.samples.min() == -32768 / 32767
 
 
 def test_adcdac_wav_out_is_mono(tmp_path):

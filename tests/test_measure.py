@@ -194,6 +194,10 @@ def test_thdn_sine_plus_white_noise_at_68db_snr():
     assert report.thdn_db == pytest.approx(-68.0, abs=0.5)
 
 
+def test_thdn_is_an_alias_of_thd():
+    assert measure_thdn is measure_thd
+
+
 def test_thdn_equals_thd_for_harmonic_only_signal():
     x = _tone(1000.0, 1.0) + _tone(2000.0, 0.01, phase=0.4)
     report = measure_thdn(Signal(x, FS), 1000.0)

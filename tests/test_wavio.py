@@ -42,6 +42,15 @@ def test_full_scale_field_scales_the_volts(tmp_path):
     assert np.max(np.abs(back.samples - sig.samples)) <= 0.5 * 3.3 / 32767.0
 
 
+def test_int16_extremes_round_trip_exactly(tmp_path):
+    path = str(tmp_path / "extremes.wav")
+    volts = np.array([-32768 / 32767, 1.0, 0.0])
+    write_wav(Signal(volts, 44100.0), path)
+    (back,) = read_wav(path)
+    assert np.array_equal(back.samples, volts)
+    assert open(path, "rb").read()[44:] == np.array([-32768, 32767, 0], "<i2").tobytes()
+
+
 def test_unrepresentable_samples_rejected(tmp_path):
     path = str(tmp_path / "clip.wav")
     with pytest.raises(ValueError):
