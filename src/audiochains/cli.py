@@ -36,7 +36,7 @@ PROG = "audiochains"
 DEFAULT_BLOCK_SWEEP = (16, 32, 64, 128)
 DEFAULT_SPEED_SWEEP = (adcdac.SamplingSpeed.LOW_SPEED, adcdac.SamplingSpeed.HIGH_SPEED)
 DEFAULT_RATE = {"i2s": 44100.0, "adcdac": 96000.0}
-# adcdac latency runs simulate at 16x the nominal 96 kHz
+# adcdac latency runs simulate at 16x the nominal rate (--sample-rate or 96 kHz)
 LATENCY_OVERSAMPLE = {"i2s": 1, "adcdac": 16}
 
 # Characterization targets the distortion polynomial is calibrated against.
@@ -206,7 +206,7 @@ def _chain_config(chain: str, param, sample_rate: float, with_distortion: bool):
 
 def _run_latency(scenario: Scenario) -> list[tuple]:
     chain = scenario.chain
-    sample_rate = scenario.sample_rate or DEFAULT_RATE[chain] * LATENCY_OVERSAMPLE[chain]
+    sample_rate = (scenario.sample_rate or DEFAULT_RATE[chain]) * LATENCY_OVERSAMPLE[chain]
     mls = MlsConfig(MLS_ORDER[chain], MLS_AMPLITUDE, seed=1, sample_rate=sample_rate)
     bias = FrontEndConfig().bias_voltage
     rows = []

@@ -1,10 +1,14 @@
-"""Block-buffered codec chain: signed 16-bit blocks through a user callback.
+"""Block-buffered codec chain: signed 16-bit codes through a user callback.
 
-The codec quantizes the line input to signed 16-bit block data (full scale
+The codec quantizes the line input to signed 16-bit data (full scale
 +/-1 V maps to +/-32767 by default), the processor callback sees those
 values scaled by 1/65535 -- roughly [-0.5, 0.5], not [-1, 1) -- and its
 output is scaled back by 65535 and re-quantized.  That asymmetric scaling
 is reproduced faithfully rather than "fixed".
+
+The callback is a pure per-sample function, so splitting the signal into
+blocks cannot change its output: the simulation hands it the whole signal
+in one call, and the block size sets only the latency.
 
 Latency follows latency = pipeline_block_count * block_samples/fs +
 fixed_delay.  The defaults (3.0 blocks, 536 us) are a least-squares fit of
@@ -89,9 +93,11 @@ def run_block_pipeline(
     """Drive the block pipeline and return both delayed output channels.
 
     Distortion and the noise floor act in the analog-equivalent domain
-    before the codec ADC; the processor callback must be a pure function of
-    its per-sample inputs, so the output does not depend on how the input
-    lands on block boundaries.
+    before the codec ADC.  The processor callback must be a pure function of
+    its per-sample inputs; it is called once with the whole left and right
+    signals and must return one output per input sample.  cfg.block_samples
+    sets only the latency, since block boundaries cannot change a per-sample
+    function's output.
     """
     if len(input_left) != len(input_right):
         raise ShapeMismatch("left/right inputs must have equal length")
@@ -104,7 +110,6 @@ def run_block_pipeline(
         raise ValueError("noise_floor_rms > 0 requires an rng")
 
     n = len(input_left)
-    block = cfg.block_samples
     channels = []
     for sig in (input_left, input_right):
         x = sig.samples
@@ -114,27 +119,13 @@ def run_block_pipeline(
             x = x + rng.normal(0.0, cfg.noise_floor_rms, size=x.shape)
         channels.append(int16_codes(x / cfg.full_scale_volts * INT16_MAX))
 
-    n_blocks = -(-n // block)
-    padded = n_blocks * block
-    data_l = np.zeros(padded)
-    data_r = np.zeros(padded)
-    data_l[:n], data_r[:n] = channels
-    out_l = np.empty(padded)
-    out_r = np.empty(padded)
-    for i in range(0, padded, block):
-        in_l = data_l[i : i + block] * CONVERSION_ADC
-        in_r = data_r[i : i + block] * CONVERSION_ADC
-        res_l, res_r = proc(in_l, in_r)
-        res_l = np.asarray(res_l, dtype=np.float64)
-        res_r = np.asarray(res_r, dtype=np.float64)
-        if len(res_l) != block or len(res_r) != block:
-            raise ShapeMismatch("processor must return one output per input sample")
-        out_l[i : i + block] = res_l * CONVERSION_DAC
-        out_r[i : i + block] = res_r * CONVERSION_DAC
-
+    res_l, res_r = proc(channels[0] * CONVERSION_ADC, channels[1] * CONVERSION_ADC)
     delay = int(round_half_away(predicted_latency(cfg) * cfg.sample_rate))
     outputs = []
-    for data in (out_l, out_r):
-        volts = int16_volts(int16_codes(data)[:n], cfg.full_scale_volts)
+    for res in (res_l, res_r):
+        res = np.asarray(res, dtype=np.float64)
+        if len(res) != n:
+            raise ShapeMismatch("processor must return one output per input sample")
+        volts = int16_volts(int16_codes(res * CONVERSION_DAC), cfg.full_scale_volts)
         outputs.append(Signal(delay_samples(volts, delay), cfg.sample_rate))
     return outputs[0], outputs[1]

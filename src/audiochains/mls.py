@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.signal import max_len_seq
 
 from .errors import UnsupportedOrder
 from .signals import Signal
@@ -65,24 +66,21 @@ class MlsConfig:
 
 
 def lfsr_bits(order: int, seed: int, count: int) -> np.ndarray:
-    """count output bits (the register LSB) of the Fibonacci LFSR."""
+    """count output bits (the register LSB) of the Fibonacci LFSR.
+
+    The bits come from scipy's max_len_seq with our tap table.  Our
+    right-shift form reads polynomial exponent t from register bit
+    (order - t), so the x**order term taps the output bit itself; scipy's
+    ring holds register bit k at index k and adds the output bit implicitly.
+    """
     taps = PRIMITIVE_TAPS.get(order)
     if taps is None:
         raise UnsupportedOrder(f"no primitive taps for order {order}")
-    mask = (1 << order) - 1
-    # Right-shift Fibonacci form: polynomial exponent t reads register bit
-    # (order - t), so the x**order term taps the output bit itself.
-    tap_mask = 0
-    for t in taps:
-        tap_mask |= 1 << (order - t)
-    state = seed & mask
-    if state == 0:
+    if seed % (1 << order) == 0:
         raise ValueError("seed must be nonzero modulo 2**order")
-    bits = np.empty(count, dtype=np.int8)
-    for i in range(count):
-        bits[i] = state & 1
-        feedback = (state & tap_mask).bit_count() & 1
-        state = (state >> 1) | (feedback << (order - 1))
+    state = [(seed >> k) & 1 for k in range(order)]
+    ring_taps = [order - t for t in taps if t != order]
+    bits, _ = max_len_seq(order, state=state, length=count, taps=ring_taps)
     return bits
 
 

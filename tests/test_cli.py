@@ -61,6 +61,15 @@ def test_adcdac_latency_sweep_matches_table(tmp_path):
     assert abs(got["HIGH_SPEED"] - 9.6e-6) <= tol
 
 
+def test_adcdac_latency_sample_rate_is_the_nominal_rate(tmp_path):
+    # --sample-rate names the hardware rate; the 16x simulation grid is internal
+    default, explicit = str(tmp_path / "d.csv"), str(tmp_path / "e.csv")
+    base = ("--chain", "adcdac", "--measure", "latency")
+    assert run_cli(*base, "--out", default) == 0
+    assert run_cli(*base, "--sample-rate", "96000", "--out", explicit) == 0
+    assert cli.read_csv(explicit)[2] == cli.read_csv(default)[2]
+
+
 def test_single_parameter_run(tmp_path):
     out = str(tmp_path / "one.csv")
     assert run_cli(

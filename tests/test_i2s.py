@@ -104,6 +104,19 @@ def test_output_independent_of_block_partitioning():
     assert np.array_equal(outs[32][:n], outs[128][:n])
 
 
+@pytest.mark.parametrize("block", [16, 128])
+def test_processor_called_once_with_the_whole_signal(block):
+    calls = []
+
+    def spy(left, right):
+        calls.append((len(left), len(right)))
+        return left, right
+
+    sig = Signal(np.linspace(-0.5, 0.5, 1000), FS)  # not a multiple of block
+    run_block_pipeline(sig, sig, _quiet_cfg(block_samples=block), proc=spy)
+    assert calls == [(1000, 1000)]
+
+
 def test_shape_mismatch_detected():
     cfg = _quiet_cfg()
     a = Signal(np.zeros(256), FS)

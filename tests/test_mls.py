@@ -74,6 +74,31 @@ def test_sequence_period_is_maximal(order):
         assert not np.array_equal(bits[:length], np.roll(bits[:length], length // q))
 
 
+def _reference_lfsr_bits(order: int, seed: int, count: int) -> list[int]:
+    # Right-shift Fibonacci register stepped one chip at a time: polynomial
+    # exponent t reads register bit (order - t), the LSB is the output.
+    tap_mask = 0
+    for t in PRIMITIVE_TAPS[order]:
+        tap_mask |= 1 << (order - t)
+    state = seed & ((1 << order) - 1)
+    bits = []
+    for _ in range(count):
+        bits.append(state & 1)
+        feedback = (state & tap_mask).bit_count() & 1
+        state = (state >> 1) | (feedback << (order - 1))
+    return bits
+
+
+@pytest.mark.parametrize("order", range(2, 17))
+def test_sequence_matches_reference_register(order):
+    # two periods, so the wrap-around is compared too
+    count = 2 * ((1 << order) - 1)
+    for seed in (1, 7, (1 << order) - 1):
+        bits = lfsr_bits(order, seed, count)
+        assert bits.dtype == np.int8
+        assert bits.tolist() == _reference_lfsr_bits(order, seed, count)
+
+
 @pytest.mark.parametrize("order", range(2, 17))
 def test_balance_one_excess_positive_chip(order):
     sig = generate_mls(MlsConfig(order, amplitude=1.0))
