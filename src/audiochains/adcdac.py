@@ -2,14 +2,16 @@
 
 Every input sample is one conversion tick: the two channels are conditioned
 and quantized (ENOB noise on by default), combined by the fixed per-sample
-arithmetic, framed as two SPI bytes, and reconstructed by the 16-bit DAC.
-The DAC output keeps its +1.25 V standing offset (the measurement side
-AC-couples), and the chain's conversion + processing + SPI latency is
-applied as a whole-sample delay at the simulation rate.
+arithmetic, framed as two SPI bytes, and reconstructed by the 16-bit DAC
+(`DAC_SPEC`, 0-2.5 V).  The DAC output keeps its `DAC_OFFSET` = +1.25 V
+standing offset (the measurement side AC-couples), and the chain latency
+`predicted_sample_latency` -- the per-speed `CONVERSION_TIME` plus the
+`SPI_TRANSFER_TIME` of one 16-bit frame at 50 MHz -- is applied as a
+whole-sample delay at the simulation rate.
 
-The per-sample arithmetic subtracts 1.625 V although the hardware bias is
-1.65 V; both constants are exposed separately so the 25 mV systematic
-offset stays observable.
+The per-sample arithmetic subtracts `ADC_OFFSET` = 1.625 V although the
+hardware bias (`FrontEndConfig.bias_voltage`) is 1.65 V; the two constants
+are kept separate so the 25 mV systematic offset stays observable.
 """
 
 from __future__ import annotations
@@ -26,7 +28,10 @@ from .frontend import FrontEndConfig, _condition, check_damage
 from .quantize import QuantizerSpec, dequantize, quantize_uniform, round_half_away
 from .signals import Signal, delay_samples
 
-SPI_BITS_PER_FRAME = 16
+SPI_TRANSFER_TIME = 16 / 50e6  # one 16-bit frame at the 50 MHz SPI clock
+ADC_OFFSET = 1.625  # subtracted by the per-sample arithmetic
+DAC_OFFSET = 1.25  # added back before the DAC
+DAC_SPEC = QuantizerSpec(bits=16, v_min=0.0, v_max=2.5)
 
 # Lumped conditioning-stage noise, rms volts per channel.  Calibrated from
 # noise-power accounting so the default chain at 1 kHz / 0.5 Vrms reads
@@ -52,59 +57,39 @@ def _default_adc_spec() -> QuantizerSpec:
     return QuantizerSpec(bits=16, v_min=0.0, v_max=3.3, enob=13.0)
 
 
-def _default_dac_spec() -> QuantizerSpec:
-    return QuantizerSpec(bits=16, v_min=0.0, v_max=2.5)
-
-
 @dataclass(frozen=True)
 class SampleChainConfig:
     sample_rate: float = 96000.0
     sampling_speed: SamplingSpeed = SamplingSpeed.LOW_SPEED
     adc_spec: QuantizerSpec = field(default_factory=_default_adc_spec)
-    dac_spec: QuantizerSpec = field(default_factory=_default_dac_spec)
-    adc_offset: float = 1.625
-    dac_offset: float = 1.25
-    spi_clock: float = 50e6
-    conversion_time: float | None = None
-    processing_time: float = 0.0
     distortion: PolynomialDistortion | None = None
     conditioning_noise_rms: float = CONDITIONING_NOISE_RMS
 
     def __post_init__(self):
-        if self.sample_rate <= 0 or self.spi_clock <= 0:
-            raise ValueError("sample_rate and spi_clock must be positive")
-        if self.processing_time < 0 or self.conditioning_noise_rms < 0:
-            raise ValueError("times and noise levels must be non-negative")
+        if self.sample_rate <= 0:
+            raise ValueError("sample_rate must be positive")
+        if self.conditioning_noise_rms < 0:
+            raise ValueError("conditioning_noise_rms must be non-negative")
         if not self.realtime_feasible:
             warnings.warn(
                 f"{self.sample_rate:.0f} Hz cannot be sustained: one conversion "
-                f"plus SPI transfer takes {self.busy_time * 1e6:.2f} us",
+                f"plus SPI transfer takes {predicted_sample_latency(self) * 1e6:.2f} us",
                 RealtimeFeasibilityWarning,
                 stacklevel=2,
             )
 
     @property
-    def effective_conversion_time(self) -> float:
-        if self.conversion_time is not None:
-            return self.conversion_time
-        return CONVERSION_TIME[self.sampling_speed]
-
-    @property
     def spi_transfer_time(self) -> float:
-        return SPI_BITS_PER_FRAME / self.spi_clock
-
-    @property
-    def busy_time(self) -> float:
-        return self.effective_conversion_time + self.spi_transfer_time
+        return SPI_TRANSFER_TIME
 
     @property
     def realtime_feasible(self) -> bool:
-        return self.sample_rate * self.busy_time < 1.0
+        return self.sample_rate * predicted_sample_latency(self) < 1.0
 
 
 def predicted_sample_latency(cfg: SampleChainConfig) -> float:
-    """Conversion + processing + SPI transfer, in seconds."""
-    return cfg.effective_conversion_time + cfg.processing_time + cfg.spi_transfer_time
+    """Conversion (processing folded in) + SPI transfer, in seconds."""
+    return CONVERSION_TIME[cfg.sampling_speed] + SPI_TRANSFER_TIME
 
 
 @dataclass(frozen=True)
@@ -155,13 +140,13 @@ def process_sample(code0: int, code1: int, cfg: SampleChainConfig) -> tuple[int,
 
 def _process_sample_arrays(codes0, codes1, cfg: SampleChainConfig):
     adc_step = (cfg.adc_spec.v_max - cfg.adc_spec.v_min) / cfg.adc_spec.max_code
-    in0 = cfg.adc_spec.v_min + codes0 * adc_step - cfg.adc_offset
-    in1 = cfg.adc_spec.v_min + codes1 * adc_step - cfg.adc_offset
+    in0 = cfg.adc_spec.v_min + codes0 * adc_step - ADC_OFFSET
+    in1 = cfg.adc_spec.v_min + codes1 * adc_step - ADC_OFFSET
     out = 0.5 * in0 + 0.5 * in1
-    dac_scale = cfg.dac_spec.max_code / (cfg.dac_spec.v_max - cfg.dac_spec.v_min)
-    raw = round_half_away((out + cfg.dac_offset) * dac_scale)
-    clipped = (raw < 0) | (raw > cfg.dac_spec.max_code)
-    codes = np.clip(raw, 0, cfg.dac_spec.max_code).astype(np.int64)
+    dac_scale = DAC_SPEC.max_code / (DAC_SPEC.v_max - DAC_SPEC.v_min)
+    raw = round_half_away((out + DAC_OFFSET) * dac_scale)
+    clipped = (raw < 0) | (raw > DAC_SPEC.max_code)
+    codes = np.clip(raw, 0, DAC_SPEC.max_code).astype(np.int64)
     return codes, clipped
 
 
@@ -213,6 +198,6 @@ def run_sample_pipeline(
     low = dac_codes & 0xFF
     received = high * 256 + low
 
-    out = dequantize(received, cfg.dac_spec)
+    out = dequantize(received, DAC_SPEC)
     delay = int(round_half_away(predicted_sample_latency(cfg) * cfg.sample_rate))
     return Signal(delay_samples(out, delay), cfg.sample_rate)

@@ -9,21 +9,23 @@ CSV report; sweeps map one row per swept parameter.  CSV layouts:
 
 The first line is a ``#`` comment holding the exact command line, numbers
 carry 17 significant digits, and rows are LF-terminated, so identical flags
-reproduce byte-identical files.  Exit codes: 0 success, 2 usage error,
-3 chain fault (damage voltage), 4 I/O error.
+reproduce byte-identical files.  Exit codes: 0 success, 2 usage error or
+unusable input, 3 chain fault (damage voltage), 4 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import adcdac, i2s
 from .distortion import calibrate_distortion
-from .errors import DamageVoltage, EmptySignal, FundamentalNotFound, UnsupportedWav
+from .errors import AudioChainError, DamageVoltage, RealtimeFeasibilityWarning, UnsupportedWav
 from .frontend import FrontEndConfig
 from .measure import estimate_latency, measure_impulse_response, measure_thd
 from .mls import MlsConfig
@@ -111,6 +113,10 @@ def _sweep_params(args: argparse.Namespace) -> tuple:
 
 def _scenario_from_args(args: argparse.Namespace, argv: list[str]) -> Scenario:
     params = _sweep_params(args)
+    if args.sample_rate is not None and not (
+        math.isfinite(args.sample_rate) and args.sample_rate > 0
+    ):
+        raise ValueError(f"--sample-rate must be positive and finite, got {args.sample_rate}")
     for flag, value in (("--wav-in", args.wav_in), ("--wav-out", args.wav_out)):
         if value and args.measure == "latency":
             raise ValueError(f"{flag} does not combine with the MLS latency scenario")
@@ -160,9 +166,10 @@ def read_csv(path: str) -> tuple[list[str], list[str], list[list[str]]]:
     return comments, header, rows
 
 
-def _param_rng(seed: int, index: int) -> np.random.Generator:
-    # Per-parameter stream: parallel and serial sweeps draw identically.
-    return np.random.default_rng([seed, index])
+def _param_rng(seed: int, param) -> np.random.Generator:
+    # Keyed on the row label, not the sweep position: a partial sweep draws
+    # what the full sweep draws for the same row.
+    return np.random.default_rng([seed, *_row_label(param).encode()])
 
 
 def _stimulus(scenario: Scenario, sample_rate: float) -> tuple[Signal, Signal]:
@@ -210,9 +217,12 @@ def _run_latency(scenario: Scenario) -> list[tuple]:
     mls = MlsConfig(MLS_ORDER[chain], MLS_AMPLITUDE, seed=1, sample_rate=sample_rate)
     bias = FrontEndConfig().bias_voltage
     rows = []
-    for index, param in enumerate(scenario.params):
-        rng = _param_rng(scenario.seed, index)
-        cfg = _chain_config(chain, param, sample_rate, with_distortion=False)
+    for param in scenario.params:
+        rng = _param_rng(scenario.seed, param)
+        with warnings.catch_warnings():
+            # the 16x grid is a simulation rate, not a hardware rate
+            warnings.simplefilter("ignore", RealtimeFeasibilityWarning)
+            cfg = _chain_config(chain, param, sample_rate, with_distortion=False)
 
         def system(stimulus: Signal) -> Signal:
             if chain == "i2s":
@@ -229,13 +239,11 @@ def _run_latency(scenario: Scenario) -> list[tuple]:
     return rows
 
 
-def _chain_output(scenario: Scenario, index: int):
+def _chain_output(scenario: Scenario, param):
     """Processed 1 kHz stimulus (or the wav-in payload) for one parameter."""
-    rng = _param_rng(scenario.seed, index)
+    rng = _param_rng(scenario.seed, param)
     in0, in1 = _stimulus(scenario, scenario.sample_rate or DEFAULT_RATE[scenario.chain])
-    cfg = _chain_config(
-        scenario.chain, scenario.params[index], in0.sample_rate, with_distortion=True
-    )
+    cfg = _chain_config(scenario.chain, param, in0.sample_rate, with_distortion=True)
     if scenario.chain == "i2s":
         left, right = i2s.run_block_pipeline(in0, in1, cfg, rng=rng)
         return left, (left, right)
@@ -246,7 +254,7 @@ def _chain_output(scenario: Scenario, index: int):
 def _run_distortion(scenario: Scenario) -> list[tuple]:
     rows = []
     for index, param in enumerate(scenario.params):
-        measured, wav_channels = _chain_output(scenario, index)
+        measured, wav_channels = _chain_output(scenario, param)
         report = measure_thd(_discard_warmup(measured), STIMULUS_HZ)
         rows.append((_row_label(param), report.thd_db, report.thdn_db))
         if index == 0 and scenario.wav_out:
@@ -255,7 +263,7 @@ def _run_distortion(scenario: Scenario) -> list[tuple]:
 
 
 def _run_spectrum(scenario: Scenario) -> list[tuple]:
-    measured, wav_channels = _chain_output(scenario, 0)
+    measured, wav_channels = _chain_output(scenario, scenario.params[0])
     trimmed = _discard_warmup(measured)
     # AC-couple before the estimate: the sample chain output carries its
     # standing DAC offset.
@@ -303,8 +311,9 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, UnsupportedWav) as exc:
         print(f"{PROG}: i/o error: {exc}", file=sys.stderr)
         return 4
-    except (ValueError, EmptySignal, FundamentalNotFound) as exc:
-        # unusable scenario data, e.g. a wav-in too short or off-frequency
+    except (ValueError, AudioChainError) as exc:
+        # unusable scenario data, e.g. a wav-in too short or off-frequency,
+        # or a rate the stimulus aliases at
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 2
     return 0

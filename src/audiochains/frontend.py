@@ -51,7 +51,10 @@ def highpass_coeffs(cutoff: float, sample_rate: float) -> tuple[np.ndarray, np.n
 def sallen_key_coeffs(cutoff: float, q: float, sample_rate: float) -> tuple[np.ndarray, np.ndarray]:
     """Unity-gain 2nd-order low-pass b, a (bilinear transform, prewarped)."""
     if cutoff >= sample_rate / 2.0:
-        raise ValueError("low-pass cutoff must be below Nyquist")
+        raise ValueError(
+            f"low-pass corner {cutoff:g} Hz must lie below Nyquist: the sample "
+            f"rate must exceed {2.0 * cutoff:g} Hz, got {sample_rate:g} Hz"
+        )
     w0 = 2.0 * math.pi * cutoff / sample_rate
     alpha = math.sin(w0) / (2.0 * q)
     b = np.array([(1 - math.cos(w0)) / 2.0, 1 - math.cos(w0), (1 - math.cos(w0)) / 2.0])

@@ -1,10 +1,10 @@
 """Block-buffered codec chain: signed 16-bit codes through a user callback.
 
 The codec quantizes the line input to signed 16-bit data (full scale
-+/-1 V maps to +/-32767 by default), the processor callback sees those
-values scaled by 1/65535 -- roughly [-0.5, 0.5], not [-1, 1) -- and its
-output is scaled back by 65535 and re-quantized.  That asymmetric scaling
-is reproduced faithfully rather than "fixed".
++/-`FULL_SCALE_VOLTS` = +/-1 V maps to +/-32767), the processor callback
+sees those values scaled by 1/65535 -- roughly [-0.5, 0.5], not [-1, 1) --
+and its output is scaled back by 65535 and re-quantized.  That asymmetric
+scaling is reproduced faithfully rather than "fixed".
 
 The callback is a pure per-sample function, so splitting the signal into
 blocks cannot change its output: the simulation hands it the whole signal
@@ -32,6 +32,7 @@ from .signals import Signal, delay_samples
 
 CONVERSION_ADC = 1.0 / 65535.0
 CONVERSION_DAC = 65535.0
+FULL_SCALE_VOLTS = 1.0
 
 STANDARD_BLOCK_SIZES = (16, 32, 64, 128)
 
@@ -57,7 +58,6 @@ class BlockPipelineConfig:
     fixed_delay: float = 536e-6
     distortion: PolynomialDistortion | None = None
     noise_floor_rms: float = I2S_NOISE_FLOOR_RMS
-    full_scale_volts: float = 1.0
 
     def __post_init__(self):
         b = self.block_samples
@@ -74,8 +74,8 @@ class BlockPipelineConfig:
             raise ValueError("pipeline_block_count must be >= 1")
         if self.fixed_delay < 0 or self.noise_floor_rms < 0:
             raise ValueError("fixed_delay and noise_floor_rms must be non-negative")
-        if self.sample_rate <= 0 or self.full_scale_volts <= 0:
-            raise ValueError("sample_rate and full_scale_volts must be positive")
+        if self.sample_rate <= 0:
+            raise ValueError("sample_rate must be positive")
 
 
 def predicted_latency(cfg: BlockPipelineConfig) -> float:
@@ -117,7 +117,7 @@ def run_block_pipeline(
             x = cfg.distortion.apply(x)
         if cfg.noise_floor_rms > 0.0:
             x = x + rng.normal(0.0, cfg.noise_floor_rms, size=x.shape)
-        channels.append(int16_codes(x / cfg.full_scale_volts * INT16_MAX))
+        channels.append(int16_codes(x / FULL_SCALE_VOLTS * INT16_MAX))
 
     res_l, res_r = proc(channels[0] * CONVERSION_ADC, channels[1] * CONVERSION_ADC)
     delay = int(round_half_away(predicted_latency(cfg) * cfg.sample_rate))
@@ -126,6 +126,6 @@ def run_block_pipeline(
         res = np.asarray(res, dtype=np.float64)
         if len(res) != n:
             raise ShapeMismatch("processor must return one output per input sample")
-        volts = int16_volts(int16_codes(res * CONVERSION_DAC), cfg.full_scale_volts)
+        volts = int16_volts(int16_codes(res * CONVERSION_DAC), FULL_SCALE_VOLTS)
         outputs.append(Signal(delay_samples(volts, delay), cfg.sample_rate))
     return outputs[0], outputs[1]

@@ -121,9 +121,7 @@ def _trim_whole_cycles(sig: Signal, fundamental_hz: float) -> np.ndarray:
     return sig.samples[:n_trim]
 
 
-def measure_thd(
-    sig: Signal, fundamental_hz: float, max_harmonics: int = MAX_HARMONICS
-) -> DistortionReport:
+def measure_thd(sig: Signal, fundamental_hz: float) -> DistortionReport:
     """THD and THD+N of `sig` against its fundamental, in dB (see module docstring)."""
     if len(sig) == 0:
         raise EmptySignal("cannot analyze an empty signal")
@@ -167,7 +165,7 @@ def measure_thd(
     harmonic_levels = []
     harmonic_power = 0.0
     k = 2
-    while k <= max_harmonics:
+    while k <= MAX_HARMONICS:
         freq = k * fundamental_hz
         if freq * n / fs > len(powers) - 1 - HARMONIC_HALF_BINS:
             break  # band would cross Nyquist

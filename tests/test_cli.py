@@ -1,16 +1,25 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from audiochains import cli
-from audiochains.errors import DamageVoltage
+from audiochains.errors import DamageVoltage, RealtimeFeasibilityWarning
 from audiochains.signals import generate_sine
 from audiochains.wavio import read_wav, write_wav
 
 
 def run_cli(*args) -> int:
     return cli.main(list(args))
+
+
+def exit_code(*args) -> int:
+    try:
+        return cli.main(list(args))
+    except SystemExit as exc:  # argparse usage errors
+        return exc.code
 
 
 # ---------------------------------------------------------------- CSV contract
@@ -70,6 +79,24 @@ def test_adcdac_latency_sample_rate_is_the_nominal_rate(tmp_path):
     assert cli.read_csv(explicit)[2] == cli.read_csv(default)[2]
 
 
+def test_adcdac_latency_run_raises_no_feasibility_warning(tmp_path):
+    # the 16x simulation grid is not a hardware rate to warn about
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RealtimeFeasibilityWarning)
+        assert run_cli(
+            "--chain", "adcdac", "--measure", "latency", "--out", str(tmp_path / "l.csv")
+        ) == 0
+
+
+def test_low_speed_distortion_run_keeps_the_feasibility_warning(tmp_path):
+    # 12 us per sample does not fit the 10.4 us period of the nominal 96 kHz
+    with pytest.warns(RealtimeFeasibilityWarning):
+        assert run_cli(
+            "--chain", "adcdac", "--measure", "thd", "--sampling-speed", "low",
+            "--out", str(tmp_path / "t.csv"),
+        ) == 0
+
+
 def test_single_parameter_run(tmp_path):
     out = str(tmp_path / "one.csv")
     assert run_cli(
@@ -114,6 +141,21 @@ def test_spectrum_report(tmp_path):
     powers = np.array([float(r[1]) for r in rows])
     peak = int(np.argmax(powers))
     assert abs(freqs[peak] - 1000.0) <= 44100.0 / 16384
+
+
+@pytest.mark.parametrize(
+    "chain,flag,value,label",
+    [
+        ("i2s", "--block-samples", "128", "128"),
+        ("adcdac", "--sampling-speed", "high", "HIGH_SPEED"),
+    ],
+)
+def test_partial_sweep_matches_the_full_sweep_row(tmp_path, chain, flag, value, label):
+    full, part = str(tmp_path / "full.csv"), str(tmp_path / "part.csv")
+    assert run_cli("--chain", chain, "--measure", "thd", "--out", full) == 0
+    assert run_cli("--chain", chain, "--measure", "thd", flag, value, "--out", part) == 0
+    full_rows = cli.read_csv(full)[2]
+    assert cli.read_csv(part)[2] == [row for row in full_rows if row[0] == label]
 
 
 def test_determinism_byte_identical(tmp_path):
@@ -223,6 +265,59 @@ def test_usage_errors_exit_2(tmp_path):
         with pytest.raises(SystemExit) as exc:
             cli.main(list(flags))
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("rate", ["0", "-1", "nan", "inf", "100", "1000"])
+def test_bad_sample_rate_exits_2(tmp_path, rate):
+    code = exit_code(
+        "--chain", "i2s", "--measure", "thd", "--block-samples", "128",
+        f"--sample-rate={rate}", "--out", str(tmp_path / "x.csv"),
+    )
+    assert code == 2
+
+
+def test_adcdac_below_80k_names_the_front_end_corner(tmp_path, capsys):
+    code = run_cli(
+        "--chain", "adcdac", "--measure", "thd", "--sample-rate", "48000",
+        "--out", str(tmp_path / "x.csv"),
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "40000 Hz" in err and "48000 Hz" in err
+
+
+@st.composite
+def cli_flags(draw):
+    flags = [
+        "--chain", draw(st.sampled_from(["i2s", "adcdac"])),
+        "--measure", draw(st.sampled_from(["latency", "thd", "thdn", "spectrum"])),
+        "--seed", str(draw(st.integers(0, 3))),
+    ]
+    for block in draw(st.lists(st.sampled_from([16, 64, 256, 0, 3, -8]), max_size=2)):
+        flags += ["--block-samples", str(block)]
+    speed = draw(st.sampled_from([None, "low", "high"]))
+    if speed is not None:
+        flags += ["--sampling-speed", speed]
+    # never a huge rate: the 3 s stimulus is allocated at the given rate
+    rate = draw(st.sampled_from([None, "0", "-1", "nan", "inf", "100", "48000", "96000"]))
+    if rate is not None:
+        flags.append(f"--sample-rate={rate}")
+    return flags
+
+
+@settings(
+    max_examples=10, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(flags=cli_flags())
+def test_cli_exit_codes_and_reruns_are_byte_identical(tmp_path, flags):
+    out = tmp_path / "r.csv"
+    results = []
+    for _ in range(2):
+        out.unlink(missing_ok=True)
+        code = exit_code(*flags, "--out", str(out))
+        results.append((code, out.read_bytes() if out.exists() else None))
+    assert results[0][0] in (0, 2, 3, 4)
+    assert results[0] == results[1]
 
 
 def test_io_error_exits_4(tmp_path):
