@@ -75,7 +75,7 @@ class SampleChainConfig:
                 f"{self.sample_rate:.0f} Hz cannot be sustained: one conversion "
                 f"plus SPI transfer takes {predicted_sample_latency(self) * 1e6:.2f} us",
                 RealtimeFeasibilityWarning,
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass-generated __init__
             )
 
     @property

@@ -57,7 +57,6 @@ WARMUP_SECONDS = 0.15
 ADCDAC_WAV_FULL_SCALE = 2.5  # output carries the DAC's standing offset
 MLS_ORDER = {"i2s": 16, "adcdac": 12}
 MLS_AMPLITUDE = 0.5
-SPECTRUM_SEGMENT = 16384
 
 
 @dataclass(frozen=True)
@@ -117,6 +116,8 @@ def _scenario_from_args(args: argparse.Namespace, argv: list[str]) -> Scenario:
         math.isfinite(args.sample_rate) and args.sample_rate > 0
     ):
         raise ValueError(f"--sample-rate must be positive and finite, got {args.sample_rate}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     for flag, value in (("--wav-in", args.wav_in), ("--wav-out", args.wav_out)):
         if value and args.measure == "latency":
             raise ValueError(f"{flag} does not combine with the MLS latency scenario")
@@ -268,8 +269,7 @@ def _run_spectrum(scenario: Scenario) -> list[tuple]:
     # AC-couple before the estimate: the sample chain output carries its
     # standing DAC offset.
     ac = Signal(trimmed.samples - trimmed.samples.mean(), trimmed.sample_rate)
-    segment = min(SPECTRUM_SEGMENT, 1 << (len(ac).bit_length() - 1))
-    spec = power_spectrum(ac, window="hann", segment_len=segment)
+    spec = power_spectrum(ac, window="hann")
     if scenario.wav_out:
         _write_wav_out(scenario, wav_channels)
     return list(zip(spec.bin_frequencies, spec.bin_powers_dbv))

@@ -68,7 +68,7 @@ class BlockPipelineConfig:
                 f"block size {b} is outside the characterized set "
                 f"{STANDARD_BLOCK_SIZES}",
                 NonStandardBlockSizeWarning,
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass-generated __init__
             )
         if self.pipeline_block_count < 1:
             raise ValueError("pipeline_block_count must be >= 1")

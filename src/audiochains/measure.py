@@ -19,10 +19,12 @@ window scaling is `spectrum.windowed_power`'s.  For THD+N the fundamental
 (and DC) is removed exactly by a least-squares sin/cos fit at the stated
 frequency; binwise notching would leave window sidelobe leakage of the
 fundamental in the residual, putting a floor well above the
-quantization-level residuals this suite has to resolve.  The analysis
-window is first trimmed to a whole number of fundamental cycles.  One
-analysis yields both figures, so `measure_thdn` is an alias of
-`measure_thd`.
+quantization-level residuals this suite has to resolve.  Every sample
+of the record is analyzed: the fit removes the fundamental exactly at
+any record length, and a +/-3 bin Hann band reads a tone half a bin off
+centre to about 0.0003 dB, so the record need not hold a whole number
+of cycles.  One analysis yields both figures, so `measure_thdn` is an
+alias of `measure_thd`.
 """
 
 from __future__ import annotations
@@ -109,18 +111,6 @@ def estimate_latency(ir: Signal) -> LatencyReport:
     )
 
 
-def _trim_whole_cycles(sig: Signal, fundamental_hz: float) -> np.ndarray:
-    n = len(sig)
-    cycles = int(np.floor((n - 1) * fundamental_hz / sig.sample_rate))
-    if cycles < 10:
-        raise ValueError("signal must span at least 10 fundamental periods")
-    n_trim = int(round(cycles * sig.sample_rate / fundamental_hz))
-    while n_trim > n:
-        cycles -= 1
-        n_trim = int(round(cycles * sig.sample_rate / fundamental_hz))
-    return sig.samples[:n_trim]
-
-
 def measure_thd(sig: Signal, fundamental_hz: float) -> DistortionReport:
     """THD and THD+N of `sig` against its fundamental, in dB (see module docstring)."""
     if len(sig) == 0:
@@ -128,8 +118,10 @@ def measure_thd(sig: Signal, fundamental_hz: float) -> DistortionReport:
     if not 0.0 < fundamental_hz < sig.sample_rate / 2.0:
         raise ValueError("fundamental must lie below Nyquist")
     fs = sig.sample_rate
-    x = _trim_whole_cycles(sig, fundamental_hz)
+    x = sig.samples
     n = len(x)
+    if n * fundamental_hz < 10 * fs:
+        raise ValueError("signal must span at least 10 fundamental periods")
 
     # Exact fundamental + DC removal: residual power is all harmonics+noise.
     t = np.arange(n) / fs

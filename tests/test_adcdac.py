@@ -137,8 +137,9 @@ def test_predicted_latency_table():
 
 
 def test_low_speed_at_96k_warns_about_feasibility():
-    with pytest.warns(RealtimeFeasibilityWarning):
+    with pytest.warns(RealtimeFeasibilityWarning) as record:
         SampleChainConfig(sample_rate=96000.0, conditioning_noise_rms=0.0)
+    assert record[0].filename == __file__  # points at the caller
     cfg = _quiet_cfg(sampling_speed=SamplingSpeed.HIGH_SPEED)
     assert cfg.realtime_feasible  # 9.6 us fits in the 10.4 us period
 

@@ -276,6 +276,17 @@ def test_bad_sample_rate_exits_2(tmp_path, rate):
     assert code == 2
 
 
+def test_negative_seed_exits_2_naming_the_flag(tmp_path, capsys):
+    code = exit_code(
+        "--chain", "i2s", "--measure", "latency", "--block-samples", "16",
+        "--seed", "-1", "--out", str(tmp_path / "x.csv"),
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--seed" in err and "-1" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_adcdac_below_80k_names_the_front_end_corner(tmp_path, capsys):
     code = run_cli(
         "--chain", "adcdac", "--measure", "thd", "--sample-rate", "48000",

@@ -136,8 +136,9 @@ def test_bad_processor_length_detected():
 
 
 def test_nonstandard_block_size_warns():
-    with pytest.warns(NonStandardBlockSizeWarning):
+    with pytest.warns(NonStandardBlockSizeWarning) as record:
         BlockPipelineConfig(block_samples=256, noise_floor_rms=0.0)
+    assert record[0].filename == __file__  # points at the caller
     with pytest.raises(ValueError):
         BlockPipelineConfig(block_samples=48)
 

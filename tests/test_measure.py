@@ -183,6 +183,23 @@ def test_too_short_signal_rejected():
         measure_thd(Signal(_tone(1000.0, 0.5, duration=0.005), FS), 1000.0)
 
 
+@pytest.mark.parametrize(
+    "f0, n",
+    [
+        (1000.0, 44122),  # 1000.5 cycles
+        (997.3, 443),  # 10.02 cycles, just past the 10-period minimum
+    ],
+)
+def test_thd_of_a_non_whole_cycle_record_matches_closed_form(f0, n):
+    t = np.arange(n) / FS
+    rels = np.array([10 ** (-40 / 20), 10 ** (-50 / 20), 10 ** (-60 / 20)])
+    x = np.sin(2 * np.pi * f0 * t)
+    for k, rel in zip(range(2, 5), rels):
+        x = x + rel * np.sin(2 * np.pi * k * f0 * t + 0.5 * k)
+    report = measure_thd(Signal(x, FS), f0)
+    assert report.thd_db == pytest.approx(10 * np.log10(np.sum(rels**2)), abs=0.01)
+
+
 # ---------------------------------------------------------------- THD+N
 
 
@@ -213,6 +230,15 @@ def test_thdn_never_below_thd():
         x = x + rng.normal(0.0, 10 ** (rng.uniform(-90, -60) / 20), size=len(x))
         report = measure_thdn(Signal(x, FS), f0)
         assert report.thdn_db >= report.thd_db - 1e-6
+
+
+def test_thdn_counts_every_sample_of_the_record():
+    # 0.5 s at 44.1 kHz is 500 cycles; noise sits only in the last 30 samples
+    x = _tone(1000.0, 0.5, duration=0.5)
+    noise = np.zeros_like(x)
+    noise[-30:] = np.random.default_rng(3).normal(0.0, 0.05, size=30)
+    report = measure_thdn(Signal(x + noise, FS), 1000.0)
+    assert report.thdn_db == pytest.approx(10 * np.log10(np.mean(noise**2) / 0.25), abs=0.01)
 
 
 def test_dc_offset_is_removed_before_the_ratio():
