@@ -9,8 +9,10 @@ CSV report; sweeps map one row per swept parameter.  CSV layouts:
 
 The first line is a ``#`` comment holding the exact command line, numbers
 carry 17 significant digits, and rows are LF-terminated, so identical flags
-reproduce byte-identical files.  Exit codes: 0 success, 2 usage error or
-unusable input, 3 chain fault (damage voltage), 4 I/O error.
+reproduce byte-identical files.  Each latency row sizes its MLS to the
+smallest order >= 12 whose period holds twice the predicted latency.  Exit
+codes: 0 success, 2 usage error or unusable input (including a latency too
+long for order 24), 3 chain fault (damage voltage), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -25,10 +27,11 @@ import numpy as np
 
 from . import adcdac, i2s
 from .distortion import calibrate_distortion
-from .errors import AudioChainError, DamageVoltage, RealtimeFeasibilityWarning, UnsupportedWav
+from .errors import AudioChainError, DamageVoltage, RealtimeFeasibilityWarning
+from .errors import UnsupportedOrder, UnsupportedWav
 from .frontend import FrontEndConfig
 from .measure import estimate_latency, measure_impulse_response, measure_thd
-from .mls import MlsConfig
+from .mls import PRIMITIVE_TAPS, MlsConfig
 from .signals import Signal, generate_sine
 from .spectrum import power_spectrum
 from .wavio import read_wav, write_wav
@@ -55,8 +58,8 @@ STIMULUS_VRMS = 0.5
 STIMULUS_SECONDS = 3.0
 WARMUP_SECONDS = 0.15
 ADCDAC_WAV_FULL_SCALE = 2.5  # output carries the DAC's standing offset
-MLS_ORDER = {"i2s": 16, "adcdac": 12}
 MLS_AMPLITUDE = 0.5
+MIN_MLS_ORDER = 12  # keeps the block-128 i2s peak 109 dB above the correlation noise
 
 
 @dataclass(frozen=True)
@@ -212,10 +215,23 @@ def _chain_config(chain: str, param, sample_rate: float, with_distortion: bool):
     )
 
 
+def _mls_order(label: str, latency_s: float, sample_rate: float) -> int:
+    """Smallest tabled MLS order >= MIN_MLS_ORDER whose period holds twice the
+    predicted latency: a longer response wraps around the circular correlation."""
+    need = 2.0 * latency_s * sample_rate
+    for order in sorted(PRIMITIVE_TAPS):
+        if order >= MIN_MLS_ORDER and (1 << order) - 1 >= need:
+            return order
+    raise UnsupportedOrder(
+        f"parameter {label}: predicted latency {latency_s:.6g} s needs an MLS period of "
+        f"{math.ceil(need)} samples, longer than order {max(PRIMITIVE_TAPS)} gives"
+    )
+
+
 def _run_latency(scenario: Scenario) -> list[tuple]:
     chain = scenario.chain
     sample_rate = (scenario.sample_rate or DEFAULT_RATE[chain]) * LATENCY_OVERSAMPLE[chain]
-    mls = MlsConfig(MLS_ORDER[chain], MLS_AMPLITUDE, seed=1, sample_rate=sample_rate)
+    predicted_latency = i2s.predicted_latency if chain == "i2s" else adcdac.predicted_sample_latency
     bias = FrontEndConfig().bias_voltage
     rows = []
     for param in scenario.params:
@@ -224,6 +240,8 @@ def _run_latency(scenario: Scenario) -> list[tuple]:
             # the 16x grid is a simulation rate, not a hardware rate
             warnings.simplefilter("ignore", RealtimeFeasibilityWarning)
             cfg = _chain_config(chain, param, sample_rate, with_distortion=False)
+        order = _mls_order(_row_label(param), predicted_latency(cfg), sample_rate)
+        mls = MlsConfig(order, MLS_AMPLITUDE, seed=1, sample_rate=sample_rate)
 
         def system(stimulus: Signal) -> Signal:
             if chain == "i2s":

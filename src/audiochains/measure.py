@@ -20,11 +20,12 @@ window scaling is `spectrum.windowed_power`'s.  For THD+N the fundamental
 frequency; binwise notching would leave window sidelobe leakage of the
 fundamental in the residual, putting a floor well above the
 quantization-level residuals this suite has to resolve.  Every sample
-of the record is analyzed: the fit removes the fundamental exactly at
-any record length, and a +/-3 bin Hann band reads a tone half a bin off
-centre to about 0.0003 dB, so the record need not hold a whole number
-of cycles.  One analysis yields both figures, so `measure_thdn` is an
-alias of `measure_thd`.
+of the record is analyzed: the fit removes the fundamental at any length
+(off whole cycles the harmonics leak into the fit basis, so THD+N reads
+about 0.024 dB low at 10.5 cycles and within 0.0007 dB at 2850), and a
++/-3 bin Hann band reads a tone half a bin off centre to about 0.0003 dB.
+One analysis yields both figures, so `measure_thdn` is an alias of
+`measure_thd`.
 """
 
 from __future__ import annotations

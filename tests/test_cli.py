@@ -1,3 +1,4 @@
+import time
 import warnings
 
 import numpy as np
@@ -5,8 +6,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from audiochains import cli
-from audiochains.errors import DamageVoltage, RealtimeFeasibilityWarning
+from audiochains import cli, i2s
+from audiochains.errors import (
+    DamageVoltage,
+    NonStandardBlockSizeWarning,
+    RealtimeFeasibilityWarning,
+    UnsupportedOrder,
+)
+from audiochains.measure import estimate_latency, measure_impulse_response
+from audiochains.mls import MlsConfig
 from audiochains.signals import generate_sine
 from audiochains.wavio import read_wav, write_wav
 
@@ -104,6 +112,56 @@ def test_single_parameter_run(tmp_path):
     ) == 0
     _, _, rows = cli.read_csv(out)
     assert len(rows) == 1 and rows[0][0] == "64"
+
+
+def test_long_block_latency_does_not_wrap_around_the_probe(tmp_path):
+    # 2.23 s is longer than an order-16 period (1.49 s), which read 0.7436 s
+    out = str(tmp_path / "lat.csv")
+    with pytest.warns(NonStandardBlockSizeWarning):
+        assert run_cli(
+            "--chain", "i2s", "--measure", "latency", "--block-samples", "32768", "--out", out
+        ) == 0
+    with pytest.warns(NonStandardBlockSizeWarning):
+        predicted = i2s.predicted_latency(i2s.BlockPipelineConfig(block_samples=32768))
+    assert abs(float(cli.read_csv(out)[2][0][1]) - predicted) <= 1.0 / 44100.0
+
+
+# ---------------------------------------------------------------- MLS sizing
+
+
+@pytest.mark.parametrize(
+    "latency_samples, order",
+    [
+        (1.0, 12),  # the floor
+        (2047.5, 12),  # twice is 4095, the order-12 period
+        (2048.0, 13),
+    ],
+)
+def test_mls_order_is_the_smallest_period_holding_twice_the_latency(latency_samples, order):
+    assert cli._mls_order("x", latency_samples, 1.0) == order
+
+
+def test_mls_order_for_a_65536_block():
+    with pytest.warns(NonStandardBlockSizeWarning):
+        cfg = i2s.BlockPipelineConfig(block_samples=65536)
+    assert cli._mls_order("65536", i2s.predicted_latency(cfg), cfg.sample_rate) == 19
+
+
+def test_mls_order_beyond_the_tap_table_raises():
+    with pytest.raises(UnsupportedOrder, match="parameter 8388608"):
+        cli._mls_order("8388608", 2.0**23, 1.0)  # twice is one past the order-24 period
+
+
+def test_sized_probe_keeps_the_latency_peak_clean():
+    cfg = i2s.BlockPipelineConfig(block_samples=128)
+    order = cli._mls_order("128", i2s.predicted_latency(cfg), cfg.sample_rate)
+    rng = np.random.default_rng(1)
+
+    def system(s):
+        return i2s.run_block_pipeline(s, s, cfg, rng=rng)[0]
+
+    ir = measure_impulse_response(system, MlsConfig(order, cli.MLS_AMPLITUDE, 1, cfg.sample_rate))
+    assert estimate_latency(ir).peak_to_noise_db > 100.0
 
 
 @pytest.fixture(scope="module")
@@ -284,6 +342,20 @@ def test_negative_seed_exits_2_naming_the_flag(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "--seed" in err and "-1" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_latency_too_long_for_any_mls_exits_2_before_generating(tmp_path, capsys):
+    start = time.perf_counter()
+    with pytest.warns(NonStandardBlockSizeWarning):
+        code = run_cli(
+            "--chain", "i2s", "--measure", "latency", "--block-samples", "4194304",
+            "--out", str(tmp_path / "x.csv"),
+        )
+    assert code == 2
+    assert time.perf_counter() - start < 1.0  # no order-24 sequence was built
+    err = capsys.readouterr().err
+    assert "4194304" in err and "285.3" in err  # the block and its predicted latency
     assert not (tmp_path / "x.csv").exists()
 
 
