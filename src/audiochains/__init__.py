@@ -10,7 +10,6 @@ from .adcdac import (
     CONVERSION_TIME,
     SampleChainConfig,
     SamplingSpeed,
-    SpiFrame,
     predicted_sample_latency,
     process_sample,
     run_sample_pipeline,

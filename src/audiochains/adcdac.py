@@ -1,8 +1,9 @@
 """Sample-at-a-time chain: SAR ADCs, per-sample arithmetic, external SPI DAC.
 
 Every input sample is one conversion tick: the two channels are conditioned
-and quantized (ENOB noise on by default), combined by the fixed per-sample
-arithmetic, framed as two SPI bytes, and reconstructed by the 16-bit DAC
+(`front_end_filter`) and quantized (ENOB noise on by default), combined by
+the fixed per-sample arithmetic, framed as two SPI bytes MSB first
+(`spi_encode`/`spi_decode`), and reconstructed by the 16-bit DAC
 (`DAC_SPEC`, 0-2.5 V).  The DAC output keeps its `DAC_OFFSET` = +1.25 V
 standing offset (the measurement side AC-couples), and the chain latency
 `predicted_sample_latency` -- the per-speed `CONVERSION_TIME` plus the
@@ -24,7 +25,7 @@ import numpy as np
 
 from .distortion import PolynomialDistortion
 from .errors import InvalidCode, RealtimeFeasibilityWarning, ShapeMismatch
-from .frontend import FrontEndConfig, _condition, check_damage
+from .frontend import FrontEndConfig, check_damage, front_end_filter
 from .quantize import QuantizerSpec, dequantize, quantize_uniform, round_half_away
 from .signals import Signal, delay_samples
 
@@ -79,10 +80,6 @@ class SampleChainConfig:
             )
 
     @property
-    def spi_transfer_time(self) -> float:
-        return SPI_TRANSFER_TIME
-
-    @property
     def realtime_feasible(self) -> bool:
         return self.sample_rate * predicted_sample_latency(self) < 1.0
 
@@ -92,33 +89,17 @@ def predicted_sample_latency(cfg: SampleChainConfig) -> float:
     return CONVERSION_TIME[cfg.sampling_speed] + SPI_TRANSFER_TIME
 
 
-@dataclass(frozen=True)
-class SpiFrame:
-    """Two-byte wire encoding of one 16-bit DAC code, MSB first."""
-
-    byte_high: int
-    byte_low: int
-
-    def __post_init__(self):
-        if not (0 <= self.byte_high <= 0xFF and 0 <= self.byte_low <= 0xFF):
-            raise InvalidCode("frame bytes must be in [0, 255]")
-
-    @property
-    def code(self) -> int:
-        return self.byte_high * 256 + self.byte_low
-
-    def to_bytes(self) -> bytes:
-        return bytes((self.byte_high, self.byte_low))
+def spi_encode(dac_codes) -> bytes:
+    """Wire bytes of one or more 16-bit DAC codes: two per code, MSB first."""
+    codes = np.asarray(dac_codes)
+    if codes.size and (codes.min() < 0 or codes.max() > 0xFFFF):
+        raise InvalidCode(f"DAC codes [{codes.min()}, {codes.max()}] outside [0, 65535]")
+    return codes.astype(">u2").tobytes()
 
 
-def spi_encode(dac_code: int) -> SpiFrame:
-    if not 0 <= dac_code <= 0xFFFF:
-        raise InvalidCode(f"DAC code {dac_code} outside [0, 65535]")
-    return SpiFrame(byte_high=dac_code >> 8, byte_low=dac_code & 0xFF)
-
-
-def spi_decode(frame: SpiFrame) -> int:
-    return frame.code
+def spi_decode(wire: bytes) -> np.ndarray:
+    """DAC codes from MSB-first wire bytes, the inverse of `spi_encode`."""
+    return np.frombuffer(wire, ">u2").astype(np.int64)
 
 
 def process_sample(code0: int, code1: int, cfg: SampleChainConfig) -> tuple[int, bool]:
@@ -180,9 +161,7 @@ def run_sample_pipeline(
         if cfg.distortion is not None:
             x = cfg.distortion.apply(x)
         if fe is not None:
-            raw = _condition(x, fe, cfg.sample_rate)
-            check_damage(raw, fe)
-            x = np.clip(raw, fe.rail_low, fe.rail_high)
+            x = front_end_filter(Signal(x, cfg.sample_rate), fe).samples
         else:
             check_damage(x, FrontEndConfig())
         if cfg.conditioning_noise_rms > 0.0:
@@ -192,12 +171,6 @@ def run_sample_pipeline(
     codes0 = quantize_uniform(pins[0], cfg.adc_spec, rng)
     codes1 = quantize_uniform(pins[1], cfg.adc_spec, rng)
     dac_codes, _ = _process_sample_arrays(codes0, codes1, cfg)
-
-    # SPI round trip, byte-exact: MSB first on the wire.
-    high = dac_codes >> 8
-    low = dac_codes & 0xFF
-    received = high * 256 + low
-
-    out = dequantize(received, DAC_SPEC)
+    out = dequantize(spi_decode(spi_encode(dac_codes)), DAC_SPEC)
     delay = int(round_half_away(predicted_sample_latency(cfg) * cfg.sample_rate))
     return Signal(delay_samples(out, delay), cfg.sample_rate)

@@ -3,9 +3,12 @@
 Stage 1 AC-couples the input and re-centers it on the mid-supply bias,
 stage 2 is a second-order Sallen-Key low-pass (anti-aliasing), and the
 rail-to-rail output stage clamps a few tens of millivolts inside the
-supplies.  Filters are discretized at the signal's own rate: the biquad by
-bilinear transform with frequency prewarping, the coupling pole by an exact
-one-pole recurrence (its sub-hertz corner would otherwise underflow).
+supplies.  `front_end_filter` runs all three and is the only conditioning
+path; a raw pin voltage outside the absolute-maximum window raises
+DamageVoltage before the clamp could hide it.  Filters are discretized at
+the signal's own rate: the biquad by bilinear transform with frequency
+prewarping, the coupling pole by an exact one-pole recurrence (its
+sub-hertz corner would otherwise underflow).
 """
 
 from __future__ import annotations
@@ -70,19 +73,15 @@ def filter_gain_db(b: np.ndarray, a: np.ndarray, freq: float, sample_rate: float
     return 20.0 * math.log10(abs(num / den))
 
 
-def _condition(samples: np.ndarray, cfg: FrontEndConfig, sample_rate: float) -> np.ndarray:
-    """Coupling, bias and low-pass; no clamp (the raw pin voltage)."""
-    bh, ah = highpass_coeffs(cfg.coupling_cutoff, sample_rate)
-    x = sps.lfilter(bh, ah, samples)
-    x = x + cfg.bias_voltage
-    bl, al = sallen_key_coeffs(cfg.sallen_key_cutoff, cfg.sallen_key_q, sample_rate)
-    return sps.lfilter(bl, al, x)
-
-
 def front_end_filter(sig: Signal, cfg: FrontEndConfig) -> Signal:
-    """Conditioned pin voltage: AC-couple, bias, Sallen-Key, rail clamp."""
-    x = _condition(sig.samples, cfg, sig.sample_rate)
-    return Signal(np.clip(x, cfg.rail_low, cfg.rail_high), sig.sample_rate)
+    """Conditioned pin voltage: AC-couple, bias, Sallen-Key, `check_damage`, rail clamp."""
+    bh, ah = highpass_coeffs(cfg.coupling_cutoff, sig.sample_rate)
+    x = sps.lfilter(bh, ah, sig.samples)
+    x = x + cfg.bias_voltage
+    bl, al = sallen_key_coeffs(cfg.sallen_key_cutoff, cfg.sallen_key_q, sig.sample_rate)
+    raw = sps.lfilter(bl, al, x)
+    check_damage(raw, cfg)
+    return Signal(np.clip(raw, cfg.rail_low, cfg.rail_high, out=raw), sig.sample_rate)
 
 
 def check_damage(v, cfg: FrontEndConfig) -> None:

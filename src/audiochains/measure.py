@@ -2,9 +2,11 @@
 
 Latency comes from the impulse response recovered by circular
 cross-correlation against a repeated maximum-length sequence; the first
-period is discarded as warm-up and the rest are averaged.  The sequence's
-two-valued autocorrelation makes the raw correlation R a scaled copy of the
-impulse response sitting on a uniform background (the DC-gain term plus any
+period is discarded as warm-up and the rest are averaged.  An output
+constant over that period raises NoPeak: the response is absent, or too
+long and would wrap around the correlation.  The sequence's two-valued
+autocorrelation makes the raw correlation R a scaled copy of the impulse
+response sitting on a uniform background (the DC-gain term plus any
 standing output offset leaking through the sequence's +/-1 imbalance), so
 
     h[tau] = (R[tau] - median(R)) / ((L + 1) * amplitude**2)
@@ -38,7 +40,7 @@ import numpy as np
 from .errors import EmptySignal, FundamentalNotFound, NoPeak, TruncatedResponse
 from .mls import MlsConfig, generate_mls
 from .signals import Signal
-from .spectrum import window_samples, windowed_power
+from .spectrum import band_sum, window_samples, windowed_power
 
 SystemTransform = Callable[[Signal], Signal]
 
@@ -77,6 +79,9 @@ def measure_impulse_response(
         raise TruncatedResponse(
             f"system returned {len(response)} of {periods * length} samples"
         )
+    if np.ptp(response.samples[:length]) == 0:
+        raise NoPeak(f"output constant over the first MLS period ({length} samples, order "
+                     f"{cfg.order}): the response is absent or longer than one period")
     steady = response.samples[length : periods * length].reshape(periods - 1, length)
     y = steady.mean(axis=0)
 
@@ -140,10 +145,7 @@ def measure_thd(sig: Signal, fundamental_hz: float) -> DistortionReport:
     powers, enbw_bins = windowed_power((x - x.mean())[np.newaxis], window_samples("hann", n))
 
     def band(freq: float) -> float:
-        center = int(round(freq * n / fs))
-        lo = max(center - HARMONIC_HALF_BINS, 0)
-        hi = min(center + HARMONIC_HALF_BINS, len(powers) - 1)
-        return float(powers[lo : hi + 1].sum()) / enbw_bins
+        return band_sum(powers, enbw_bins, int(round(freq * n / fs)), HARMONIC_HALF_BINS)
 
     fundamental_bin = int(round(fundamental_hz * n / fs))
     search = powers.copy()

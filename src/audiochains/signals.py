@@ -1,7 +1,8 @@
 """Sampled-waveform container and test-tone generation.
 
 Everything downstream (both simulated chains and the measurement suite)
-passes signals around as immutable :class:`Signal` values in volts.
+passes signals around as :class:`Signal` values in volts; a Signal shares,
+not copies, a float64 samples array with its caller.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ from .errors import AliasedStimulus
 class Signal:
     """A finite, uniformly sampled real-valued waveform.
 
-    samples are in volts; sample_rate in Hz.  Values are validated and
-    frozen on construction so instances are safe to share between tasks.
+    samples are in volts; sample_rate in Hz.  Both are validated and cannot
+    be reassigned, but a float64 samples array is the caller's, not a copy:
+    a later write to it shows in the Signal.
     """
 
     samples: np.ndarray

@@ -4,8 +4,9 @@ Scaling convention: each one-sided bin holds coherent-gain-corrected power,
 i.e. a bin-centered sine of rms A reads 10*log10(A**2) dBV in its peak bin
 and a DC level of 1 V reads 0 dBV, for either window.  Band power (the sum
 of bins over a tone's main lobe) must be divided by the window's equivalent
-noise bandwidth in bins (`enbw_bins`); `band_power` does this, and with that
-correction the linear sum over all bins equals the time-domain mean square.
+noise bandwidth in bins (`enbw_bins`); `band_sum`, which `band_power` and
+the THD analyzer share, does this, and with that correction the linear sum
+over all bins equals the time-domain mean square.
 """
 
 from __future__ import annotations
@@ -101,14 +102,19 @@ def power_spectrum(sig: Signal, window: str = "hann", segment_len: int | None = 
     return Spectrum(freqs, dbv, resolution, window, enbw_bins)
 
 
+def band_sum(powers: np.ndarray, enbw_bins: float, center_bin: int, half_bins: int) -> float:
+    """ENBW-corrected sum of linear `powers` over center_bin +/- half_bins, cut to the array."""
+    lo = max(center_bin - half_bins, 0)
+    hi = min(center_bin + half_bins, len(powers) - 1)
+    if hi < lo:
+        return 0.0
+    return float(np.sum(powers[lo : hi + 1])) / enbw_bins
+
+
 def band_power(spec: Spectrum, center_hz: float, half_bins: int = 3) -> float:
     """ENBW-corrected linear power (V^2 rms) in +/-half_bins around a frequency."""
     center = int(round(center_hz / spec.resolution_hz))
-    lo = max(center - half_bins, 0)
-    hi = min(center + half_bins, len(spec.bin_frequencies) - 1)
-    if hi < lo:
-        return 0.0
-    return float(np.sum(spec.linear_powers()[lo : hi + 1])) / spec.enbw_bins
+    return band_sum(spec.linear_powers(), spec.enbw_bins, center, half_bins)
 
 
 def total_power(spec: Spectrum) -> float:

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from audiochains import adcdac
 from audiochains.adcdac import (
+    SPI_TRANSFER_TIME,
     SampleChainConfig,
     SamplingSpeed,
-    SpiFrame,
     predicted_sample_latency,
     process_sample,
     run_sample_pipeline,
@@ -57,15 +58,18 @@ def _oracle_process(code0: int, code1: int) -> tuple[int, bool]:
 
 
 def test_spi_frame_examples():
-    assert spi_encode(0) == SpiFrame(0x00, 0x00)
-    assert spi_encode(65535) == SpiFrame(0xFF, 0xFF)
-    assert spi_encode(58810) == SpiFrame(0xE5, 0xBA)
-    assert spi_encode(58810).to_bytes() == b"\xe5\xba"  # MSB first on the wire
+    assert spi_encode(0) == b"\x00\x00"
+    assert spi_encode(65535) == b"\xff\xff"
+    assert spi_encode(58810) == b"\xe5\xba"  # MSB first on the wire
+    assert spi_encode(np.array([1, 256])) == b"\x00\x01\x01\x00"
+    assert spi_decode(b"\xe5\xba").tolist() == [58810]
 
 
 def test_spi_round_trip_exhaustive():
-    for code in range(65536):
-        assert spi_decode(spi_encode(code)) == code
+    codes = np.arange(65536)
+    wire = spi_encode(codes)
+    assert len(wire) == 2 * codes.size
+    np.testing.assert_array_equal(spi_decode(wire), codes)
 
 
 def test_spi_rejects_out_of_range():
@@ -74,7 +78,7 @@ def test_spi_rejects_out_of_range():
     with pytest.raises(InvalidCode):
         spi_encode(65536)
     with pytest.raises(InvalidCode):
-        SpiFrame(256, 0)
+        spi_encode(np.array([0, 70000, 5]))
 
 
 # ---------------------------------------------------------------- per-sample arithmetic
@@ -133,7 +137,7 @@ def test_predicted_latency_table():
     high = _quiet_cfg(sampling_speed=SamplingSpeed.HIGH_SPEED)
     assert predicted_sample_latency(low) == pytest.approx(12.0e-6, abs=0.5e-6)
     assert predicted_sample_latency(high) == pytest.approx(9.6e-6, abs=0.5e-6)
-    assert low.spi_transfer_time == pytest.approx(0.32e-6, rel=1e-12)
+    assert SPI_TRANSFER_TIME == pytest.approx(0.32e-6, rel=1e-12)
 
 
 def test_low_speed_at_96k_warns_about_feasibility():
@@ -257,6 +261,24 @@ def test_damage_voltage_propagates():
     neg = Signal(np.full(100, -0.5), cfg.sample_rate)
     with pytest.raises(DamageVoltage):
         run_sample_pipeline(neg, neg, None, cfg)
+
+
+def test_pipeline_runs_the_public_spi_and_front_end_functions(monkeypatch):
+    calls = []
+
+    def spy(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+
+        monkeypatch.setattr(adcdac, name, wrapper)
+
+    for name in ("spi_encode", "spi_decode", "front_end_filter"):
+        spy(name, getattr(adcdac, name))
+    cfg = _quiet_cfg()
+    sine = generate_sine(1000.0, 0.5, 0.01, cfg.sample_rate)
+    run_sample_pipeline(sine, sine, FrontEndConfig(), cfg)
+    assert calls == ["front_end_filter", "front_end_filter", "spi_encode", "spi_decode"]
 
 
 def test_shape_mismatch():

@@ -55,11 +55,20 @@ def test_minus_3db_at_the_sallen_key_corner():
 
 
 def test_large_sine_clips_at_the_rail():
-    sine = generate_sine(1000.0, 3.0 / np.sqrt(2.0), 0.2, FS)
+    # 1.65 +/- 1.7 V crosses both rails but stays inside the damage window
+    sine = generate_sine(1000.0, 1.7 / np.sqrt(2.0), 0.2, FS)
     out = front_end_filter(sine, FrontEndConfig())
     assert np.max(out.samples) == pytest.approx(3.27, abs=1e-12)
     assert np.max(out.samples) <= 3.27
+    assert np.min(out.samples) == pytest.approx(0.030, abs=1e-12)
     assert np.min(out.samples) >= 0.030
+
+
+def test_filter_raises_on_a_damaging_pin_voltage():
+    # 1.65 + 3 V peaks leave the 3.5 V absolute maximum before the clamp
+    sine = generate_sine(1000.0, 3.0 / np.sqrt(2.0), 0.2, FS)
+    with pytest.raises(DamageVoltage):
+        front_end_filter(sine, FrontEndConfig())
 
 
 def test_check_damage():

@@ -7,9 +7,11 @@ from scipy import signal as sps
 from audiochains.errors import (
     EmptySignal,
     FundamentalNotFound,
+    NonStandardBlockSizeWarning,
     NoPeak,
     TruncatedResponse,
 )
+from audiochains.i2s import BlockPipelineConfig, run_block_pipeline
 from audiochains.measure import (
     estimate_latency,
     measure_impulse_response,
@@ -73,6 +75,20 @@ def test_truncated_response_detected():
 
     with pytest.raises(TruncatedResponse):
         measure_impulse_response(system, MlsConfig(10, 0.5, 1, FS))
+
+
+def test_response_longer_than_one_period_raises_instead_of_wrapping():
+    # 2.23 s of i2s latency against the 1.49 s order-16 period read 0.7436 s
+    with pytest.warns(NonStandardBlockSizeWarning):
+        cfg = BlockPipelineConfig(block_samples=32768)
+    rng = np.random.default_rng(0)
+
+    def system(s):
+        left, _ = run_block_pipeline(s, s, cfg, rng=rng)
+        return left
+
+    with pytest.raises(NoPeak, match=r"65535 samples, order 16"):
+        measure_impulse_response(system, MlsConfig(16, 0.5, 1, cfg.sample_rate))
 
 
 def test_periods_precondition():

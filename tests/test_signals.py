@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,19 @@ def test_signal_is_float64_and_sized():
     assert sig.samples.dtype == np.float64
     assert len(sig) == 3
     assert sig.duration == pytest.approx(3 / 8000)
+
+
+def test_signal_fields_are_frozen_but_float64_samples_are_shared():
+    a = np.zeros(3)
+    sig = Signal(a, 8000)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sig.samples = np.ones(3)
+    a[0] = 7.0  # the documented alias: no copy is taken
+    assert sig.samples[0] == 7.0
+    ints = np.zeros(3, dtype=np.int64)
+    converted = Signal(ints, 8000)
+    ints[0] = 7
+    assert converted.samples[0] == 0.0
 
 
 def test_sine_phase_zero_starts_at_zero_with_sqrt2_peak():
