@@ -1,9 +1,10 @@
 """Sample-at-a-time chain: SAR ADCs, per-sample arithmetic, external SPI DAC.
 
 Every input sample is one conversion tick: the two channels are conditioned
-(`front_end_filter`) and quantized (ENOB noise on by default), combined by
-the fixed per-sample arithmetic, framed as two SPI bytes MSB first
-(`spi_encode`/`spi_decode`), and reconstructed by the 16-bit DAC
+(`front_end_filter`; a pair fed one `Signal` is distorted and filtered once,
+the noise after it is still drawn per channel) and quantized (ENOB noise on
+by default), combined by the fixed per-sample arithmetic, framed as two SPI
+bytes MSB first (`spi_encode`/`spi_decode`), and reconstructed by the 16-bit DAC
 (`DAC_SPEC`, 0-2.5 V).  The DAC output keeps its `DAC_OFFSET` = +1.25 V
 standing offset (the measurement side AC-couples), and the chain latency
 `predicted_sample_latency` -- the per-speed `CONVERSION_TIME` plus the
@@ -155,8 +156,8 @@ def run_sample_pipeline(
     if needs_noise and rng is None:
         raise ValueError("configured noise requires an rng")
 
-    pins = []
-    for sig in (in0, in1):
+    conditioned = []
+    for sig in (in0,) if in1 is in0 else (in0, in1):  # deterministic, so once per Signal
         x = sig.samples
         if cfg.distortion is not None:
             x = cfg.distortion.apply(x)
@@ -164,9 +165,10 @@ def run_sample_pipeline(
             x = front_end_filter(Signal(x, cfg.sample_rate), fe).samples
         else:
             check_damage(x, FrontEndConfig())
-        if cfg.conditioning_noise_rms > 0.0:
-            x = x + rng.normal(0.0, cfg.conditioning_noise_rms, size=x.shape)
-        pins.append(x)
+        conditioned.append(x)
+    pins = [conditioned[0], conditioned[-1]]
+    if cfg.conditioning_noise_rms > 0.0:
+        pins = [x + rng.normal(0.0, cfg.conditioning_noise_rms, size=x.shape) for x in pins]
 
     codes0 = quantize_uniform(pins[0], cfg.adc_spec, rng)
     codes1 = quantize_uniform(pins[1], cfg.adc_spec, rng)

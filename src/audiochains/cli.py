@@ -176,10 +176,12 @@ def _param_rng(seed: int, param) -> np.random.Generator:
     return np.random.default_rng([seed, *_row_label(param).encode()])
 
 
-def _stimulus(scenario: Scenario, sample_rate: float) -> tuple[Signal, Signal]:
+def _stimulus(scenario: Scenario) -> tuple[Signal, Signal]:
+    """The 1 kHz sine or the wav-in payload, read once and shared by every row."""
     if scenario.wav_in is not None:
         channels = read_wav(scenario.wav_in)  # mono feeds both inputs
         return channels[0], channels[-1]
+    sample_rate = scenario.sample_rate or DEFAULT_RATE[scenario.chain]
     sine = generate_sine(STIMULUS_HZ, STIMULUS_VRMS, STIMULUS_SECONDS, sample_rate)
     return sine, sine
 
@@ -258,10 +260,10 @@ def _run_latency(scenario: Scenario) -> list[tuple]:
     return rows
 
 
-def _chain_output(scenario: Scenario, param):
-    """Processed 1 kHz stimulus (or the wav-in payload) for one parameter."""
+def _chain_output(scenario: Scenario, param, stimulus: tuple[Signal, Signal]):
+    """Processed stimulus for one parameter; the chains never write to their inputs."""
     rng = _param_rng(scenario.seed, param)
-    in0, in1 = _stimulus(scenario, scenario.sample_rate or DEFAULT_RATE[scenario.chain])
+    in0, in1 = stimulus
     cfg = _chain_config(scenario.chain, param, in0.sample_rate, with_distortion=True)
     if scenario.chain == "i2s":
         left, right = i2s.run_block_pipeline(in0, in1, cfg, rng=rng)
@@ -272,8 +274,9 @@ def _chain_output(scenario: Scenario, param):
 
 def _run_distortion(scenario: Scenario) -> list[tuple]:
     rows = []
+    stimulus = _stimulus(scenario)
     for index, param in enumerate(scenario.params):
-        measured, wav_channels = _chain_output(scenario, param)
+        measured, wav_channels = _chain_output(scenario, param, stimulus)
         report = measure_thd(_discard_warmup(measured), STIMULUS_HZ)
         rows.append((_row_label(param), report.thd_db, report.thdn_db))
         if index == 0 and scenario.wav_out:
@@ -282,7 +285,7 @@ def _run_distortion(scenario: Scenario) -> list[tuple]:
 
 
 def _run_spectrum(scenario: Scenario) -> list[tuple]:
-    measured, wav_channels = _chain_output(scenario, scenario.params[0])
+    measured, wav_channels = _chain_output(scenario, scenario.params[0], _stimulus(scenario))
     trimmed = _discard_warmup(measured)
     # AC-couple before the estimate: the sample chain output carries its
     # standing DAC offset.

@@ -14,9 +14,10 @@ def round_half_away(x):
     """Round to the nearest integer with ties away from zero.
 
     np.round ties to even; the converter model needs a fixed directional
-    rule so code values are reproducible bit for bit.
+    rule so code values are reproducible bit for bit.  Equal, signed zeros
+    included, to sign(x) * floor(|x| + 0.5); -0.0 takes +0.5 and gives +0.0.
     """
-    return np.sign(x) * np.floor(np.abs(x) + 0.5)
+    return np.trunc(x + (0.5 - (x < 0)))
 
 
 INT16_MAX = 32767.0

@@ -16,6 +16,7 @@ from audiochains.adcdac import (
     spi_decode,
     spi_encode,
 )
+from audiochains.distortion import PolynomialDistortion
 from audiochains.errors import (
     DamageVoltage,
     InvalidCode,
@@ -278,7 +279,23 @@ def test_pipeline_runs_the_public_spi_and_front_end_functions(monkeypatch):
     cfg = _quiet_cfg()
     sine = generate_sine(1000.0, 0.5, 0.01, cfg.sample_rate)
     run_sample_pipeline(sine, sine, FrontEndConfig(), cfg)
+    # one Signal on both inputs is conditioned once
+    assert calls == ["front_end_filter", "spi_encode", "spi_decode"]
+    calls.clear()
+    twin = Signal(sine.samples.copy(), sine.sample_rate)
+    run_sample_pipeline(sine, twin, FrontEndConfig(), cfg)
     assert calls == ["front_end_filter", "front_end_filter", "spi_encode", "spi_decode"]
+
+
+def test_one_signal_on_both_inputs_matches_two_equal_signals_bit_for_bit():
+    # Conditioning is deterministic and the noise is still drawn per channel
+    # in the same order, so sharing the conditioned input changes no bit.
+    cfg = SampleChainConfig(distortion=PolynomialDistortion(a2=0.01, a3=0.02))
+    sine = generate_sine(1000.0, 0.5, 0.05, cfg.sample_rate)
+    twin = Signal(sine.samples.copy(), sine.sample_rate)
+    shared = run_sample_pipeline(sine, sine, FrontEndConfig(), cfg, np.random.default_rng(5))
+    split = run_sample_pipeline(sine, twin, FrontEndConfig(), cfg, np.random.default_rng(5))
+    assert shared.samples.tobytes() == split.samples.tobytes()
 
 
 def test_shape_mismatch():

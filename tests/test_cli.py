@@ -15,7 +15,7 @@ from audiochains.errors import (
 )
 from audiochains.measure import estimate_latency, measure_impulse_response
 from audiochains.mls import MlsConfig
-from audiochains.signals import generate_sine
+from audiochains.signals import Signal, generate_sine
 from audiochains.wavio import read_wav, write_wav
 
 
@@ -304,6 +304,58 @@ def test_adcdac_wav_out_is_mono(tmp_path):
     channels = read_wav(wav_out, full_scale=cli.ADCDAC_WAV_FULL_SCALE)
     assert len(channels) == 1
     assert np.mean(channels[0].samples) == pytest.approx(1.275, abs=0.01)
+
+
+def _spy_stimulus_sources(monkeypatch):
+    """Record each generate_sine/read_wav call with the bytes it returned."""
+    made = []
+
+    def spy(name):
+        fn = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            sigs = (result,) if isinstance(result, Signal) else tuple(result)
+            made.append((name, [(sig, sig.samples.tobytes()) for sig in sigs]))
+            return result
+
+        monkeypatch.setattr(cli, name, wrapper)
+
+    spy("generate_sine")
+    spy("read_wav")
+    return made
+
+
+@pytest.mark.parametrize(
+    "chain_args, wav_rate, wav_channels",
+    [
+        (("--chain", "i2s", "--block-samples", "16", "--block-samples", "32",
+          "--block-samples", "64", "--block-samples", "128"), None, 0),
+        (("--chain", "adcdac"), None, 0),
+        (("--chain", "i2s", "--block-samples", "16", "--block-samples", "32",
+          "--block-samples", "64", "--block-samples", "128"), 44100.0, 2),
+        (("--chain", "adcdac"), 96000.0, 1),
+    ],
+    ids=["i2s-sine", "adcdac-sine", "i2s-wav", "adcdac-wav"],
+)
+def test_a_sweep_builds_its_stimulus_once_and_leaves_it_unchanged(
+    tmp_path, monkeypatch, chain_args, wav_rate, wav_channels
+):
+    wav_args = ()
+    if wav_rate:
+        stim_path = str(tmp_path / "stim.wav")
+        tone = generate_sine(1000.0, 0.25, 1.2, wav_rate)
+        write_wav(tone, stim_path, right=tone if wav_channels == 2 else None)
+        wav_args = ("--wav-in", stim_path)
+    made = _spy_stimulus_sources(monkeypatch)
+    assert run_cli(*chain_args, "--measure", "thd", "--out", str(tmp_path / "t.csv"),
+                   *wav_args) == 0
+    assert [name for name, _ in made] == ["read_wav" if wav_rate else "generate_sine"]
+    _, sigs = made[0]
+    assert len(sigs) == (wav_channels or 1)
+    # both pipelines read the shared arrays without writing to them
+    for sig, before in sigs:
+        assert sig.samples.tobytes() == before
 
 
 # ---------------------------------------------------------------- exit codes

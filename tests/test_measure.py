@@ -277,3 +277,42 @@ def test_dc_offset_is_removed_before_the_ratio():
     report = measure_thdn(Signal(x, FS), 1000.0)
     assert report.thdn_db <= -120.0
     assert report.fundamental_power_dbv == pytest.approx(20 * np.log10(0.5), abs=0.01)
+
+
+def _lstsq_fit_reference(sig, f0):
+    """THD+N and fundamental power from lstsq on the explicit n x 3 basis."""
+    t = np.arange(len(sig)) / sig.sample_rate
+    basis = np.column_stack(
+        [np.ones(len(sig)), np.cos(2 * np.pi * f0 * t), np.sin(2 * np.pi * f0 * t)]
+    )
+    coef, *_ = np.linalg.lstsq(basis, sig.samples, rcond=None)
+    residual = sig.samples - basis @ coef
+    p1 = (coef[1] ** 2 + coef[2] ** 2) / 2.0
+    return 10 * np.log10(np.mean(residual**2) / p1), 10 * np.log10(p1)
+
+
+def _low_residual_record(f0, n, fs, offset=0.0):
+    """0.5 Vrms tone, 3rd harmonic at -80 dB where it fits, noise near -90 dB."""
+    t = np.arange(n) / fs
+    x = 0.5 * np.sqrt(2.0) * np.sin(2 * np.pi * f0 * t + 0.3) + offset
+    if 3 * f0 < fs / 2:
+        x = x + 0.5 * np.sqrt(2.0) * 1e-4 * np.sin(2 * np.pi * 3 * f0 * t + 1.1)
+    rng = np.random.default_rng(int(f0 * n) % 2**32)
+    return Signal(x + rng.normal(0.0, 1.5e-5, size=n), fs)
+
+
+@pytest.mark.parametrize(
+    "f0, n, fs, offset",
+    [
+        (1000.0, 125685, 44100.0, 0.0),  # the CLI's i2s analysis record
+        (1000.0, 273600, 96000.0, 1.25),  # the adcdac record with the DAC offset
+        (997.3, 443, 44100.0, 0.0),  # 10.02 cycles
+        (22000.0, 4410, 44100.0, 0.0),  # 100 Hz below Nyquist
+    ],
+)
+def test_normal_equation_fit_matches_lstsq_on_the_basis(f0, n, fs, offset):
+    sig = _low_residual_record(f0, n, fs, offset)
+    report = measure_thd(sig, f0)
+    thdn_ref, p1_ref = _lstsq_fit_reference(sig, f0)
+    assert report.thdn_db == pytest.approx(thdn_ref, abs=1e-9)
+    assert report.fundamental_power_dbv == pytest.approx(p1_ref, abs=1e-9)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from audiochains.errors import InvalidCode
 from audiochains.measure import measure_thdn
@@ -32,6 +33,56 @@ def test_round_half_away():
     assert round_half_away(2.4) == 2.0
     assert round_half_away(-2.5) == -3.0
     assert np.array_equal(round_half_away(np.array([1.5, -1.5, 0.49])), [2.0, -2.0, 0.0])
+
+
+def _sign_floor_rounding(x):
+    """The defining form of round-half-away, kept here as the reference."""
+    return np.sign(x) * np.floor(np.abs(x) + 0.5)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+_ROUNDING_EDGES = [
+    0.0,
+    -0.0,
+    0.49999999999999994,  # largest double below 0.5: x + 0.5 rounds up to 1.0
+    -0.49999999999999994,
+    *(k + 0.5 for k in range(-4, 4)),  # exact ties
+    2.0**51 + 0.5,
+    2.0**52,
+    2.0**52 + 1.0,  # x + 0.5 is a tie at the last bit: rounds to even
+    -(2.0**52 + 1.0),
+    2.0**53 + 2.0,
+    -1.7976931348623157e308,
+    5e-324,
+    -5e-324,
+]
+
+_finite_or_edge = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(2**60), 2**60).map(lambda k: k + 0.5),
+    st.sampled_from(_ROUNDING_EDGES),
+)
+
+
+@settings(max_examples=300)
+@given(x=hnp.arrays(np.float64, st.integers(0, 40), elements=_finite_or_edge))
+def test_round_half_away_is_the_sign_floor_form_bit_for_bit(x):
+    assert _bits(round_half_away(x)) == _bits(_sign_floor_rounding(x))
+
+
+def test_round_half_away_edges_bit_for_bit_on_arrays_and_scalars():
+    edges = np.array(_ROUNDING_EDGES)
+    assert _bits(round_half_away(edges)) == _bits(_sign_floor_rounding(edges))
+    assert not np.signbit(round_half_away(-0.0))
+    assert np.signbit(round_half_away(-0.25))
+    # callers such as int(round_half_away(latency * fs)) pass scalars
+    for v in _ROUNDING_EDGES:
+        for scalar in (v, np.float64(v)):
+            assert _bits(round_half_away(scalar)) == _bits(_sign_floor_rounding(scalar))
+    assert int(round_half_away(11.68e-6 * 96000.0)) == 1
 
 
 def test_rails():
