@@ -38,6 +38,12 @@ SCENARIOS = [
                             "high", "--wav-in", "adcdac_spectrum.wav",
                             "--wav-out", "adcdac_high_wav_in.wav"]),
     ("i2s_thd_48k", ["--chain", "i2s", "--measure", "thd", "--sample-rate", "48000"]),
+    # a stereo file whose channels differ by their noise, so the adcdac run
+    # below feeds two distinct Signals where every scenario above feeds one
+    ("i2s_spectrum_96k", ["--chain", "i2s", "--measure", "spectrum", "--sample-rate", "96000",
+                          "--block-samples", "128", "--wav-out", "i2s_spectrum_96k.wav"]),
+    ("adcdac_thd_distinct_in", ["--chain", "adcdac", "--measure", "thd",
+                                "--wav-in", "i2s_spectrum_96k.wav"]),
 ]
 
 

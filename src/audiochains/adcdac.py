@@ -1,10 +1,11 @@
 """Sample-at-a-time chain: SAR ADCs, per-sample arithmetic, external SPI DAC.
 
 Every input sample is one conversion tick: the two channels are conditioned
-(`front_end_filter`; a pair fed one `Signal` is distorted and filtered once,
-the noise after it is still drawn per channel) and quantized (ENOB noise on
-by default), combined by the fixed per-sample arithmetic, framed as two SPI
-bytes MSB first (`spi_encode`/`spi_decode`), and reconstructed by the 16-bit DAC
+(`front_end_filter`, in the shared `signals.input_stage`: a pair fed one
+`Signal` is distorted and filtered once, the noise after it is still drawn
+per channel) and quantized (ENOB noise on by default), combined by the
+fixed per-sample arithmetic, framed as two SPI bytes MSB first
+(`spi_encode`/`spi_decode`), and reconstructed by the 16-bit DAC
 (`DAC_SPEC`, 0-2.5 V).  The DAC output keeps its `DAC_OFFSET` = +1.25 V
 standing offset (the measurement side AC-couples), and the chain latency
 `predicted_sample_latency` -- the per-speed `CONVERSION_TIME` plus the
@@ -25,10 +26,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distortion import PolynomialDistortion
-from .errors import InvalidCode, RealtimeFeasibilityWarning, ShapeMismatch
+from .errors import InvalidCode, RealtimeFeasibilityWarning
 from .frontend import FrontEndConfig, check_damage, front_end_filter
 from .quantize import QuantizerSpec, dequantize, quantize_uniform, round_half_away
-from .signals import Signal, delay_samples
+from .signals import Signal, delay_samples, input_stage
 
 SPI_TRANSFER_TIME = 16 / 50e6  # one 16-bit frame at the 50 MHz SPI clock
 ADC_OFFSET = 1.625  # subtracted by the per-sample arithmetic
@@ -147,31 +148,16 @@ def run_sample_pipeline(
     the conditioning filter's group delay, which the calibrated conversion
     time already accounts for.
     """
-    if len(in0) != len(in1):
-        raise ShapeMismatch("input signals must have equal length")
-    if in0.sample_rate != in1.sample_rate or in0.sample_rate != cfg.sample_rate:
-        raise ShapeMismatch("input sample rates must equal cfg.sample_rate")
 
-    needs_noise = cfg.conditioning_noise_rms > 0.0 or cfg.adc_spec.noise_rms() > 0.0
-    if needs_noise and rng is None:
-        raise ValueError("configured noise requires an rng")
-
-    conditioned = []
-    for sig in (in0,) if in1 is in0 else (in0, in1):  # deterministic, so once per Signal
-        x = sig.samples
-        if cfg.distortion is not None:
-            x = cfg.distortion.apply(x)
+    def condition(x: np.ndarray) -> np.ndarray:
+        x = x if cfg.distortion is None else cfg.distortion.apply(x)
         if fe is not None:
-            x = front_end_filter(Signal(x, cfg.sample_rate), fe).samples
-        else:
-            check_damage(x, FrontEndConfig())
-        conditioned.append(x)
-    pins = [conditioned[0], conditioned[-1]]
-    if cfg.conditioning_noise_rms > 0.0:
-        pins = [x + rng.normal(0.0, cfg.conditioning_noise_rms, size=x.shape) for x in pins]
+            return front_end_filter(Signal(x, cfg.sample_rate), fe).samples
+        check_damage(x, FrontEndConfig())
+        return x
 
-    codes0 = quantize_uniform(pins[0], cfg.adc_spec, rng)
-    codes1 = quantize_uniform(pins[1], cfg.adc_spec, rng)
+    pins = input_stage(in0, in1, cfg.sample_rate, condition, cfg.conditioning_noise_rms, rng)
+    codes0, codes1 = (quantize_uniform(x, cfg.adc_spec, rng) for x in pins)
     dac_codes, _ = _process_sample_arrays(codes0, codes1, cfg)
     out = dequantize(spi_decode(spi_encode(dac_codes)), DAC_SPEC)
     delay = int(round_half_away(predicted_sample_latency(cfg) * cfg.sample_rate))

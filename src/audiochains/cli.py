@@ -180,6 +180,11 @@ def _stimulus(scenario: Scenario) -> tuple[Signal, Signal]:
     """The 1 kHz sine or the wav-in payload, read once and shared by every row."""
     if scenario.wav_in is not None:
         channels = read_wav(scenario.wav_in)  # mono feeds both inputs
+        if scenario.sample_rate not in (None, channels[0].sample_rate):
+            raise ValueError(
+                f"--sample-rate {scenario.sample_rate:g} Hz disagrees with the "
+                f"{channels[0].sample_rate:g} Hz of --wav-in {scenario.wav_in}"
+            )
         return channels[0], channels[-1]
     sample_rate = scenario.sample_rate or DEFAULT_RATE[scenario.chain]
     sine = generate_sine(STIMULUS_HZ, STIMULUS_VRMS, STIMULUS_SECONDS, sample_rate)
@@ -246,61 +251,53 @@ def _run_latency(scenario: Scenario) -> list[tuple]:
         mls = MlsConfig(order, MLS_AMPLITUDE, seed=1, sample_rate=sample_rate)
 
         def system(stimulus: Signal) -> Signal:
-            if chain == "i2s":
-                left, _ = i2s.run_block_pipeline(stimulus, stimulus, cfg, rng=rng)
-                return left
-            # Conditioning bypassed: its group delay is already folded into
-            # the calibrated conversion time.  Bias keeps the MLS inside the
-            # converter range.
-            shifted = Signal(stimulus.samples + bias, stimulus.sample_rate)
-            return adcdac.run_sample_pipeline(shifted, shifted, None, cfg, rng)
+            if chain == "adcdac":
+                # Conditioning bypassed (fe=None): its group delay is folded into
+                # the calibrated conversion time.  Bias keeps the MLS in range.
+                stimulus = Signal(stimulus.samples + bias, stimulus.sample_rate)
+            return _run_chain(chain, cfg, (stimulus, stimulus), rng, None)[0]
 
         report = estimate_latency(measure_impulse_response(system, mls))
         rows.append((_row_label(param), report.latency_seconds))
     return rows
 
 
-def _chain_output(scenario: Scenario, param, stimulus: tuple[Signal, Signal]):
-    """Processed stimulus for one parameter; the chains never write to their inputs."""
-    rng = _param_rng(scenario.seed, param)
+def _run_chain(chain: str, cfg, stimulus: tuple[Signal, Signal], rng, fe) -> tuple:
+    """(left, right) from i2s or (out,) from adcdac; fe=None bypasses its front end."""
     in0, in1 = stimulus
-    cfg = _chain_config(scenario.chain, param, in0.sample_rate, with_distortion=True)
-    if scenario.chain == "i2s":
-        left, right = i2s.run_block_pipeline(in0, in1, cfg, rng=rng)
-        return left, (left, right)
-    out = adcdac.run_sample_pipeline(in0, in1, FrontEndConfig(), cfg, rng)
-    return out, (out,)
+    if chain == "i2s":
+        return i2s.run_block_pipeline(in0, in1, cfg, rng=rng)
+    return (adcdac.run_sample_pipeline(in0, in1, fe, cfg, rng),)
 
 
-def _run_distortion(scenario: Scenario) -> list[tuple]:
-    rows = []
-    stimulus = _stimulus(scenario)
-    for index, param in enumerate(scenario.params):
-        measured, wav_channels = _chain_output(scenario, param, stimulus)
-        report = measure_thd(_discard_warmup(measured), STIMULUS_HZ)
-        rows.append((_row_label(param), report.thd_db, report.thdn_db))
-        if index == 0 and scenario.wav_out:
-            _write_wav_out(scenario, wav_channels)
-    return rows
+def _thd_rows(param, measured: Signal) -> list[tuple]:
+    report = measure_thd(measured, STIMULUS_HZ)
+    return [(_row_label(param), report.thd_db, report.thdn_db)]
 
 
-def _run_spectrum(scenario: Scenario) -> list[tuple]:
-    measured, wav_channels = _chain_output(scenario, scenario.params[0], _stimulus(scenario))
-    trimmed = _discard_warmup(measured)
+def _spectrum_rows(param, measured: Signal) -> list[tuple]:
     # AC-couple before the estimate: the sample chain output carries its
     # standing DAC offset.
-    ac = Signal(trimmed.samples - trimmed.samples.mean(), trimmed.sample_rate)
+    ac = Signal(measured.samples - measured.samples.mean(), measured.sample_rate)
     spec = power_spectrum(ac, window="hann")
-    if scenario.wav_out:
-        _write_wav_out(scenario, wav_channels)
     return list(zip(spec.bin_frequencies, spec.bin_powers_dbv))
 
 
-def _write_wav_out(scenario: Scenario, channels: tuple[Signal, ...]) -> None:
-    if len(channels) == 2:
-        write_wav(channels[0], scenario.wav_out, right=channels[1])
-    else:
-        write_wav(channels[0], scenario.wav_out, full_scale=ADCDAC_WAV_FULL_SCALE)
+def _run_rows(scenario: Scenario, analyze) -> list[tuple]:
+    """Per swept parameter: run the chain, drop the warm-up, analyze(param, measured)."""
+    chain, rows = scenario.chain, []
+    stimulus = _stimulus(scenario)
+    for index, param in enumerate(scenario.params):
+        cfg = _chain_config(chain, param, stimulus[0].sample_rate, with_distortion=True)
+        rng = _param_rng(scenario.seed, param)
+        outputs = _run_chain(chain, cfg, stimulus, rng, FrontEndConfig())
+        rows.extend(analyze(param, _discard_warmup(outputs[0])))
+        if index == 0 and scenario.wav_out:
+            if chain == "i2s":
+                write_wav(outputs[0], scenario.wav_out, right=outputs[1])
+            else:
+                write_wav(outputs[0], scenario.wav_out, full_scale=ADCDAC_WAV_FULL_SCALE)
+    return rows
 
 
 def run_scenario(scenario: Scenario) -> None:
@@ -308,10 +305,10 @@ def run_scenario(scenario: Scenario) -> None:
         rows = _run_latency(scenario)
         header = ("parameter", "latency_seconds")
     elif scenario.measurement in ("thd", "thdn"):
-        rows = _run_distortion(scenario)
+        rows = _run_rows(scenario, _thd_rows)
         header = ("parameter", "thd_db", "thdn_db")
     else:
-        rows = _run_spectrum(scenario)
+        rows = _run_rows(scenario, _spectrum_rows)
         header = ("frequency_hz", "power_dbv")
     write_csv(scenario.out_path, scenario.command_line, header, rows)
 

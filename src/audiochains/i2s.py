@@ -4,7 +4,8 @@ The codec quantizes the line input to signed 16-bit data (full scale
 +/-`FULL_SCALE_VOLTS` = +/-1 V maps to +/-32767), the processor callback
 sees those values scaled by 1/65535 -- roughly [-0.5, 0.5], not [-1, 1) --
 and its output is scaled back by 65535 and re-quantized.  That asymmetric
-scaling is reproduced faithfully rather than "fixed".
+scaling is reproduced faithfully rather than "fixed".  A pair fed one
+`Signal` is distorted once, in the shared `signals.input_stage`.
 
 The callback is a pure per-sample function, so splitting the signal into
 blocks cannot change its output: the simulation hands it the whole signal
@@ -28,7 +29,7 @@ import numpy as np
 from .distortion import PolynomialDistortion
 from .errors import NonStandardBlockSizeWarning, ShapeMismatch
 from .quantize import INT16_MAX, int16_codes, int16_volts, round_half_away
-from .signals import Signal, delay_samples
+from .signals import Signal, delay_samples, input_stage
 
 CONVERSION_ADC = 1.0 / 65535.0
 CONVERSION_DAC = 65535.0
@@ -92,39 +93,22 @@ def run_block_pipeline(
 ) -> tuple[Signal, Signal]:
     """Drive the block pipeline and return both delayed output channels.
 
-    Distortion and the noise floor act in the analog-equivalent domain
-    before the codec ADC.  The processor callback must be a pure function of
-    its per-sample inputs; it is called once with the whole left and right
-    signals and must return one output per input sample.  cfg.block_samples
-    sets only the latency, since block boundaries cannot change a per-sample
-    function's output.
+    Distortion, then the noise floor, act before the codec ADC in
+    `input_stage`: one Signal on both inputs is distorted once, and the noise
+    is still drawn per channel.  The pure per-sample callback proc is called
+    once with the whole left and right signals and must return one output
+    per input sample.
     """
-    if len(input_left) != len(input_right):
-        raise ShapeMismatch("left/right inputs must have equal length")
-    if (
-        input_left.sample_rate != input_right.sample_rate
-        or input_left.sample_rate != cfg.sample_rate
-    ):
-        raise ShapeMismatch("input sample rates must equal cfg.sample_rate")
-    if cfg.noise_floor_rms > 0.0 and rng is None:
-        raise ValueError("noise_floor_rms > 0 requires an rng")
-
-    n = len(input_left)
-    channels = []
-    for sig in (input_left, input_right):
-        x = sig.samples
-        if cfg.distortion is not None:
-            x = cfg.distortion.apply(x)
-        if cfg.noise_floor_rms > 0.0:
-            x = x + rng.normal(0.0, cfg.noise_floor_rms, size=x.shape)
-        channels.append(int16_codes(x / FULL_SCALE_VOLTS * INT16_MAX))
+    shape = cfg.distortion.apply if cfg.distortion is not None else (lambda x: x)
+    pins = input_stage(input_left, input_right, cfg.sample_rate, shape, cfg.noise_floor_rms, rng)
+    channels = [int16_codes(x / FULL_SCALE_VOLTS * INT16_MAX) for x in pins]
 
     res_l, res_r = proc(channels[0] * CONVERSION_ADC, channels[1] * CONVERSION_ADC)
     delay = int(round_half_away(predicted_latency(cfg) * cfg.sample_rate))
     outputs = []
     for res in (res_l, res_r):
         res = np.asarray(res, dtype=np.float64)
-        if len(res) != n:
+        if len(res) != len(input_left):
             raise ShapeMismatch("processor must return one output per input sample")
         volts = int16_volts(int16_codes(res * CONVERSION_DAC), FULL_SCALE_VOLTS)
         outputs.append(Signal(delay_samples(volts, delay), cfg.sample_rate))

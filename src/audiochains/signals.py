@@ -1,4 +1,4 @@
-"""Sampled-waveform container and test-tone generation.
+"""Sampled-waveform container, test-tone generation and the chains' shared stages.
 
 Everything downstream (both simulated chains and the measurement suite)
 passes signals around as :class:`Signal` values in volts; a Signal shares,
@@ -8,10 +8,11 @@ not copies, a float64 samples array with its caller.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .errors import AliasedStimulus
+from .errors import AliasedStimulus, ShapeMismatch
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,3 +81,32 @@ def delay_samples(samples: np.ndarray, n: int) -> np.ndarray:
     out = np.zeros(len(samples), dtype=np.float64)
     out[n:] = samples[: max(len(samples) - n, 0)]
     return out
+
+
+def input_stage(
+    in0: Signal,
+    in1: Signal,
+    sample_rate: float,
+    shape: Callable[[np.ndarray], np.ndarray],
+    noise_rms: float,
+    rng: np.random.Generator | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The line-input stage both chains share: each channel's converter input.
+
+    shape, the chain's deterministic analog shaping, runs once per distinct
+    Signal.  Gaussian noise of noise_rms is then drawn per channel, channel 0
+    first; rng is required only when noise_rms > 0.
+    """
+    if len(in0) != len(in1):
+        raise ShapeMismatch("input signals must have equal length")
+    if in0.sample_rate != in1.sample_rate or in0.sample_rate != sample_rate:
+        raise ShapeMismatch("input sample rates must equal the chain's sample_rate")
+    if noise_rms > 0.0 and rng is None:
+        raise ValueError("configured noise requires an rng")
+    shaped = [shape(sig.samples) for sig in ((in0,) if in1 is in0 else (in0, in1))]
+    if noise_rms == 0.0:
+        return shaped[0], shaped[-1]
+    pins = rng.normal(0.0, noise_rms, size=(2, len(in0)))  # row k: channel k's noise
+    pins[0] += shaped[0]
+    pins[1] += shaped[-1]
+    return pins[0], pins[1]

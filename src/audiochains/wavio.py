@@ -26,7 +26,9 @@ def write_wav(
     full_scale: float = 1.0,
     right: Signal | None = None,
 ) -> None:
-    """Write one (mono) or two (stereo) channels of 16-bit PCM."""
+    """Write one (mono) or two (stereo) channels of 16-bit PCM at a whole-hertz rate."""
+    if not sig.sample_rate.is_integer():
+        raise ValueError(f"a WAV sample rate is a whole number of hertz, got {sig.sample_rate}")
     channels = [sig] if right is None else [sig, right]
     if right is not None and (
         len(right) != len(sig) or right.sample_rate != sig.sample_rate
@@ -40,7 +42,7 @@ def write_wav(
     with wave.open(path, "wb") as f:
         f.setnchannels(len(channels))
         f.setsampwidth(2)
-        f.setframerate(int(round(sig.sample_rate)))
+        f.setframerate(int(sig.sample_rate))
         f.writeframes(codes.astype("<i2").tobytes())
 
 

@@ -24,6 +24,7 @@ from audiochains.errors import (
     ShapeMismatch,
 )
 from audiochains.frontend import FrontEndConfig
+from audiochains.i2s import BlockPipelineConfig, run_block_pipeline
 from audiochains.measure import estimate_latency, measure_impulse_response, measure_thdn
 from audiochains.mls import MlsConfig
 from audiochains.quantize import QuantizerSpec
@@ -287,15 +288,37 @@ def test_pipeline_runs_the_public_spi_and_front_end_functions(monkeypatch):
     assert calls == ["front_end_filter", "front_end_filter", "spi_encode", "spi_decode"]
 
 
-def test_one_signal_on_both_inputs_matches_two_equal_signals_bit_for_bit():
-    # Conditioning is deterministic and the noise is still drawn per channel
-    # in the same order, so sharing the conditioned input changes no bit.
-    cfg = SampleChainConfig(distortion=PolynomialDistortion(a2=0.01, a3=0.02))
-    sine = generate_sine(1000.0, 0.5, 0.05, cfg.sample_rate)
-    twin = Signal(sine.samples.copy(), sine.sample_rate)
-    shared = run_sample_pipeline(sine, sine, FrontEndConfig(), cfg, np.random.default_rng(5))
-    split = run_sample_pipeline(sine, twin, FrontEndConfig(), cfg, np.random.default_rng(5))
-    assert shared.samples.tobytes() == split.samples.tobytes()
+def test_one_signal_on_both_inputs_matches_two_equal_signals_bit_for_bit(monkeypatch):
+    # The shared input stage is deterministic and the noise is still drawn
+    # per channel in the same order, so sharing the shaped input changes no
+    # bit.  Both chains run it, with distortion and their noise on.
+    distortion = PolynomialDistortion(a2=0.01, a3=0.02)
+    sample_cfg = SampleChainConfig(distortion=distortion)
+    block_cfg = BlockPipelineConfig(distortion=distortion)
+
+    def run_adcdac(a, b, rng):
+        return [run_sample_pipeline(a, b, FrontEndConfig(), sample_cfg, rng)]
+
+    def run_i2s(a, b, rng):
+        return list(run_block_pipeline(a, b, block_cfg, rng=rng))
+
+    applied = []
+    apply = PolynomialDistortion.apply
+
+    def counted_apply(self, x):
+        applied.append(x)
+        return apply(self, x)
+
+    monkeypatch.setattr(PolynomialDistortion, "apply", counted_apply)
+    for chain, cfg, run in (("adcdac", sample_cfg, run_adcdac), ("i2s", block_cfg, run_i2s)):
+        sine = generate_sine(1000.0, 0.5, 0.05, cfg.sample_rate)
+        twin = Signal(sine.samples.copy(), sine.sample_rate)
+        applied.clear()
+        shared = run(sine, sine, np.random.default_rng(5))
+        assert len(applied) == 1, chain
+        split = run(sine, twin, np.random.default_rng(5))
+        assert len(applied) == 3, chain
+        assert [s.samples.tobytes() for s in shared] == [s.samples.tobytes() for s in split], chain
 
 
 def test_shape_mismatch():

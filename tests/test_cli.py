@@ -473,6 +473,30 @@ def test_too_short_wav_in_exits_2(tmp_path):
     assert code == 2
 
 
+def test_sample_rate_disagreeing_with_wav_in_exits_2_naming_both(tmp_path, capsys):
+    stim = str(tmp_path / "stim.wav")
+    write_wav(generate_sine(1000.0, 0.5, 0.5, 44100.0), stim)
+    out = tmp_path / "x.csv"
+    args = ["--chain", "i2s", "--measure", "thd", "--block-samples", "128",
+            "--out", str(out), "--wav-in", stim]
+    assert run_cli(*args, "--sample-rate", "48000") == 2
+    err = capsys.readouterr().err
+    assert "48000 Hz" in err and "44100 Hz" in err
+    assert not out.exists()
+    assert run_cli(*args, "--sample-rate", "44100") == 0
+
+
+def test_fractional_sample_rate_with_wav_out_exits_2_writing_nothing(tmp_path, capsys):
+    out, wav_out = tmp_path / "x.csv", tmp_path / "x.wav"
+    code = run_cli(
+        "--chain", "i2s", "--measure", "spectrum", "--block-samples", "128",
+        "--sample-rate", "44100.5", "--out", str(out), "--wav-out", str(wav_out),
+    )
+    assert code == 2
+    assert "44100.5" in capsys.readouterr().err
+    assert not out.exists() and not wav_out.exists()
+
+
 def test_unreadable_wav_exits_4(tmp_path):
     bad = tmp_path / "bad.wav"
     bad.write_bytes(b"not a wav at all")

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from audiochains.errors import AliasedStimulus
-from audiochains.signals import Signal, delay_samples, generate_sine
+from audiochains.errors import AliasedStimulus, ShapeMismatch
+from audiochains.signals import Signal, delay_samples, generate_sine, input_stage
 
 
 def test_signal_rejects_nan_and_bad_rate():
@@ -95,3 +95,35 @@ def test_delay_samples():
     assert np.array_equal(delay_samples(x, 10), np.zeros(4))
     with pytest.raises(ValueError):
         delay_samples(x, -1)
+
+
+def test_input_stage_shapes_each_distinct_signal_once_then_adds_noise_channel_0_first():
+    sig = Signal(np.linspace(-1.0, 1.0, 64), 8000.0)
+    twin = Signal(sig.samples.copy(), 8000.0)
+    shaped = []
+
+    def shape(x):
+        shaped.append(x)
+        return 2.0 * x
+
+    pins = input_stage(sig, sig, 8000.0, shape, 0.1, np.random.default_rng(3))
+    assert len(shaped) == 1
+    ref = np.random.default_rng(3)
+    for pin in pins:
+        assert pin.tobytes() == (2.0 * sig.samples + ref.normal(0.0, 0.1, 64)).tobytes()
+    split = input_stage(sig, twin, 8000.0, shape, 0.1, np.random.default_rng(3))
+    assert len(shaped) == 3
+    assert [p.tobytes() for p in split] == [p.tobytes() for p in pins]
+
+
+def test_input_stage_checks_the_pair_and_needs_an_rng_only_for_noise():
+    sig = Signal(np.zeros(8), 8000.0)
+    quiet = input_stage(sig, sig, 8000.0, lambda x: x, 0.0, None)
+    assert all(pin is sig.samples for pin in quiet)
+    with pytest.raises(ValueError, match="rng"):
+        input_stage(sig, sig, 8000.0, lambda x: x, 0.1, None)
+    for other, rate in ((Signal(np.zeros(7), 8000.0), 8000.0),
+                        (Signal(np.zeros(8), 16000.0), 8000.0),
+                        (sig, 16000.0)):
+        with pytest.raises(ShapeMismatch):
+            input_stage(sig, other, rate, lambda x: x, 0.0, None)

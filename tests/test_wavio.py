@@ -57,6 +57,14 @@ def test_unrepresentable_samples_rejected(tmp_path):
         write_wav(Signal(np.array([1.5]), 44100.0), path)
 
 
+def test_fractional_sample_rate_rejected(tmp_path):
+    # RIFF stores whole hertz; rounding would mislabel the file's rate
+    path = tmp_path / "frac.wav"
+    with pytest.raises(ValueError, match="44100.5"):
+        write_wav(Signal(np.zeros(16), 44100.5), str(path))
+    assert not path.exists()
+
+
 def test_mismatched_stereo_rejected(tmp_path):
     path = str(tmp_path / "bad.wav")
     left = Signal(np.zeros(10), 44100.0)
