@@ -44,6 +44,11 @@ SCENARIOS = [
                           "--block-samples", "128", "--wav-out", "i2s_spectrum_96k.wav"]),
     ("adcdac_thd_distinct_in", ["--chain", "adcdac", "--measure", "thd",
                                 "--wav-in", "i2s_spectrum_96k.wav"]),
+    # the front-end bypass at a non-default rate, and the latency fit outside
+    # the characterized block sizes
+    ("adcdac_latency_192k", ["--chain", "adcdac", "--measure", "latency",
+                             "--sample-rate", "192000"]),
+    ("i2s_latency_256", ["--chain", "i2s", "--measure", "latency", "--block-samples", "256"]),
 ]
 
 

@@ -33,7 +33,7 @@ from .errors import (
     UnsupportedOrder,
     UnsupportedWav,
 )
-from .frontend import FrontEndConfig, check_damage, front_end_filter
+from .frontend import check_damage, front_end_filter
 from .i2s import (
     CONVERSION_ADC,
     CONVERSION_DAC,

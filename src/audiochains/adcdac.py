@@ -13,7 +13,7 @@ standing offset (the measurement side AC-couples), and the chain latency
 whole-sample delay at the simulation rate.
 
 The per-sample arithmetic subtracts `ADC_OFFSET` = 1.625 V although the
-hardware bias (`FrontEndConfig.bias_voltage`) is 1.65 V; the two constants
+hardware bias (`frontend.BIAS_VOLTAGE`) is 1.65 V; the two constants
 are kept separate so the 25 mV systematic offset stays observable.
 """
 
@@ -27,7 +27,7 @@ import numpy as np
 
 from .distortion import PolynomialDistortion
 from .errors import InvalidCode, RealtimeFeasibilityWarning
-from .frontend import FrontEndConfig, check_damage, front_end_filter
+from .frontend import check_damage, front_end_filter
 from .quantize import QuantizerSpec, dequantize, quantize_uniform, round_half_away
 from .signals import Signal, delay_samples, input_stage
 
@@ -136,24 +136,25 @@ def _process_sample_arrays(codes0, codes1, cfg: SampleChainConfig):
 def run_sample_pipeline(
     in0: Signal,
     in1: Signal,
-    fe: FrontEndConfig | None,
     cfg: SampleChainConfig,
     rng: np.random.Generator | None = None,
+    *,
+    front_end: bool = True,
 ) -> Signal:
     """Drive the two-channel sample chain and return the DAC output signal.
 
-    fe=None bypasses the analog conditioning (the inputs are then taken as
-    the pin voltages directly and checked against the default damage
-    limits); useful for measuring the sampling chain's own latency without
+    front_end=False bypasses the analog conditioning (the inputs are then
+    taken as the pin voltages directly and checked against the damage
+    window); useful for measuring the sampling chain's own latency without
     the conditioning filter's group delay, which the calibrated conversion
     time already accounts for.
     """
 
     def condition(x: np.ndarray) -> np.ndarray:
         x = x if cfg.distortion is None else cfg.distortion.apply(x)
-        if fe is not None:
-            return front_end_filter(Signal(x, cfg.sample_rate), fe).samples
-        check_damage(x, FrontEndConfig())
+        if front_end:
+            return front_end_filter(Signal(x, cfg.sample_rate)).samples
+        check_damage(x)
         return x
 
     pins = input_stage(in0, in1, cfg.sample_rate, condition, cfg.conditioning_noise_rms, rng)

@@ -12,7 +12,9 @@ carry 17 significant digits, and rows are LF-terminated, so identical flags
 reproduce byte-identical files.  Each latency row sizes its MLS to the
 smallest order >= 12 whose period holds twice the predicted latency.  Exit
 codes: 0 success, 2 usage error or unusable input (including a latency too
-long for order 24), 3 chain fault (damage voltage), 4 I/O error.
+long for order 24 or for the discarded warm-up, and a THD rate that leaves
+the calibrated 3rd harmonic no band), 3 chain fault (damage voltage), 4 I/O
+error.
 """
 
 from __future__ import annotations
@@ -25,11 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import adcdac, i2s
+from . import adcdac, frontend, i2s
 from .distortion import calibrate_distortion
 from .errors import AudioChainError, DamageVoltage, RealtimeFeasibilityWarning
 from .errors import UnsupportedOrder, UnsupportedWav
-from .frontend import FrontEndConfig
 from .measure import estimate_latency, measure_impulse_response, measure_thd
 from .mls import PRIMITIVE_TAPS, MlsConfig
 from .signals import Signal, generate_sine
@@ -235,11 +236,13 @@ def _mls_order(label: str, latency_s: float, sample_rate: float) -> int:
     )
 
 
+def _predicted_latency(chain: str, cfg) -> float:
+    return (i2s.predicted_latency if chain == "i2s" else adcdac.predicted_sample_latency)(cfg)
+
+
 def _run_latency(scenario: Scenario) -> list[tuple]:
     chain = scenario.chain
     sample_rate = (scenario.sample_rate or DEFAULT_RATE[chain]) * LATENCY_OVERSAMPLE[chain]
-    predicted_latency = i2s.predicted_latency if chain == "i2s" else adcdac.predicted_sample_latency
-    bias = FrontEndConfig().bias_voltage
     rows = []
     for param in scenario.params:
         rng = _param_rng(scenario.seed, param)
@@ -247,31 +250,36 @@ def _run_latency(scenario: Scenario) -> list[tuple]:
             # the 16x grid is a simulation rate, not a hardware rate
             warnings.simplefilter("ignore", RealtimeFeasibilityWarning)
             cfg = _chain_config(chain, param, sample_rate, with_distortion=False)
-        order = _mls_order(_row_label(param), predicted_latency(cfg), sample_rate)
+        order = _mls_order(_row_label(param), _predicted_latency(chain, cfg), sample_rate)
         mls = MlsConfig(order, MLS_AMPLITUDE, seed=1, sample_rate=sample_rate)
 
         def system(stimulus: Signal) -> Signal:
             if chain == "adcdac":
-                # Conditioning bypassed (fe=None): its group delay is folded into
-                # the calibrated conversion time.  Bias keeps the MLS in range.
-                stimulus = Signal(stimulus.samples + bias, stimulus.sample_rate)
-            return _run_chain(chain, cfg, (stimulus, stimulus), rng, None)[0]
+                # Conditioning bypassed: its group delay is folded into the
+                # calibrated conversion time.  Bias keeps the MLS in range.
+                stimulus = Signal(stimulus.samples + frontend.BIAS_VOLTAGE, stimulus.sample_rate)
+            return _run_chain(chain, cfg, (stimulus, stimulus), rng, front_end=False)[0]
 
         report = estimate_latency(measure_impulse_response(system, mls))
         rows.append((_row_label(param), report.latency_seconds))
     return rows
 
 
-def _run_chain(chain: str, cfg, stimulus: tuple[Signal, Signal], rng, fe) -> tuple:
-    """(left, right) from i2s or (out,) from adcdac; fe=None bypasses its front end."""
+def _run_chain(chain: str, cfg, stimulus: tuple[Signal, Signal], rng, front_end=True) -> tuple:
+    """(left, right) from i2s or (out,) from adcdac; front_end=False bypasses its front end."""
     in0, in1 = stimulus
     if chain == "i2s":
         return i2s.run_block_pipeline(in0, in1, cfg, rng=rng)
-    return (adcdac.run_sample_pipeline(in0, in1, fe, cfg, rng),)
+    return (adcdac.run_sample_pipeline(in0, in1, cfg, rng, front_end=front_end),)
 
 
 def _thd_rows(param, measured: Signal) -> list[tuple]:
     report = measure_thd(measured, STIMULUS_HZ)
+    if 3 not in dict(report.harmonic_levels):
+        raise ValueError(
+            f"at {measured.sample_rate:g} Hz the 3rd harmonic ({3 * STIMULUS_HZ:g} Hz), "
+            f"which the distortion is calibrated on, has no band below Nyquist"
+        )
     return [(_row_label(param), report.thd_db, report.thdn_db)]
 
 
@@ -287,10 +295,18 @@ def _run_rows(scenario: Scenario, analyze) -> list[tuple]:
     """Per swept parameter: run the chain, drop the warm-up, analyze(param, measured)."""
     chain, rows = scenario.chain, []
     stimulus = _stimulus(scenario)
-    for index, param in enumerate(scenario.params):
-        cfg = _chain_config(chain, param, stimulus[0].sample_rate, with_distortion=True)
+    rate = stimulus[0].sample_rate
+    configs = [_chain_config(chain, p, rate, with_distortion=True) for p in scenario.params]
+    for param, cfg in zip(scenario.params, configs):  # all rows first: a refusal writes nothing
+        latency = _predicted_latency(chain, cfg)
+        if latency >= WARMUP_SECONDS:
+            raise ValueError(
+                f"parameter {_row_label(param)}: predicted latency {latency:.3g} s is not "
+                f"shorter than the {WARMUP_SECONDS:g} s warm-up the analysis discards"
+            )
+    for index, (param, cfg) in enumerate(zip(scenario.params, configs)):
         rng = _param_rng(scenario.seed, param)
-        outputs = _run_chain(chain, cfg, stimulus, rng, FrontEndConfig())
+        outputs = _run_chain(chain, cfg, stimulus, rng)
         rows.extend(analyze(param, _discard_warmup(outputs[0])))
         if index == 0 and scenario.wav_out:
             if chain == "i2s":

@@ -3,7 +3,8 @@
 Stage 1 AC-couples the input and re-centers it on the mid-supply bias,
 stage 2 is a second-order Sallen-Key low-pass (anti-aliasing), and the
 rail-to-rail output stage clamps a few tens of millivolts inside the
-supplies.  `front_end_filter` runs all three and is the only conditioning
+supplies.  The stages are fixed hardware, so their values are module
+constants.  `front_end_filter` runs all three and is the only conditioning
 path; a raw pin voltage outside the absolute-maximum window raises
 DamageVoltage before the clamp could hide it.  Filters are discretized at
 the signal's own rate: the biquad by bilinear transform with frequency
@@ -14,7 +15,6 @@ sub-hertz corner would otherwise underflow).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import signal as sps
@@ -22,27 +22,12 @@ from scipy import signal as sps
 from .errors import DamageVoltage
 from .signals import Signal
 
-
-@dataclass(frozen=True)
-class FrontEndConfig:
-    bias_voltage: float = 1.65
-    coupling_cutoff: float = 0.040
-    sallen_key_cutoff: float = 40000.0
-    sallen_key_q: float = 0.7071
-    rail_low: float = 0.030
-    rail_high: float = 3.270
-    damage_low: float = -0.2
-    damage_high: float = 3.5
-
-    def __post_init__(self):
-        if not 0.0 < self.coupling_cutoff < self.sallen_key_cutoff:
-            raise ValueError("coupling cutoff must sit below the low-pass cutoff")
-        if not self.rail_low < self.bias_voltage < self.rail_high:
-            raise ValueError("bias must lie between the output rails")
-        if not (self.damage_low < self.rail_low and self.damage_high > self.rail_high):
-            raise ValueError("damage limits must lie outside the rails")
-        if self.sallen_key_q <= 0:
-            raise ValueError("filter Q must be positive")
+BIAS_VOLTAGE = 1.65  # mid-supply operating point
+COUPLING_CUTOFF = 0.040  # AC-coupling corner, Hz
+SALLEN_KEY_CUTOFF = 40000.0  # anti-aliasing corner, Hz
+SALLEN_KEY_Q = 0.7071  # Butterworth
+RAIL_LOW, RAIL_HIGH = 0.030, 3.270  # output-stage clamp, V
+DAMAGE_LOW, DAMAGE_HIGH = -0.2, 3.5  # absolute-maximum pin window, V
 
 
 def highpass_coeffs(cutoff: float, sample_rate: float) -> tuple[np.ndarray, np.ndarray]:
@@ -73,18 +58,18 @@ def filter_gain_db(b: np.ndarray, a: np.ndarray, freq: float, sample_rate: float
     return 20.0 * math.log10(abs(num / den))
 
 
-def front_end_filter(sig: Signal, cfg: FrontEndConfig) -> Signal:
+def front_end_filter(sig: Signal) -> Signal:
     """Conditioned pin voltage: AC-couple, bias, Sallen-Key, `check_damage`, rail clamp."""
-    bh, ah = highpass_coeffs(cfg.coupling_cutoff, sig.sample_rate)
+    bh, ah = highpass_coeffs(COUPLING_CUTOFF, sig.sample_rate)
     x = sps.lfilter(bh, ah, sig.samples)
-    x = x + cfg.bias_voltage
-    bl, al = sallen_key_coeffs(cfg.sallen_key_cutoff, cfg.sallen_key_q, sig.sample_rate)
+    x = x + BIAS_VOLTAGE
+    bl, al = sallen_key_coeffs(SALLEN_KEY_CUTOFF, SALLEN_KEY_Q, sig.sample_rate)
     raw = sps.lfilter(bl, al, x)
-    check_damage(raw, cfg)
-    return Signal(np.clip(raw, cfg.rail_low, cfg.rail_high, out=raw), sig.sample_rate)
+    check_damage(raw)
+    return Signal(np.clip(raw, RAIL_LOW, RAIL_HIGH, out=raw), sig.sample_rate)
 
 
-def check_damage(v, cfg: FrontEndConfig) -> None:
+def check_damage(v) -> None:
     """Raise DamageVoltage when any value leaves the absolute-maximum window.
 
     Applies to the raw pin voltage before the rail-clamp protection; it
@@ -94,8 +79,8 @@ def check_damage(v, cfg: FrontEndConfig) -> None:
     if v.size == 0:
         return
     low, high = float(v.min()), float(v.max())
-    if high > cfg.damage_high or low < cfg.damage_low:
+    if high > DAMAGE_HIGH or low < DAMAGE_LOW:
         raise DamageVoltage(
             f"voltage range [{low:.3f}, {high:.3f}] V exceeds "
-            f"[{cfg.damage_low}, {cfg.damage_high}] V absolute maximum"
+            f"[{DAMAGE_LOW}, {DAMAGE_HIGH}] V absolute maximum"
         )

@@ -11,10 +11,10 @@ The callback is a pure per-sample function, so splitting the signal into
 blocks cannot change its output: the simulation hands it the whole signal
 in one call, and the block size sets only the latency.
 
-Latency follows latency = pipeline_block_count * block_samples/fs +
-fixed_delay.  The defaults (3.0 blocks, 536 us) are a least-squares fit of
-the four characterized block sizes; the residual is attributed to codec
-group delay.  The fractional-sample part is applied by nearest-sample
+Latency follows latency = PIPELINE_BLOCK_COUNT * block_samples/fs +
+FIXED_DELAY.  The two constants (3.0 blocks, 536 us) are a least-squares
+fit of the four characterized block sizes; the residual is attributed to
+codec group delay.  The fractional-sample part is applied by nearest-sample
 rounding, not interpolation.
 """
 
@@ -36,6 +36,8 @@ CONVERSION_DAC = 65535.0
 FULL_SCALE_VOLTS = 1.0
 
 STANDARD_BLOCK_SIZES = (16, 32, 64, 128)
+PIPELINE_BLOCK_COUNT = 3.0
+FIXED_DELAY = 536e-6
 
 # Chain noise floor, rms volts, referred to the line input.  Calibrated from
 # noise-power accounting so the chain at 1 kHz / 0.5 Vrms reads
@@ -55,8 +57,6 @@ def passthrough(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.nda
 class BlockPipelineConfig:
     block_samples: int = 128
     sample_rate: float = 44100.0
-    pipeline_block_count: float = 3.0
-    fixed_delay: float = 536e-6
     distortion: PolynomialDistortion | None = None
     noise_floor_rms: float = I2S_NOISE_FLOOR_RMS
 
@@ -71,17 +71,15 @@ class BlockPipelineConfig:
                 NonStandardBlockSizeWarning,
                 stacklevel=3,  # past the dataclass-generated __init__
             )
-        if self.pipeline_block_count < 1:
-            raise ValueError("pipeline_block_count must be >= 1")
-        if self.fixed_delay < 0 or self.noise_floor_rms < 0:
-            raise ValueError("fixed_delay and noise_floor_rms must be non-negative")
+        if self.noise_floor_rms < 0:
+            raise ValueError("noise_floor_rms must be non-negative")
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
 
 
 def predicted_latency(cfg: BlockPipelineConfig) -> float:
-    """pipeline_block_count * block/fs + fixed_delay, in seconds."""
-    return cfg.pipeline_block_count * cfg.block_samples / cfg.sample_rate + cfg.fixed_delay
+    """PIPELINE_BLOCK_COUNT * block/fs + FIXED_DELAY, in seconds."""
+    return PIPELINE_BLOCK_COUNT * cfg.block_samples / cfg.sample_rate + FIXED_DELAY
 
 
 def run_block_pipeline(

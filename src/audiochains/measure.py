@@ -46,6 +46,7 @@ from .spectrum import band_sum, window_samples, windowed_power
 
 SystemTransform = Callable[[Signal], Signal]
 
+MLS_PERIODS = 4  # repeats of the sequence; the first is discarded as warm-up
 HARMONIC_HALF_BINS = 3
 MAX_HARMONICS = 20
 _FLOOR = 1e-300
@@ -67,24 +68,20 @@ class DistortionReport:
     harmonic_levels: tuple[tuple[int, float], ...]
 
 
-def measure_impulse_response(
-    system: SystemTransform, cfg: MlsConfig, periods: int = 4
-) -> Signal:
+def measure_impulse_response(system: SystemTransform, cfg: MlsConfig) -> Signal:
     """Impulse response of `system` via repeated-MLS cross-correlation."""
-    if periods < 2:
-        raise ValueError("need at least 2 periods (the first is discarded)")
     probe = generate_mls(cfg)
     length = len(probe)
-    stimulus = Signal(np.tile(probe.samples, periods), cfg.sample_rate)
+    stimulus = Signal(np.tile(probe.samples, MLS_PERIODS), cfg.sample_rate)
     response = system(stimulus)
-    if len(response) < periods * length:
+    if len(response) < MLS_PERIODS * length:
         raise TruncatedResponse(
-            f"system returned {len(response)} of {periods * length} samples"
+            f"system returned {len(response)} of {MLS_PERIODS * length} samples"
         )
     if np.ptp(response.samples[:length]) == 0:
         raise NoPeak(f"output constant over the first MLS period ({length} samples, order "
                      f"{cfg.order}): the response is absent or longer than one period")
-    steady = response.samples[length : periods * length].reshape(periods - 1, length)
+    steady = response.samples[length : MLS_PERIODS * length].reshape(MLS_PERIODS - 1, length)
     y = steady.mean(axis=0)
 
     spec_y = np.fft.rfft(y)

@@ -76,8 +76,6 @@ def delay_samples(samples: np.ndarray, n: int) -> np.ndarray:
     """Shift right by n whole samples, zero-filling; output length is preserved."""
     if n < 0:
         raise ValueError("delay must be non-negative")
-    if n == 0:
-        return np.array(samples, dtype=np.float64)
     out = np.zeros(len(samples), dtype=np.float64)
     out[n:] = samples[: max(len(samples) - n, 0)]
     return out

@@ -73,7 +73,7 @@ def test_adcdac_latency_table():
 
         def system(s):
             biased = Signal(s.samples + 1.65, fs_sim)
-            return ac.run_sample_pipeline(biased, biased, None, cfg, rng)
+            return ac.run_sample_pipeline(biased, biased, cfg, rng, front_end=False)
 
         ir = measure_impulse_response(system, MlsConfig(12, 0.5, 1, fs_sim))
         latency = estimate_latency(ir).latency_seconds
@@ -104,7 +104,7 @@ def _adcdac_chain_report(seed: int):
     dist = ac.calibrate_distortion(target_hd3_db=-76.0, peak_amplitude=0.5 * np.sqrt(2.0))
     cfg = ac.SampleChainConfig(distortion=dist)  # LOW_SPEED
     sine = generate_sine(1000.0, 0.5, 3.0, ADCDAC_FS)
-    out = ac.run_sample_pipeline(sine, sine, ac.FrontEndConfig(), cfg, np.random.default_rng(seed))
+    out = ac.run_sample_pipeline(sine, sine, cfg, np.random.default_rng(seed))
     trimmed = Signal(out.samples[int(0.15 * ADCDAC_FS) :], ADCDAC_FS)
     return measure_thd(trimmed, 1000.0)
 

@@ -23,7 +23,6 @@ from audiochains.errors import (
     RealtimeFeasibilityWarning,
     ShapeMismatch,
 )
-from audiochains.frontend import FrontEndConfig
 from audiochains.i2s import BlockPipelineConfig, run_block_pipeline
 from audiochains.measure import estimate_latency, measure_impulse_response, measure_thdn
 from audiochains.mls import MlsConfig
@@ -157,7 +156,7 @@ def test_mls_latency_at_native_rate_within_one_sample():
 
     def system(s):
         biased = Signal(s.samples + 1.65, cfg.sample_rate)
-        return run_sample_pipeline(biased, biased, None, cfg, rng)
+        return run_sample_pipeline(biased, biased, cfg, rng, front_end=False)
 
     ir = measure_impulse_response(system, MlsConfig(12, 0.5, 1, cfg.sample_rate))
     report = estimate_latency(ir)
@@ -173,7 +172,7 @@ def test_mls_latency_matches_prediction_within_one_sim_sample(speed, ref_us):
 
     def system(s):
         biased = Signal(s.samples + 1.65, fs_sim)
-        return run_sample_pipeline(biased, biased, None, cfg, rng)
+        return run_sample_pipeline(biased, biased, cfg, rng, front_end=False)
 
     ir = measure_impulse_response(system, MlsConfig(12, 0.5, 1, fs_sim))
     report = estimate_latency(ir)
@@ -197,7 +196,7 @@ def test_zero_input_settles_at_the_code_implied_offset():
 
     cfg = _quiet_cfg()
     zeros = Signal(np.zeros(2000), cfg.sample_rate)
-    out = run_sample_pipeline(zeros, zeros, FrontEndConfig(), cfg)
+    out = run_sample_pipeline(zeros, zeros, cfg)
     # the bias lands exactly on an ADC rounding tie, so float jitter in the
     # settled filter output toggles between two adjacent codes
     assert np.allclose(out.samples[500:], expected, atol=2.6 * 2.5 / 65535)
@@ -207,7 +206,7 @@ def test_zero_input_settles_at_the_code_implied_offset():
 def test_identical_inputs_pass_the_sine_through():
     cfg = _quiet_cfg()
     sine = generate_sine(1000.0, 0.5, 0.5, cfg.sample_rate)
-    out = run_sample_pipeline(sine, sine, FrontEndConfig(), cfg)
+    out = run_sample_pipeline(sine, sine, cfg)
     tail = out.samples[9600:]
     ac = tail - tail.mean()
     assert np.sqrt(np.mean(ac**2)) == pytest.approx(0.5, abs=1e-3)
@@ -219,7 +218,7 @@ def test_antiphase_inputs_cancel_to_dc():
     cfg = _quiet_cfg()
     sine = generate_sine(1000.0, 0.5, 0.2, cfg.sample_rate)
     inverted = Signal(-sine.samples, cfg.sample_rate)
-    out = run_sample_pipeline(sine, inverted, FrontEndConfig(), cfg)
+    out = run_sample_pipeline(sine, inverted, cfg)
     tail = out.samples[9600:]
     assert np.max(np.abs(tail - tail.mean())) < 1e-3
 
@@ -236,7 +235,7 @@ def test_dc_transfer_is_affine():
     for v in levels:
         sig = Signal(np.full(64, v - 1.65), cfg.sample_rate)  # bias added back below
         shifted = Signal(sig.samples + 1.65, cfg.sample_rate)
-        out = run_sample_pipeline(shifted, shifted, None, cfg)
+        out = run_sample_pipeline(shifted, shifted, cfg, front_end=False)
         code = out.samples[-1] * 65535.0 / 2.5
         ideal = (v - 1.625 + 1.25) * 65535.0 / 2.5
         worst = max(worst, abs(code - ideal))
@@ -248,7 +247,7 @@ def test_code_centered_inputs_round_trip_within_half_dac_lsb():
     codes = np.arange(8000, 57000, 1024)  # keep the DAC out of saturation
     volts = codes * 3.3 / 65535.0
     sig = Signal(np.repeat(volts, 4), cfg.sample_rate)
-    out = run_sample_pipeline(sig, sig, None, cfg)
+    out = run_sample_pipeline(sig, sig, cfg, front_end=False)
     ideal = (volts - 1.625 + 1.25) * 65535.0 / 2.5
     got = out.samples[3::4] * 65535.0 / 2.5
     assert np.max(np.abs(got - ideal)) <= 0.5 + 1e-9
@@ -258,11 +257,11 @@ def test_damage_voltage_propagates():
     cfg = _quiet_cfg()
     big = generate_sine(1000.0, 3.0, 0.1, cfg.sample_rate)  # ~4.2 V peaks
     with pytest.raises(DamageVoltage):
-        run_sample_pipeline(big, big, FrontEndConfig(), cfg)
+        run_sample_pipeline(big, big, cfg)
     # bypassing the front end checks the raw inputs against the default limits
     neg = Signal(np.full(100, -0.5), cfg.sample_rate)
     with pytest.raises(DamageVoltage):
-        run_sample_pipeline(neg, neg, None, cfg)
+        run_sample_pipeline(neg, neg, cfg, front_end=False)
 
 
 def test_pipeline_runs_the_public_spi_and_front_end_functions(monkeypatch):
@@ -279,12 +278,12 @@ def test_pipeline_runs_the_public_spi_and_front_end_functions(monkeypatch):
         spy(name, getattr(adcdac, name))
     cfg = _quiet_cfg()
     sine = generate_sine(1000.0, 0.5, 0.01, cfg.sample_rate)
-    run_sample_pipeline(sine, sine, FrontEndConfig(), cfg)
+    run_sample_pipeline(sine, sine, cfg)
     # one Signal on both inputs is conditioned once
     assert calls == ["front_end_filter", "spi_encode", "spi_decode"]
     calls.clear()
     twin = Signal(sine.samples.copy(), sine.sample_rate)
-    run_sample_pipeline(sine, twin, FrontEndConfig(), cfg)
+    run_sample_pipeline(sine, twin, cfg)
     assert calls == ["front_end_filter", "front_end_filter", "spi_encode", "spi_decode"]
 
 
@@ -297,7 +296,7 @@ def test_one_signal_on_both_inputs_matches_two_equal_signals_bit_for_bit(monkeyp
     block_cfg = BlockPipelineConfig(distortion=distortion)
 
     def run_adcdac(a, b, rng):
-        return [run_sample_pipeline(a, b, FrontEndConfig(), sample_cfg, rng)]
+        return [run_sample_pipeline(a, b, sample_cfg, rng)]
 
     def run_i2s(a, b, rng):
         return list(run_block_pipeline(a, b, block_cfg, rng=rng))
@@ -326,16 +325,16 @@ def test_shape_mismatch():
     a = Signal(np.zeros(100), cfg.sample_rate)
     b = Signal(np.zeros(50), cfg.sample_rate)
     with pytest.raises(ShapeMismatch):
-        run_sample_pipeline(a, b, None, cfg)
+        run_sample_pipeline(a, b, cfg, front_end=False)
     c = Signal(np.zeros(100), 48000.0)
     with pytest.raises(ShapeMismatch):
-        run_sample_pipeline(a, c, None, cfg)
+        run_sample_pipeline(a, c, cfg, front_end=False)
 
 
 def test_chain_thdn_bounded_by_worst_table_entry():
     cfg = SampleChainConfig()  # ENOB 13 + conditioning noise on
     sine = generate_sine(1000.0, 0.5, 1.2, cfg.sample_rate)
-    out = run_sample_pipeline(sine, sine, FrontEndConfig(), cfg, np.random.default_rng(3))
+    out = run_sample_pipeline(sine, sine, cfg, np.random.default_rng(3))
     trimmed = Signal(out.samples[14400:], cfg.sample_rate)
     report = measure_thdn(trimmed, 1000.0)
     assert report.thdn_db <= -61.0

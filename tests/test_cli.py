@@ -421,6 +421,33 @@ def test_adcdac_below_80k_names_the_front_end_corner(tmp_path, capsys):
     assert "40000 Hz" in err and "48000 Hz" in err
 
 
+def test_latency_outlasting_the_warm_up_exits_2_before_any_row_runs(tmp_path, capsys):
+    # 3 * 4096 / 44.1 kHz + 536 us = 0.279 s: the analyzed record would start
+    # inside the delay's zero-fill
+    out, wav_out = tmp_path / "x.csv", tmp_path / "x.wav"
+    with pytest.warns(NonStandardBlockSizeWarning):
+        code = run_cli(
+            "--chain", "i2s", "--measure", "thd", "--block-samples", "16",
+            "--block-samples", "4096", "--out", str(out), "--wav-out", str(wav_out),
+        )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "4096" in err and "0.279 s" in err and "0.15 s" in err
+    assert not out.exists() and not wav_out.exists()
+
+
+def test_thd_without_a_third_harmonic_band_exits_2_naming_the_rate(tmp_path, capsys):
+    # at 4500 Hz the 3 kHz H3 the distortion is calibrated on lies above Nyquist
+    out = tmp_path / "x.csv"
+    code = run_cli(
+        "--chain", "i2s", "--measure", "thd", "--block-samples", "128",
+        "--sample-rate", "4500", "--out", str(out),
+    )
+    assert code == 2
+    assert "4500 Hz" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @st.composite
 def cli_flags(draw):
     flags = [

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from audiochains import frontend
 from audiochains.errors import DamageVoltage
 from audiochains.frontend import (
-    FrontEndConfig,
     check_damage,
     filter_gain_db,
     front_end_filter,
@@ -15,49 +15,44 @@ from audiochains.signals import Signal, generate_sine
 FS = 96000.0
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        FrontEndConfig(coupling_cutoff=50000.0)  # above the low-pass corner
-    with pytest.raises(ValueError):
-        FrontEndConfig(bias_voltage=3.5)
-    with pytest.raises(ValueError):
-        FrontEndConfig(damage_high=3.0)
-    with pytest.raises(ValueError):
-        FrontEndConfig(sallen_key_q=0.0)
+def test_constants_keep_the_physical_ordering():
+    assert 0.0 < frontend.COUPLING_CUTOFF < frontend.SALLEN_KEY_CUTOFF
+    assert frontend.RAIL_LOW < frontend.BIAS_VOLTAGE < frontend.RAIL_HIGH
+    assert frontend.DAMAGE_LOW < frontend.RAIL_LOW and frontend.DAMAGE_HIGH > frontend.RAIL_HIGH
+    assert frontend.SALLEN_KEY_Q > 0.0
 
 
 def test_zero_input_settles_on_the_bias():
     sig = Signal(np.zeros(2000), FS)
-    out = front_end_filter(sig, FrontEndConfig())
+    out = front_end_filter(sig)
     tail = out.samples[500:]
     assert np.allclose(tail, 1.65, atol=1e-9)
 
 
 def test_unity_gain_at_1khz():
-    cfg = FrontEndConfig()
     # closed-form oracle: cascade magnitude from the coefficients
-    bh, ah = highpass_coeffs(cfg.coupling_cutoff, FS)
-    bl, al = sallen_key_coeffs(cfg.sallen_key_cutoff, cfg.sallen_key_q, FS)
+    bh, ah = highpass_coeffs(frontend.COUPLING_CUTOFF, FS)
+    bl, al = sallen_key_coeffs(frontend.SALLEN_KEY_CUTOFF, frontend.SALLEN_KEY_Q, FS)
     oracle_db = filter_gain_db(bh, ah, 1000.0, FS) + filter_gain_db(bl, al, 1000.0, FS)
     assert oracle_db == pytest.approx(0.0, abs=0.01)
 
     sine = generate_sine(1000.0, 0.5, 0.5, FS)
-    out = front_end_filter(sine, cfg)
+    out = front_end_filter(sine)
     tail = out.samples[4800:]
     measured = np.sqrt(np.mean((tail - np.mean(tail)) ** 2))
     assert 20 * np.log10(measured / 0.5) == pytest.approx(0.0, abs=0.01)
 
 
 def test_minus_3db_at_the_sallen_key_corner():
-    cfg = FrontEndConfig()
-    bl, al = sallen_key_coeffs(cfg.sallen_key_cutoff, cfg.sallen_key_q, FS)
-    assert filter_gain_db(bl, al, cfg.sallen_key_cutoff, FS) == pytest.approx(-3.01, abs=0.05)
+    bl, al = sallen_key_coeffs(frontend.SALLEN_KEY_CUTOFF, frontend.SALLEN_KEY_Q, FS)
+    gain_db = filter_gain_db(bl, al, frontend.SALLEN_KEY_CUTOFF, FS)
+    assert gain_db == pytest.approx(-3.01, abs=0.05)
 
 
 def test_large_sine_clips_at_the_rail():
     # 1.65 +/- 1.7 V crosses both rails but stays inside the damage window
     sine = generate_sine(1000.0, 1.7 / np.sqrt(2.0), 0.2, FS)
-    out = front_end_filter(sine, FrontEndConfig())
+    out = front_end_filter(sine)
     assert np.max(out.samples) == pytest.approx(3.27, abs=1e-12)
     assert np.max(out.samples) <= 3.27
     assert np.min(out.samples) == pytest.approx(0.030, abs=1e-12)
@@ -68,19 +63,18 @@ def test_filter_raises_on_a_damaging_pin_voltage():
     # 1.65 + 3 V peaks leave the 3.5 V absolute maximum before the clamp
     sine = generate_sine(1000.0, 3.0 / np.sqrt(2.0), 0.2, FS)
     with pytest.raises(DamageVoltage):
-        front_end_filter(sine, FrontEndConfig())
+        front_end_filter(sine)
 
 
 def test_check_damage():
-    cfg = FrontEndConfig()
     with pytest.raises(DamageVoltage):
-        check_damage(3.6, cfg)
+        check_damage(3.6)
     with pytest.raises(DamageVoltage):
-        check_damage(-0.3, cfg)
-    check_damage(1.65, cfg)  # mid-range passes
-    check_damage(np.array([0.0, 3.3]), cfg)
+        check_damage(-0.3)
+    check_damage(1.65)  # mid-range passes
+    check_damage(np.array([0.0, 3.3]))
     with pytest.raises(DamageVoltage):
-        check_damage(np.array([1.0, 5.0]), cfg)
+        check_damage(np.array([1.0, 5.0]))
 
 
 def test_highpass_blocks_dc_exactly():

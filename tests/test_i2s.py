@@ -5,6 +5,8 @@ from audiochains.distortion import calibrate_distortion
 from audiochains.errors import NonStandardBlockSizeWarning, ShapeMismatch
 from audiochains.i2s import (
     CONVERSION_ADC,
+    FIXED_DELAY,
+    PIPELINE_BLOCK_COUNT,
     BlockPipelineConfig,
     passthrough,
     predicted_latency,
@@ -39,9 +41,8 @@ def test_defaults_match_least_squares_fit_of_the_table():
     slope, intercept = np.polyfit(x, y, 1)
     assert slope == pytest.approx(3.00, abs=0.01)
     assert intercept == pytest.approx(0.536e-3, abs=2e-6)
-    cfg = BlockPipelineConfig()
-    assert cfg.pipeline_block_count == pytest.approx(slope, abs=0.01)
-    assert cfg.fixed_delay == pytest.approx(intercept, abs=2e-6)
+    assert PIPELINE_BLOCK_COUNT == pytest.approx(slope, abs=0.01)
+    assert FIXED_DELAY == pytest.approx(intercept, abs=2e-6)
 
 
 def test_latency_linearity_in_block_size():
@@ -80,8 +81,9 @@ def test_processor_sees_code_scaled_by_1_over_65535():
         seen["value"] = left[0]
         return left, right
 
-    cfg = _quiet_cfg(block_samples=16, fixed_delay=0.0, pipeline_block_count=1.0)
-    full = Signal(np.full(64, 32767.0 / 32767.0), FS)  # one volt -> code 32767
+    cfg = _quiet_cfg(block_samples=16)
+    # one volt -> code 32767; 128 samples outlast the 72-sample delay
+    full = Signal(np.full(128, 32767.0 / 32767.0), FS)
     left, _ = run_block_pipeline(full, full, cfg, proc=spy)
     assert seen["value"] == pytest.approx(32767.0 / 65535.0, rel=1e-12)
     assert seen["value"] == pytest.approx(0.4999924, abs=1e-7)

@@ -91,11 +91,6 @@ def test_response_longer_than_one_period_raises_instead_of_wrapping():
         measure_impulse_response(system, MlsConfig(16, 0.5, 1, cfg.sample_rate))
 
 
-def test_periods_precondition():
-    with pytest.raises(ValueError):
-        measure_impulse_response(lambda s: s, MlsConfig(10, 0.5, 1, FS), periods=1)
-
-
 def test_mls_ir_matches_direct_impulse_response_lti():
     # FIR and IIR test systems; the MLS route must agree with a unit-impulse
     # probe to 1e-4 rms.
