@@ -49,6 +49,9 @@ SCENARIOS = [
     ("adcdac_latency_192k", ["--chain", "adcdac", "--measure", "latency",
                              "--sample-rate", "192000"]),
     ("i2s_latency_256", ["--chain", "i2s", "--measure", "latency", "--block-samples", "256"]),
+    # a record short enough that the spectrum derives an 8192-sample segment
+    ("i2s_spectrum_5k", ["--chain", "i2s", "--measure", "spectrum", "--sample-rate", "5000",
+                         "--block-samples", "16"]),
 ]
 
 

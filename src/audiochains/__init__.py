@@ -55,7 +55,7 @@ from .measure import (
 from .mls import PRIMITIVE_TAPS, MlsConfig, generate_mls
 from .quantize import QuantizerSpec, dequantize, quantize_uniform, round_half_away
 from .signals import Signal, generate_sine
-from .spectrum import Spectrum, band_power, power_spectrum, total_power
+from .spectrum import Spectrum, power_spectrum
 from .wavio import read_wav, write_wav
 
 __version__ = "0.1.0"

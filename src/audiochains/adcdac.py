@@ -3,14 +3,14 @@
 Every input sample is one conversion tick: the two channels are conditioned
 (`front_end_filter`, in the shared `signals.input_stage`: a pair fed one
 `Signal` is distorted and filtered once, the noise after it is still drawn
-per channel) and quantized (ENOB noise on by default), combined by the
-fixed per-sample arithmetic, framed as two SPI bytes MSB first
-(`spi_encode`/`spi_decode`), and reconstructed by the 16-bit DAC
-(`DAC_SPEC`, 0-2.5 V).  The DAC output keeps its `DAC_OFFSET` = +1.25 V
-standing offset (the measurement side AC-couples), and the chain latency
-`predicted_sample_latency` -- the per-speed `CONVERSION_TIME` plus the
-`SPI_TRANSFER_TIME` of one 16-bit frame at 50 MHz -- is applied as a
-whole-sample delay at the simulation rate.
+per channel) and quantized (`ADC_SPEC`, 16 bits over 0-3.3 V, ENOB-13
+noise on by default), combined by the fixed per-sample arithmetic, framed
+as two SPI bytes MSB first (`spi_encode`/`spi_decode`), and reconstructed
+by the 16-bit DAC (`DAC_SPEC`, 0-2.5 V).  The DAC output keeps its
+`DAC_OFFSET` = +1.25 V standing offset (the measurement side AC-couples),
+and the chain latency `predicted_sample_latency` -- the per-speed
+`CONVERSION_TIME` plus the `SPI_TRANSFER_TIME` of one 16-bit frame at
+50 MHz -- is applied as a whole-sample delay at the simulation rate.
 
 The per-sample arithmetic subtracts `ADC_OFFSET` = 1.625 V although the
 hardware bias (`frontend.BIAS_VOLTAGE`) is 1.65 V; the two constants
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from .signals import Signal, delay_samples, input_stage
 SPI_TRANSFER_TIME = 16 / 50e6  # one 16-bit frame at the 50 MHz SPI clock
 ADC_OFFSET = 1.625  # subtracted by the per-sample arithmetic
 DAC_OFFSET = 1.25  # added back before the DAC
+ADC_SPEC = QuantizerSpec(bits=16, v_min=0.0, v_max=3.3, enob=13.0)
 DAC_SPEC = QuantizerSpec(bits=16, v_min=0.0, v_max=2.5)
 
 # Lumped conditioning-stage noise, rms volts per channel.  Calibrated from
@@ -56,15 +57,11 @@ CONVERSION_TIME = {
 }
 
 
-def _default_adc_spec() -> QuantizerSpec:
-    return QuantizerSpec(bits=16, v_min=0.0, v_max=3.3, enob=13.0)
-
-
 @dataclass(frozen=True)
 class SampleChainConfig:
     sample_rate: float = 96000.0
     sampling_speed: SamplingSpeed = SamplingSpeed.LOW_SPEED
-    adc_spec: QuantizerSpec = field(default_factory=_default_adc_spec)
+    adc_spec: QuantizerSpec = ADC_SPEC
     distortion: PolynomialDistortion | None = None
     conditioning_noise_rms: float = CONDITIONING_NOISE_RMS
 

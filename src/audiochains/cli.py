@@ -10,11 +10,14 @@ CSV report; sweeps map one row per swept parameter.  CSV layouts:
 The first line is a ``#`` comment holding the exact command line, numbers
 carry 17 significant digits, and rows are LF-terminated, so identical flags
 reproduce byte-identical files.  Each latency row sizes its MLS to the
-smallest order >= 12 whose period holds twice the predicted latency.  Exit
-codes: 0 success, 2 usage error or unusable input (including a latency too
-long for order 24 or for the discarded warm-up, and a THD rate that leaves
-the calibrated 3rd harmonic no band), 3 chain fault (damage voltage), 4 I/O
-error.
+smallest order >= 12 whose period holds twice the predicted latency.  The
+adcdac front end needs a rate above 80 kHz in the thd, thdn and spectrum
+scenarios; the latency scenario bypasses it, so there only a latency that
+rounds to 0 samples of the 16x simulation grid is refused.  Exit codes:
+0 success, 2 usage error or unusable input (including a latency too long
+for order 24 or for the discarded warm-up, or rounding to 0 samples, and a
+THD rate that leaves the calibrated 3rd harmonic no band), 3 chain fault
+(damage voltage), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ import argparse
 import math
 import sys
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,6 +35,7 @@ from .errors import AudioChainError, DamageVoltage, RealtimeFeasibilityWarning
 from .errors import UnsupportedOrder, UnsupportedWav
 from .measure import estimate_latency, measure_impulse_response, measure_thd
 from .mls import PRIMITIVE_TAPS, MlsConfig
+from .quantize import round_half_away
 from .signals import Signal, generate_sine
 from .spectrum import power_spectrum
 from .wavio import read_wav, write_wav
@@ -63,19 +66,6 @@ MLS_AMPLITUDE = 0.5
 MIN_MLS_ORDER = 12  # keeps the block-128 i2s peak 109 dB above the correlation noise
 
 
-@dataclass(frozen=True)
-class Scenario:
-    chain: str
-    measurement: str
-    params: tuple  # block sizes (i2s) or sampling speeds (adcdac)
-    sample_rate: float | None
-    seed: int
-    out_path: str
-    wav_in: str | None
-    wav_out: str | None
-    command_line: str
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog=PROG,
@@ -101,21 +91,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _sweep_params(args: argparse.Namespace) -> tuple:
-    """The swept parameter list: i2s block sizes or adcdac sampling speeds."""
+def _check_args(args: argparse.Namespace, argv: list[str]) -> None:
+    """Validate the parsed flags in place, then add the sweep (`params`: i2s
+    block sizes or adcdac sampling speeds) and the CSV's ``#`` comment line."""
     if args.chain == "i2s":
         if args.sampling_speed is not None:
             raise ValueError("--sampling-speed applies only to --chain adcdac")
-        return tuple(args.block_samples) if args.block_samples else DEFAULT_BLOCK_SWEEP
-    if args.block_samples:
+        args.params = tuple(args.block_samples) if args.block_samples else DEFAULT_BLOCK_SWEEP
+    elif args.block_samples:
         raise ValueError("--block-samples applies only to --chain i2s")
-    if args.sampling_speed is None:
-        return DEFAULT_SPEED_SWEEP
-    return (adcdac.SamplingSpeed(f"{args.sampling_speed.upper()}_SPEED"),)
-
-
-def _scenario_from_args(args: argparse.Namespace, argv: list[str]) -> Scenario:
-    params = _sweep_params(args)
+    elif args.sampling_speed is None:
+        args.params = DEFAULT_SPEED_SWEEP
+    else:
+        args.params = (adcdac.SamplingSpeed(f"{args.sampling_speed.upper()}_SPEED"),)
     if args.sample_rate is not None and not (
         math.isfinite(args.sample_rate) and args.sample_rate > 0
     ):
@@ -125,19 +113,9 @@ def _scenario_from_args(args: argparse.Namespace, argv: list[str]) -> Scenario:
     for flag, value in (("--wav-in", args.wav_in), ("--wav-out", args.wav_out)):
         if value and args.measure == "latency":
             raise ValueError(f"{flag} does not combine with the MLS latency scenario")
-    if args.measure == "spectrum" and len(params) > 1:
+    if args.measure == "spectrum" and len(args.params) > 1:
         raise ValueError("spectrum reports have no parameter column; sweep one value")
-    return Scenario(
-        chain=args.chain,
-        measurement=args.measure,
-        params=params,
-        sample_rate=args.sample_rate,
-        seed=args.seed,
-        out_path=args.out,
-        wav_in=args.wav_in,
-        wav_out=args.wav_out,
-        command_line=f"# {PROG} " + " ".join(argv),
-    )
+    args.command_line = f"# {PROG} " + " ".join(argv)
 
 
 def _format_value(value) -> str:
@@ -177,17 +155,17 @@ def _param_rng(seed: int, param) -> np.random.Generator:
     return np.random.default_rng([seed, *_row_label(param).encode()])
 
 
-def _stimulus(scenario: Scenario) -> tuple[Signal, Signal]:
+def _stimulus(args: argparse.Namespace) -> tuple[Signal, Signal]:
     """The 1 kHz sine or the wav-in payload, read once and shared by every row."""
-    if scenario.wav_in is not None:
-        channels = read_wav(scenario.wav_in)  # mono feeds both inputs
-        if scenario.sample_rate not in (None, channels[0].sample_rate):
+    if args.wav_in is not None:
+        channels = read_wav(args.wav_in)  # mono feeds both inputs
+        if args.sample_rate not in (None, channels[0].sample_rate):
             raise ValueError(
-                f"--sample-rate {scenario.sample_rate:g} Hz disagrees with the "
-                f"{channels[0].sample_rate:g} Hz of --wav-in {scenario.wav_in}"
+                f"--sample-rate {args.sample_rate:g} Hz disagrees with the "
+                f"{channels[0].sample_rate:g} Hz of --wav-in {args.wav_in}"
             )
         return channels[0], channels[-1]
-    sample_rate = scenario.sample_rate or DEFAULT_RATE[scenario.chain]
+    sample_rate = args.sample_rate or DEFAULT_RATE[args.chain]
     sine = generate_sine(STIMULUS_HZ, STIMULUS_VRMS, STIMULUS_SECONDS, sample_rate)
     return sine, sine
 
@@ -240,17 +218,24 @@ def _predicted_latency(chain: str, cfg) -> float:
     return (i2s.predicted_latency if chain == "i2s" else adcdac.predicted_sample_latency)(cfg)
 
 
-def _run_latency(scenario: Scenario) -> list[tuple]:
-    chain = scenario.chain
-    sample_rate = (scenario.sample_rate or DEFAULT_RATE[chain]) * LATENCY_OVERSAMPLE[chain]
+def _run_latency(args: argparse.Namespace) -> list[tuple]:
+    chain = args.chain
+    sample_rate = (args.sample_rate or DEFAULT_RATE[chain]) * LATENCY_OVERSAMPLE[chain]
     rows = []
-    for param in scenario.params:
-        rng = _param_rng(scenario.seed, param)
+    for param in args.params:
+        label, rng = _row_label(param), _param_rng(args.seed, param)
         with warnings.catch_warnings():
             # the 16x grid is a simulation rate, not a hardware rate
             warnings.simplefilter("ignore", RealtimeFeasibilityWarning)
             cfg = _chain_config(chain, param, sample_rate, with_distortion=False)
-        order = _mls_order(_row_label(param), _predicted_latency(chain, cfg), sample_rate)
+        latency = _predicted_latency(chain, cfg)
+        if round_half_away(latency * sample_rate) == 0:
+            # the chain would apply no delay and the probe would read lag 0
+            raise ValueError(
+                f"parameter {label}: predicted latency {latency:.3g} s rounds to 0 samples "
+                f"at the {sample_rate:g} Hz simulation rate"
+            )
+        order = _mls_order(label, latency, sample_rate)
         mls = MlsConfig(order, MLS_AMPLITUDE, seed=1, sample_rate=sample_rate)
 
         def system(stimulus: Signal) -> Signal:
@@ -261,7 +246,7 @@ def _run_latency(scenario: Scenario) -> list[tuple]:
             return _run_chain(chain, cfg, (stimulus, stimulus), rng, front_end=False)[0]
 
         report = estimate_latency(measure_impulse_response(system, mls))
-        rows.append((_row_label(param), report.latency_seconds))
+        rows.append((label, report.latency_seconds))
     return rows
 
 
@@ -287,46 +272,46 @@ def _spectrum_rows(param, measured: Signal) -> list[tuple]:
     # AC-couple before the estimate: the sample chain output carries its
     # standing DAC offset.
     ac = Signal(measured.samples - measured.samples.mean(), measured.sample_rate)
-    spec = power_spectrum(ac, window="hann")
+    spec = power_spectrum(ac)
     return list(zip(spec.bin_frequencies, spec.bin_powers_dbv))
 
 
-def _run_rows(scenario: Scenario, analyze) -> list[tuple]:
+def _run_rows(args: argparse.Namespace, analyze) -> list[tuple]:
     """Per swept parameter: run the chain, drop the warm-up, analyze(param, measured)."""
-    chain, rows = scenario.chain, []
-    stimulus = _stimulus(scenario)
+    chain, rows = args.chain, []
+    stimulus = _stimulus(args)
     rate = stimulus[0].sample_rate
-    configs = [_chain_config(chain, p, rate, with_distortion=True) for p in scenario.params]
-    for param, cfg in zip(scenario.params, configs):  # all rows first: a refusal writes nothing
+    configs = [_chain_config(chain, p, rate, with_distortion=True) for p in args.params]
+    for param, cfg in zip(args.params, configs):  # all rows first: a refusal writes nothing
         latency = _predicted_latency(chain, cfg)
         if latency >= WARMUP_SECONDS:
             raise ValueError(
                 f"parameter {_row_label(param)}: predicted latency {latency:.3g} s is not "
                 f"shorter than the {WARMUP_SECONDS:g} s warm-up the analysis discards"
             )
-    for index, (param, cfg) in enumerate(zip(scenario.params, configs)):
-        rng = _param_rng(scenario.seed, param)
+    for index, (param, cfg) in enumerate(zip(args.params, configs)):
+        rng = _param_rng(args.seed, param)
         outputs = _run_chain(chain, cfg, stimulus, rng)
         rows.extend(analyze(param, _discard_warmup(outputs[0])))
-        if index == 0 and scenario.wav_out:
+        if index == 0 and args.wav_out:
             if chain == "i2s":
-                write_wav(outputs[0], scenario.wav_out, right=outputs[1])
+                write_wav(outputs[0], args.wav_out, right=outputs[1])
             else:
-                write_wav(outputs[0], scenario.wav_out, full_scale=ADCDAC_WAV_FULL_SCALE)
+                write_wav(outputs[0], args.wav_out, full_scale=ADCDAC_WAV_FULL_SCALE)
     return rows
 
 
-def run_scenario(scenario: Scenario) -> None:
-    if scenario.measurement == "latency":
-        rows = _run_latency(scenario)
+def run_scenario(args: argparse.Namespace) -> None:
+    if args.measure == "latency":
+        rows = _run_latency(args)
         header = ("parameter", "latency_seconds")
-    elif scenario.measurement in ("thd", "thdn"):
-        rows = _run_rows(scenario, _thd_rows)
+    elif args.measure in ("thd", "thdn"):
+        rows = _run_rows(args, _thd_rows)
         header = ("parameter", "thd_db", "thdn_db")
     else:
-        rows = _run_rows(scenario, _spectrum_rows)
+        rows = _run_rows(args, _spectrum_rows)
         header = ("frequency_hz", "power_dbv")
-    write_csv(scenario.out_path, scenario.command_line, header, rows)
+    write_csv(args.out, args.command_line, header, rows)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -334,11 +319,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        scenario = _scenario_from_args(args, argv)
+        _check_args(args, argv)
     except ValueError as exc:
         parser.error(str(exc))  # exits 2
     try:
-        run_scenario(scenario)
+        run_scenario(args)
     except DamageVoltage as exc:
         print(f"{PROG}: chain fault: {exc}", file=sys.stderr)
         return 3

@@ -143,7 +143,7 @@ def measure_thd(sig: Signal, fundamental_hz: float) -> DistortionReport:
     thdn_db = 10.0 * np.log10(max(float(np.mean(residual**2)), _FLOOR) / p1_fit)
 
     # Banded harmonic powers from one Hann-windowed spectrum.
-    powers, enbw_bins = windowed_power((x - x.mean())[np.newaxis], window_samples("hann", n))
+    powers, enbw_bins = windowed_power((x - x.mean())[np.newaxis], window_samples(n))
 
     def band(freq: float) -> float:
         return band_sum(powers, enbw_bins, int(round(freq * n / fs)), HARMONIC_HALF_BINS)

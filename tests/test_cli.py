@@ -421,6 +421,33 @@ def test_adcdac_below_80k_names_the_front_end_corner(tmp_path, capsys):
     assert "40000 Hz" in err and "48000 Hz" in err
 
 
+@pytest.mark.parametrize(
+    "rate, code, refused, latency",
+    [
+        # 12.0 / 9.6 us at the 16 kHz simulation rate: 0.19 / 0.15 samples
+        ("1000", 2, "LOW_SPEED", "1.2e-05 s"),
+        # 9.6 us at 48 kHz is 0.46 samples; LOW_SPEED's 12.0 us rounds to 1
+        ("3000", 2, "HIGH_SPEED", "9.6e-06 s"),
+        # latency bypasses the front end, so the 80 kHz rule does not apply
+        ("48000", 0, None, None),
+    ],
+)
+def test_adcdac_latency_rounding_to_zero_samples_exits_2(
+    tmp_path, capsys, rate, code, refused, latency
+):
+    out = tmp_path / "x.csv"
+    assert run_cli(
+        "--chain", "adcdac", "--measure", "latency", "--sample-rate", rate, "--out", str(out),
+    ) == code
+    if refused is None:
+        assert len(cli.read_csv(str(out))[2]) == 2
+        return
+    err = capsys.readouterr().err
+    sim_rate = f"{16 * float(rate):g} Hz"
+    assert refused in err and latency in err and sim_rate in err
+    assert not out.exists()
+
+
 def test_latency_outlasting_the_warm_up_exits_2_before_any_row_runs(tmp_path, capsys):
     # 3 * 4096 / 44.1 kHz + 536 us = 0.279 s: the analyzed record would start
     # inside the delay's zero-fill
