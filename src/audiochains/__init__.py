@@ -5,6 +5,14 @@ ADC/DAC pipeline, and measures both with the same instruments: MLS
 impulse-response latency, THD, THD+N and power spectra.
 """
 
+# numpy loads its random, fft and (through np.median) ma modules on first
+# use, and argparse loads locale on its first parse; loading them with the
+# package keeps their cost in the import instead of the first run.
+import locale  # noqa: F401
+import numpy.fft  # noqa: F401
+import numpy.ma  # noqa: F401
+import numpy.random  # noqa: F401
+
 from .adcdac import (
     CONDITIONING_NOISE_RMS,
     CONVERSION_TIME,

@@ -1,11 +1,19 @@
-"""Maximum-length sequences from primitive-polynomial LFSRs."""
+"""Maximum-length sequences from primitive-polynomial LFSRs.
+
+The register's output bits obey a[n] = XOR over the taps t of a[n - t].
+Squaring a polynomial over GF(2) squares each of its terms, so they also
+obey a[n] = XOR over t of a[n - 2**k * t] for every k (Golomb, *Shift
+Register Sequences*, 1967).  `lfsr_bits` uses the largest such lag set that
+the bits already built reach, and so fills 2**k * min(taps) bits with one
+shift and XOR per tap of a Python int.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.signal import max_len_seq
 
 from .errors import UnsupportedOrder
 from .signals import Signal
@@ -65,23 +73,36 @@ class MlsConfig:
         return (1 << self.order) - 1
 
 
+@lru_cache(maxsize=4)
 def lfsr_bits(order: int, seed: int, count: int) -> np.ndarray:
-    """count output bits (the register LSB) of the Fibonacci LFSR.
+    """count output bits (the register LSB) of the Fibonacci LFSR, read-only int8.
 
-    The bits come from scipy's max_len_seq with our tap table.  Our
-    right-shift form reads polynomial exponent t from register bit
-    (order - t), so the x**order term taps the output bit itself; scipy's
-    ring holds register bit k at index k and adds the output bit implicitly.
+    Our right-shift form reads polynomial exponent t from register bit
+    (order - t), so the output bits obey a[n] = XOR over t of a[n - t] and
+    start with the seed's bits, LSB first.  A sweep asks for the same
+    sequence once per row; the result is cached, hence read-only.
     """
     taps = PRIMITIVE_TAPS.get(order)
     if taps is None:
         raise UnsupportedOrder(f"no primitive taps for order {order}")
     if seed % (1 << order) == 0:
         raise ValueError("seed must be nonzero modulo 2**order")
-    state = [(seed >> k) & 1 for k in range(order)]
-    ring_taps = [order - t for t in taps if t != order]
-    bits, _ = max_len_seq(order, state=state, length=count, taps=ring_taps)
-    return bits
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+    bits, done, lag = seed % (1 << order), order, 1
+    while done < count:
+        while 2 * lag * order <= done:
+            lag *= 2
+        chunk = min(lag * min(taps), count - done)
+        fill = 0
+        for t in taps:
+            fill ^= bits >> (done - lag * t)
+        bits |= (fill & ((1 << chunk) - 1)) << done
+        done += chunk
+    packed = np.frombuffer(bits.to_bytes((max(count, order) + 7) // 8, "little"), np.uint8)
+    out = np.unpackbits(packed, count=count, bitorder="little").view(np.int8)
+    out.flags.writeable = False
+    return out
 
 
 def generate_mls(cfg: MlsConfig) -> Signal:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from audiochains import cli, i2s
+from audiochains import cli, i2s, mls
 from audiochains.errors import (
     DamageVoltage,
     NonStandardBlockSizeWarning,
@@ -66,6 +66,14 @@ def test_i2s_latency_sweep_matches_table(tmp_path):
     got = {int(p): float(v) for p, v in rows}
     for block, ref in {16: 1.63e-3, 32: 2.7e-3, 64: 4.9e-3, 128: 9.24e-3}.items():
         assert abs(got[block] - ref) <= 1.0 / 44100.0
+
+
+def test_a_latency_sweep_generates_its_mls_once(tmp_path):
+    # all four default rows probe with the same order-12, seed-1 sequence
+    mls.lfsr_bits.cache_clear()
+    assert run_cli("--chain", "i2s", "--measure", "latency", "--out", str(tmp_path / "l.csv")) == 0
+    info = mls.lfsr_bits.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
 
 
 def test_adcdac_latency_sweep_matches_table(tmp_path):

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy import signal as sps
 
 from audiochains import frontend
 from audiochains.errors import DamageVoltage
@@ -88,3 +91,41 @@ def test_highpass_blocks_dc_exactly():
 def test_sallen_key_rejects_cutoff_at_nyquist():
     with pytest.raises(ValueError):
         sallen_key_coeffs(FS / 2, 0.7071, FS)
+
+
+def _lfilter_front_end(sig):
+    # the two filters run sample by sample, the oracle the block form must match
+    bh, ah = highpass_coeffs(frontend.COUPLING_CUTOFF, sig.sample_rate)
+    bl, al = sallen_key_coeffs(frontend.SALLEN_KEY_CUTOFF, frontend.SALLEN_KEY_Q, sig.sample_rate)
+    raw = sps.lfilter(bl, al, sps.lfilter(bh, ah, sig.samples) + frontend.BIAS_VOLTAGE)
+    return np.clip(raw, frontend.RAIL_LOW, frontend.RAIL_HIGH)
+
+
+@pytest.mark.parametrize("rate", [80500.0, 88200.0, 96000.0, 192000.0])
+@pytest.mark.parametrize("n", [0, 1, 2, 31, 32, 33, 20000])
+def test_block_form_matches_lfilter(rate, n):
+    samples = np.random.default_rng(n).uniform(-1.0, 1.0, n)
+    sig = Signal(samples, rate)
+    out = front_end_filter(sig).samples
+    assert out.shape == (n,)
+    assert np.max(np.abs(out - _lfilter_front_end(sig)), initial=0.0) <= 1e-12
+
+
+def test_block_form_matches_lfilter_over_a_60_s_record():
+    sig = generate_sine(1000.0, 0.5, 60.0, FS)
+    err = np.abs(front_end_filter(sig).samples - _lfilter_front_end(sig))
+    assert np.max(err) <= 1e-12
+
+
+def test_filter_allocates_one_full_length_array():
+    # the output overwrites the padded copy of the input; per-block states,
+    # the scan's temporaries and the product's operand add a fraction of it
+    sig = generate_sine(1000.0, 0.5, 3.0, FS)
+    front_end_filter(sig)  # build the cached block map outside the measurement
+    tracemalloc.start()
+    try:
+        front_end_filter(sig)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * sig.samples.nbytes

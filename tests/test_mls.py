@@ -8,6 +8,7 @@ nonzero seed without stepping the long sequences.
 
 import numpy as np
 import pytest
+from scipy.signal import max_len_seq
 
 from audiochains.errors import UnsupportedOrder
 from audiochains.mls import PRIMITIVE_TAPS, MlsConfig, generate_mls, lfsr_bits
@@ -97,6 +98,40 @@ def test_sequence_matches_reference_register(order):
         bits = lfsr_bits(order, seed, count)
         assert bits.dtype == np.int8
         assert bits.tolist() == _reference_lfsr_bits(order, seed, count)
+
+
+@pytest.mark.parametrize("order", range(2, 25))
+def test_sequence_matches_scipy_max_len_seq(order):
+    # scipy's ring holds register bit k at index k and adds the output bit
+    # itself, so its taps are (order - t) for every exponent t but order
+    period = (1 << order) - 1
+    ring_taps = [order - t for t in PRIMITIVE_TAPS[order] if t != order]
+    counts = (0, 1, order - 1, period, period + order + 1)
+    try:
+        for seed in (1, 11, period):
+            state = [(seed >> k) & 1 for k in range(order)]
+            oracle, _ = max_len_seq(order, state=state, length=counts[-1], taps=ring_taps)
+            for count in counts:
+                bits = lfsr_bits(order, seed, count)
+                assert bits.dtype == np.int8
+                assert np.array_equal(bits, oracle[:count]), (seed, count)
+    finally:
+        lfsr_bits.cache_clear()  # order 24 holds 16 MB per sequence
+
+
+def test_cached_sequence_is_shared_and_read_only():
+    lfsr_bits.cache_clear()
+    bits = lfsr_bits(12, 1, 4095)
+    assert lfsr_bits(12, 1, 4095) is bits
+    assert not bits.flags.writeable
+    with pytest.raises(ValueError):
+        bits[0] = 1
+    assert lfsr_bits.cache_info().hits == 1
+
+
+def test_negative_count_raises():
+    with pytest.raises(ValueError):
+        lfsr_bits(8, 1, -1)
 
 
 @pytest.mark.parametrize("order", range(2, 17))
