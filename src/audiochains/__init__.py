@@ -5,12 +5,11 @@ ADC/DAC pipeline, and measures both with the same instruments: MLS
 impulse-response latency, THD, THD+N and power spectra.
 """
 
-# numpy loads its random, fft and (through np.median) ma modules on first
-# use, and argparse loads locale on its first parse; loading them with the
-# package keeps their cost in the import instead of the first run.
+# numpy loads its random and fft modules on first use, and argparse loads
+# locale on its first parse; loading them with the package keeps their cost
+# in the import instead of the first run.
 import locale  # noqa: F401
 import numpy.fft  # noqa: F401
-import numpy.ma  # noqa: F401
 import numpy.random  # noqa: F401
 
 from .adcdac import (
@@ -18,7 +17,6 @@ from .adcdac import (
     CONVERSION_TIME,
     SampleChainConfig,
     SamplingSpeed,
-    predicted_sample_latency,
     process_sample,
     run_sample_pipeline,
     spi_decode,
@@ -49,7 +47,6 @@ from .i2s import (
     BlockPipelineConfig,
     BlockProcessor,
     passthrough,
-    predicted_latency,
     run_block_pipeline,
 )
 from .measure import (

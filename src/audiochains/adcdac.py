@@ -8,9 +8,10 @@ noise on by default), combined by the fixed per-sample arithmetic, framed
 as two SPI bytes MSB first (`spi_encode`/`spi_decode`), and reconstructed
 by the 16-bit DAC (`DAC_SPEC`, 0-2.5 V).  The DAC output keeps its
 `DAC_OFFSET` = +1.25 V standing offset (the measurement side AC-couples),
-and the chain latency `predicted_sample_latency` -- the per-speed
+and the chain latency `SampleChainConfig.latency` -- the per-speed
 `CONVERSION_TIME` plus the `SPI_TRANSFER_TIME` of one 16-bit frame at
-50 MHz -- is applied as a whole-sample delay at the simulation rate.
+50 MHz -- is applied as a whole-sample delay (`signals.latency_samples`)
+at the simulation rate.
 
 The per-sample arithmetic subtracts `ADC_OFFSET` = 1.625 V although the
 hardware bias (`frontend.BIAS_VOLTAGE`) is 1.65 V; the two constants
@@ -29,7 +30,7 @@ from .distortion import PolynomialDistortion
 from .errors import InvalidCode, RealtimeFeasibilityWarning
 from .frontend import check_damage, front_end_filter
 from .quantize import QuantizerSpec, dequantize, quantize_uniform, round_half_away
-from .signals import Signal, delay_samples, input_stage
+from .signals import Signal, delay_samples, input_stage, latency_samples
 
 SPI_TRANSFER_TIME = 16 / 50e6  # one 16-bit frame at the 50 MHz SPI clock
 ADC_OFFSET = 1.625  # subtracted by the per-sample arithmetic
@@ -73,19 +74,19 @@ class SampleChainConfig:
         if not self.realtime_feasible:
             warnings.warn(
                 f"{self.sample_rate:.0f} Hz cannot be sustained: one conversion "
-                f"plus SPI transfer takes {predicted_sample_latency(self) * 1e6:.2f} us",
+                f"plus SPI transfer takes {self.latency * 1e6:.2f} us",
                 RealtimeFeasibilityWarning,
                 stacklevel=3,  # past the dataclass-generated __init__
             )
 
     @property
+    def latency(self) -> float:
+        """Conversion (processing folded in) + SPI transfer, in seconds."""
+        return CONVERSION_TIME[self.sampling_speed] + SPI_TRANSFER_TIME
+
+    @property
     def realtime_feasible(self) -> bool:
-        return self.sample_rate * predicted_sample_latency(self) < 1.0
-
-
-def predicted_sample_latency(cfg: SampleChainConfig) -> float:
-    """Conversion (processing folded in) + SPI transfer, in seconds."""
-    return CONVERSION_TIME[cfg.sampling_speed] + SPI_TRANSFER_TIME
+        return self.sample_rate * self.latency < 1.0
 
 
 def spi_encode(dac_codes) -> bytes:
@@ -119,9 +120,8 @@ def process_sample(code0: int, code1: int, cfg: SampleChainConfig) -> tuple[int,
 
 
 def _process_sample_arrays(codes0, codes1, cfg: SampleChainConfig):
-    adc_step = (cfg.adc_spec.v_max - cfg.adc_spec.v_min) / cfg.adc_spec.max_code
-    in0 = cfg.adc_spec.v_min + codes0 * adc_step - ADC_OFFSET
-    in1 = cfg.adc_spec.v_min + codes1 * adc_step - ADC_OFFSET
+    in0 = cfg.adc_spec.v_min + codes0 * cfg.adc_spec.lsb - ADC_OFFSET
+    in1 = cfg.adc_spec.v_min + codes1 * cfg.adc_spec.lsb - ADC_OFFSET
     out = 0.5 * in0 + 0.5 * in1
     dac_scale = DAC_SPEC.max_code / (DAC_SPEC.v_max - DAC_SPEC.v_min)
     raw = round_half_away((out + DAC_OFFSET) * dac_scale)
@@ -158,5 +158,5 @@ def run_sample_pipeline(
     codes0, codes1 = (quantize_uniform(x, cfg.adc_spec, rng) for x in pins)
     dac_codes, _ = _process_sample_arrays(codes0, codes1, cfg)
     out = dequantize(spi_decode(spi_encode(dac_codes)), DAC_SPEC)
-    delay = int(round_half_away(predicted_sample_latency(cfg) * cfg.sample_rate))
+    delay = latency_samples(cfg.latency, cfg.sample_rate)
     return Signal(delay_samples(out, delay), cfg.sample_rate)

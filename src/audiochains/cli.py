@@ -35,16 +35,16 @@ from .errors import AudioChainError, DamageVoltage, RealtimeFeasibilityWarning
 from .errors import UnsupportedOrder, UnsupportedWav
 from .measure import estimate_latency, measure_impulse_response, measure_thd
 from .mls import PRIMITIVE_TAPS, MlsConfig
-from .quantize import round_half_away
-from .signals import Signal, generate_sine
+from .signals import Signal, generate_sine, latency_samples
 from .spectrum import power_spectrum
 from .wavio import read_wav, write_wav
 
 PROG = "audiochains"
 
-DEFAULT_BLOCK_SWEEP = (16, 32, 64, 128)
-DEFAULT_SPEED_SWEEP = (adcdac.SamplingSpeed.LOW_SPEED, adcdac.SamplingSpeed.HIGH_SPEED)
-DEFAULT_RATE = {"i2s": 44100.0, "adcdac": 96000.0}
+DEFAULT_RATE = {
+    "i2s": i2s.BlockPipelineConfig.sample_rate,
+    "adcdac": adcdac.SampleChainConfig.sample_rate,
+}
 # adcdac latency runs simulate at 16x the nominal rate (--sample-rate or 96 kHz)
 LATENCY_OVERSAMPLE = {"i2s": 1, "adcdac": 16}
 
@@ -61,8 +61,6 @@ STIMULUS_VRMS = 0.5
 # harmonic bands stays well under the harmonic power itself
 STIMULUS_SECONDS = 3.0
 WARMUP_SECONDS = 0.15
-ADCDAC_WAV_FULL_SCALE = 2.5  # output carries the DAC's standing offset
-MLS_AMPLITUDE = 0.5
 MIN_MLS_ORDER = 12  # keeps the block-128 i2s peak 109 dB above the correlation noise
 
 
@@ -80,7 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         action="append",
         metavar="N",
-        help="i2s block size; repeat the flag to sweep (default 16 32 64 128)",
+        help="i2s block size; repeat the flag to sweep (default "
+        + " ".join(map(str, i2s.STANDARD_BLOCK_SIZES)) + ")",
     )
     parser.add_argument("--sampling-speed", choices=("low", "high"))
     parser.add_argument("--sample-rate", type=float, metavar="HZ")
@@ -97,11 +96,11 @@ def _check_args(args: argparse.Namespace, argv: list[str]) -> None:
     if args.chain == "i2s":
         if args.sampling_speed is not None:
             raise ValueError("--sampling-speed applies only to --chain adcdac")
-        args.params = tuple(args.block_samples) if args.block_samples else DEFAULT_BLOCK_SWEEP
+        args.params = tuple(args.block_samples or i2s.STANDARD_BLOCK_SIZES)
     elif args.block_samples:
         raise ValueError("--block-samples applies only to --chain i2s")
     elif args.sampling_speed is None:
-        args.params = DEFAULT_SPEED_SWEEP
+        args.params = tuple(adcdac.SamplingSpeed)
     else:
         args.params = (adcdac.SamplingSpeed(f"{args.sampling_speed.upper()}_SPEED"),)
     if args.sample_rate is not None and not (
@@ -214,10 +213,6 @@ def _mls_order(label: str, latency_s: float, sample_rate: float) -> int:
     )
 
 
-def _predicted_latency(chain: str, cfg) -> float:
-    return (i2s.predicted_latency if chain == "i2s" else adcdac.predicted_sample_latency)(cfg)
-
-
 def _run_latency(args: argparse.Namespace) -> list[tuple]:
     chain = args.chain
     sample_rate = (args.sample_rate or DEFAULT_RATE[chain]) * LATENCY_OVERSAMPLE[chain]
@@ -228,15 +223,14 @@ def _run_latency(args: argparse.Namespace) -> list[tuple]:
             # the 16x grid is a simulation rate, not a hardware rate
             warnings.simplefilter("ignore", RealtimeFeasibilityWarning)
             cfg = _chain_config(chain, param, sample_rate, with_distortion=False)
-        latency = _predicted_latency(chain, cfg)
-        if round_half_away(latency * sample_rate) == 0:
+        if latency_samples(cfg.latency, sample_rate) == 0:
             # the chain would apply no delay and the probe would read lag 0
             raise ValueError(
-                f"parameter {label}: predicted latency {latency:.3g} s rounds to 0 samples "
+                f"parameter {label}: predicted latency {cfg.latency:.3g} s rounds to 0 samples "
                 f"at the {sample_rate:g} Hz simulation rate"
             )
-        order = _mls_order(label, latency, sample_rate)
-        mls = MlsConfig(order, MLS_AMPLITUDE, seed=1, sample_rate=sample_rate)
+        order = _mls_order(label, cfg.latency, sample_rate)
+        mls = MlsConfig(order, sample_rate=sample_rate)
 
         def system(stimulus: Signal) -> Signal:
             if chain == "adcdac":
@@ -283,10 +277,9 @@ def _run_rows(args: argparse.Namespace, analyze) -> list[tuple]:
     rate = stimulus[0].sample_rate
     configs = [_chain_config(chain, p, rate, with_distortion=True) for p in args.params]
     for param, cfg in zip(args.params, configs):  # all rows first: a refusal writes nothing
-        latency = _predicted_latency(chain, cfg)
-        if latency >= WARMUP_SECONDS:
+        if cfg.latency >= WARMUP_SECONDS:
             raise ValueError(
-                f"parameter {_row_label(param)}: predicted latency {latency:.3g} s is not "
+                f"parameter {_row_label(param)}: predicted latency {cfg.latency:.3g} s is not "
                 f"shorter than the {WARMUP_SECONDS:g} s warm-up the analysis discards"
             )
     for index, (param, cfg) in enumerate(zip(args.params, configs)):
@@ -297,7 +290,8 @@ def _run_rows(args: argparse.Namespace, analyze) -> list[tuple]:
             if chain == "i2s":
                 write_wav(outputs[0], args.wav_out, right=outputs[1])
             else:
-                write_wav(outputs[0], args.wav_out, full_scale=ADCDAC_WAV_FULL_SCALE)
+                # the output carries the DAC's standing offset
+                write_wav(outputs[0], args.wav_out, full_scale=adcdac.DAC_SPEC.v_max)
     return rows
 
 

@@ -11,11 +11,11 @@ The callback is a pure per-sample function, so splitting the signal into
 blocks cannot change its output: the simulation hands it the whole signal
 in one call, and the block size sets only the latency.
 
-Latency follows latency = PIPELINE_BLOCK_COUNT * block_samples/fs +
-FIXED_DELAY.  The two constants (3.0 blocks, 536 us) are a least-squares
-fit of the four characterized block sizes; the residual is attributed to
-codec group delay.  The fractional-sample part is applied by nearest-sample
-rounding, not interpolation.
+The chain latency, `BlockPipelineConfig.latency`, is PIPELINE_BLOCK_COUNT *
+block_samples/fs + FIXED_DELAY.  The two constants (3.0 blocks, 536 us) are
+a least-squares fit of the four characterized block sizes; the residual is
+attributed to codec group delay.  It is applied as a whole-sample delay
+(`signals.latency_samples`, ties away from zero), not interpolated.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ import numpy as np
 
 from .distortion import PolynomialDistortion
 from .errors import NonStandardBlockSizeWarning, ShapeMismatch
-from .quantize import INT16_MAX, int16_codes, int16_volts, round_half_away
-from .signals import Signal, delay_samples, input_stage
+from .quantize import INT16_MAX, int16_codes, int16_volts
+from .signals import Signal, delay_samples, input_stage, latency_samples
 
 CONVERSION_ADC = 1.0 / 65535.0
 CONVERSION_DAC = 65535.0
@@ -76,10 +76,10 @@ class BlockPipelineConfig:
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
 
-
-def predicted_latency(cfg: BlockPipelineConfig) -> float:
-    """PIPELINE_BLOCK_COUNT * block/fs + FIXED_DELAY, in seconds."""
-    return PIPELINE_BLOCK_COUNT * cfg.block_samples / cfg.sample_rate + FIXED_DELAY
+    @property
+    def latency(self) -> float:
+        """PIPELINE_BLOCK_COUNT * block/fs + FIXED_DELAY, in seconds."""
+        return PIPELINE_BLOCK_COUNT * self.block_samples / self.sample_rate + FIXED_DELAY
 
 
 def run_block_pipeline(
@@ -102,7 +102,7 @@ def run_block_pipeline(
     channels = [int16_codes(x / FULL_SCALE_VOLTS * INT16_MAX) for x in pins]
 
     res_l, res_r = proc(channels[0] * CONVERSION_ADC, channels[1] * CONVERSION_ADC)
-    delay = int(round_half_away(predicted_latency(cfg) * cfg.sample_rate))
+    delay = latency_samples(cfg.latency, cfg.sample_rate)
     outputs = []
     for res in (res_l, res_r):
         res = np.asarray(res, dtype=np.float64)

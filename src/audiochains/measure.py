@@ -11,9 +11,10 @@ standing output offset leaking through the sequence's +/-1 imbalance), so
 
     h[tau] = (R[tau] - median(R)) / ((L + 1) * amplitude**2)
 
-is exact for any affine time-invariant system whose response is sparse
-relative to the period and settles within it; an identity system yields a
-unit impulse at lag zero.
+(the period L = 2**order - 1 is odd, so the median is R's middle order
+statistic, taken with one partition) is exact for any affine
+time-invariant system whose response is sparse relative to the period and
+settles within it; an identity system yields a unit impulse at lag zero.
 
 THD integrates each harmonic's power over +/-3 bins of a Hann-windowed
 spectrum (ENBW-corrected) and ratios it against the fundamental band; the
@@ -87,7 +88,8 @@ def measure_impulse_response(system: SystemTransform, cfg: MlsConfig) -> Signal:
     spec_y = np.fft.rfft(y)
     spec_s = np.fft.rfft(probe.samples)
     corr = np.fft.irfft(spec_y * np.conj(spec_s), n=length)
-    h = (corr - np.median(corr)) / ((length + 1) * cfg.amplitude**2)
+    background = np.partition(corr, length // 2)[length // 2]  # median: length is odd
+    h = (corr - background) / ((length + 1) * cfg.amplitude**2)
     return Signal(h, cfg.sample_rate)
 
 

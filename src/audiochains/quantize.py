@@ -89,9 +89,8 @@ def quantize_uniform(v, spec: QuantizerSpec, rng: np.random.Generator | None = N
     rng is required; without one (or with enob == bits) the conversion is
     bit-deterministic and no random numbers are consumed.
 
-    Accepts a scalar or an array; returns an int or an int64 array.
+    Returns an int64 array of the input's shape.
     """
-    scalar = np.isscalar(v)
     v = np.asarray(v, dtype=np.float64)
     sigma = spec.noise_rms()
     if sigma > 0.0:
@@ -99,15 +98,12 @@ def quantize_uniform(v, spec: QuantizerSpec, rng: np.random.Generator | None = N
             raise ValueError("quantizer with ENOB noise requires an rng")
         v = v + rng.normal(0.0, sigma, size=v.shape)
     scaled = (v - spec.v_min) / (spec.v_max - spec.v_min) * spec.max_code
-    codes = np.clip(round_half_away(scaled), 0, spec.max_code).astype(np.int64)
-    return int(codes) if scalar else codes
+    return np.clip(round_half_away(scaled), 0, spec.max_code).astype(np.int64)
 
 
 def dequantize(code, spec: QuantizerSpec):
-    """Map integer codes back to volts; rejects out-of-range codes."""
-    scalar = np.isscalar(code)
+    """Volts of integer codes, an array of the input's shape; rejects out-of-range codes."""
     codes = np.asarray(code)
     if codes.size and (codes.min() < 0 or codes.max() > spec.max_code):
         raise InvalidCode(f"code outside [0, {spec.max_code}]")
-    v = spec.v_min + codes.astype(np.float64) * (spec.v_max - spec.v_min) / spec.max_code
-    return float(v) if scalar else v
+    return spec.v_min + codes.astype(np.float64) * (spec.v_max - spec.v_min) / spec.max_code

@@ -13,6 +13,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import AliasedStimulus, ShapeMismatch
+from .quantize import round_half_away
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,9 +46,6 @@ class Signal:
     def duration(self) -> float:
         return self.samples.size / self.sample_rate
 
-    def rms(self) -> float:
-        return float(np.sqrt(np.mean(np.square(self.samples))))
-
 
 def generate_sine(
     freq: float,
@@ -70,6 +68,11 @@ def generate_sine(
     t = np.arange(n) / sample_rate
     samples = amplitude_rms * np.sqrt(2.0) * np.sin(2.0 * np.pi * freq * t + phase)
     return Signal(samples, sample_rate)
+
+
+def latency_samples(latency: float, sample_rate: float) -> int:
+    """A latency in seconds as whole samples at sample_rate, ties away from zero."""
+    return int(round_half_away(latency * sample_rate))
 
 
 def delay_samples(samples: np.ndarray, n: int) -> np.ndarray:

@@ -47,7 +47,8 @@ def write_wav(
 
 
 def read_wav(path: str, full_scale: float = 1.0) -> list[Signal]:
-    """Read a 16-bit PCM WAV; returns one Signal per channel (mono or stereo)."""
+    """Read a 16-bit PCM WAV; one Signal per channel (mono or stereo) holding
+    every whole frame present: data cut mid-frame loses only its partial frame."""
     try:
         with wave.open(path, "rb") as f:
             n_channels = f.getnchannels()
@@ -60,6 +61,7 @@ def read_wav(path: str, full_scale: float = 1.0) -> list[Signal]:
         raise UnsupportedWav(f"only 16-bit PCM is supported, got {8 * width}-bit")
     if n_channels not in (1, 2):
         raise UnsupportedWav(f"only mono or stereo is supported, got {n_channels} channels")
-    codes = np.frombuffer(frames, dtype="<i2").reshape(-1, n_channels)
+    whole = len(frames) // (2 * n_channels) * n_channels
+    codes = np.frombuffer(frames, dtype="<i2", count=whole).reshape(-1, n_channels)
     volts = int16_volts(codes, full_scale)
     return [Signal(volts[:, ch], float(rate)) for ch in range(n_channels)]

@@ -10,7 +10,6 @@ from audiochains.adcdac import (
     SPI_TRANSFER_TIME,
     SampleChainConfig,
     SamplingSpeed,
-    predicted_sample_latency,
     process_sample,
     run_sample_pipeline,
     spi_decode,
@@ -136,8 +135,8 @@ def test_process_sample_matches_oracle_and_is_symmetric(code0, code1):
 def test_predicted_latency_table():
     low = _quiet_cfg(sampling_speed=SamplingSpeed.LOW_SPEED)
     high = _quiet_cfg(sampling_speed=SamplingSpeed.HIGH_SPEED)
-    assert predicted_sample_latency(low) == pytest.approx(12.0e-6, abs=0.5e-6)
-    assert predicted_sample_latency(high) == pytest.approx(9.6e-6, abs=0.5e-6)
+    assert low.latency == pytest.approx(12.0e-6, abs=0.5e-6)
+    assert high.latency == pytest.approx(9.6e-6, abs=0.5e-6)
     assert SPI_TRANSFER_TIME == pytest.approx(0.32e-6, rel=1e-12)
 
 
@@ -176,7 +175,7 @@ def test_mls_latency_matches_prediction_within_one_sim_sample(speed, ref_us):
 
     ir = measure_impulse_response(system, MlsConfig(12, 0.5, 1, fs_sim))
     report = estimate_latency(ir)
-    assert abs(report.latency_seconds - predicted_sample_latency(cfg)) <= 1.0 / fs_sim
+    assert abs(report.latency_seconds - cfg.latency) <= 1.0 / fs_sim
     assert report.latency_seconds == pytest.approx(ref_us * 1e-6, abs=1.0 / fs_sim)
 
 

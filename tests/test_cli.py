@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from audiochains import cli, i2s, mls
+from audiochains import adcdac, cli, i2s, mls
 from audiochains.errors import (
     DamageVoltage,
     NonStandardBlockSizeWarning,
@@ -130,7 +130,7 @@ def test_long_block_latency_does_not_wrap_around_the_probe(tmp_path):
             "--chain", "i2s", "--measure", "latency", "--block-samples", "32768", "--out", out
         ) == 0
     with pytest.warns(NonStandardBlockSizeWarning):
-        predicted = i2s.predicted_latency(i2s.BlockPipelineConfig(block_samples=32768))
+        predicted = i2s.BlockPipelineConfig(block_samples=32768).latency
     assert abs(float(cli.read_csv(out)[2][0][1]) - predicted) <= 1.0 / 44100.0
 
 
@@ -152,7 +152,7 @@ def test_mls_order_is_the_smallest_period_holding_twice_the_latency(latency_samp
 def test_mls_order_for_a_65536_block():
     with pytest.warns(NonStandardBlockSizeWarning):
         cfg = i2s.BlockPipelineConfig(block_samples=65536)
-    assert cli._mls_order("65536", i2s.predicted_latency(cfg), cfg.sample_rate) == 19
+    assert cli._mls_order("65536", cfg.latency, cfg.sample_rate) == 19
 
 
 def test_mls_order_beyond_the_tap_table_raises():
@@ -162,13 +162,13 @@ def test_mls_order_beyond_the_tap_table_raises():
 
 def test_sized_probe_keeps_the_latency_peak_clean():
     cfg = i2s.BlockPipelineConfig(block_samples=128)
-    order = cli._mls_order("128", i2s.predicted_latency(cfg), cfg.sample_rate)
+    order = cli._mls_order("128", cfg.latency, cfg.sample_rate)
     rng = np.random.default_rng(1)
 
     def system(s):
         return i2s.run_block_pipeline(s, s, cfg, rng=rng)[0]
 
-    ir = measure_impulse_response(system, MlsConfig(order, cli.MLS_AMPLITUDE, 1, cfg.sample_rate))
+    ir = measure_impulse_response(system, MlsConfig(order, sample_rate=cfg.sample_rate))
     assert estimate_latency(ir).peak_to_noise_db > 100.0
 
 
@@ -309,7 +309,7 @@ def test_adcdac_wav_out_is_mono(tmp_path):
         "--chain", "adcdac", "--measure", "thd", "--sampling-speed", "low",
         "--out", out, "--wav-in", stim_path, "--wav-out", wav_out,
     ) == 0
-    channels = read_wav(wav_out, full_scale=cli.ADCDAC_WAV_FULL_SCALE)
+    channels = read_wav(wav_out, full_scale=adcdac.DAC_SPEC.v_max)
     assert len(channels) == 1
     assert np.mean(channels[0].samples) == pytest.approx(1.275, abs=0.01)
 
@@ -533,6 +533,28 @@ def test_too_short_wav_in_exits_2(tmp_path):
         "--out", str(tmp_path / "x.csv"), "--wav-in", stim,
     )
     assert code == 2
+
+
+def _thd_rows_of_a_cut_wav(tmp_path, channels: int, cut: int) -> list[list[str]]:
+    """THD rows read from a 3 s WAV whose last `cut` bytes are gone."""
+    sine = generate_sine(1000.0, 0.5, 3.0, 44100.0)
+    stim = tmp_path / f"cut_{channels}_{cut}.wav"
+    write_wav(sine, str(stim), right=sine if channels == 2 else None)
+    stim.write_bytes(stim.read_bytes()[:-cut])
+    out = str(tmp_path / f"cut_{channels}_{cut}.csv")
+    assert run_cli(
+        "--chain", "i2s", "--measure", "thd", "--block-samples", "128",
+        "--out", out, "--wav-in", str(stim),
+    ) == 0
+    return cli.read_csv(out)[2]
+
+
+@pytest.mark.parametrize("channels, cut, frame", [(2, 1, 4), (2, 2, 4), (2, 3, 4), (1, 1, 2)])
+def test_wav_in_ending_mid_frame_reads_its_whole_frames(tmp_path, channels, cut, frame):
+    # a cut at a frame boundary drops one whole frame; a mid-frame cut must too
+    assert _thd_rows_of_a_cut_wav(tmp_path, channels, cut) == _thd_rows_of_a_cut_wav(
+        tmp_path, channels, frame
+    )
 
 
 def test_sample_rate_disagreeing_with_wav_in_exits_2_naming_both(tmp_path, capsys):

@@ -7,8 +7,9 @@ outputs are compared with the committed `golden_outputs.json`:
 * exit statuses and latency cells exactly;
 * `thd_db`, `thdn_db` and `power_dbv` within 1e-9 dB, because BLAS dot
   products may differ in their last bits across CPU kernels;
-* per spectrum CSV, the row count, the peak row and the rows nearest 1 kHz
-  and 3 kHz;
+* per spectrum CSV, the row count, the peak row, the rows nearest 1 kHz
+  and 3 kHz, and the means of `power_dbv` over 64 consecutive chunks of
+  rows, so a 1e-6 dB move of any one row fails;
 * the sha256 of every WAV.
 
 A change that moves an output regenerates the manifest in the same diff and
@@ -24,6 +25,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from audiochains import cli
@@ -39,6 +41,7 @@ pytestmark = pytest.mark.filterwarnings(
 
 DB_COLUMNS = {"thd_db", "thdn_db", "power_dbv"}
 DB_TOL = 1e-9
+CHUNKS = 64
 
 
 def _spectrum_rows(rows: list[list[str]]) -> list[list[str]]:
@@ -46,6 +49,12 @@ def _spectrum_rows(rows: list[list[str]]) -> list[list[str]]:
     peak = max(range(len(rows)), key=lambda i: float(rows[i][1]))
     step = float(rows[1][0])
     return [rows[peak], *(rows[min(round(hz / step), len(rows) - 1)] for hz in (1000.0, 3000.0))]
+
+
+def _chunk_means(rows: list[list[str]]) -> list[float]:
+    """Means of power_dbv over CHUNKS consecutive, near-equal runs of rows."""
+    power = np.array([float(row[1]) for row in rows])
+    return [float(chunk.mean()) for chunk in np.array_split(power, CHUNKS)]
 
 
 def run_scenarios(workdir: Path) -> dict:
@@ -59,7 +68,10 @@ def run_scenarios(workdir: Path) -> dict:
             if os.path.exists(f"{name}.csv"):
                 _, header, rows = cli.read_csv(f"{name}.csv")
                 entry["header"], entry["row_count"] = header, len(rows)
-                entry["rows"] = _spectrum_rows(rows) if header[0] == "frequency_hz" else rows
+                if header[0] == "frequency_hz":
+                    entry["rows"], entry["chunk_means"] = _spectrum_rows(rows), _chunk_means(rows)
+                else:
+                    entry["rows"] = rows
             if os.path.exists(f"{name}.wav"):
                 entry["wav_sha256"] = hashlib.sha256(Path(f"{name}.wav").read_bytes()).hexdigest()
         return results
@@ -76,9 +88,13 @@ def outputs(tmp_path_factory):
 def test_outputs_match_the_manifest(outputs, name):
     want = json.loads(MANIFEST.read_text())[name]
     got = outputs[name]
-    assert {k: v for k, v in got.items() if k != "rows"} == {
-        k: v for k, v in want.items() if k != "rows"
+    inexact = ("rows", "chunk_means")
+    assert {k: v for k, v in got.items() if k not in inexact} == {
+        k: v for k, v in want.items() if k not in inexact
     }
+    assert got.get("chunk_means", []) == pytest.approx(
+        want.get("chunk_means", []), rel=0, abs=DB_TOL
+    )
     assert len(got.get("rows", ())) == len(want.get("rows", ()))
     for got_row, want_row in zip(got.get("rows", ()), want.get("rows", ())):
         for column, g, w in zip(want["header"], got_row, want_row, strict=True):

@@ -9,12 +9,11 @@ from audiochains.i2s import (
     PIPELINE_BLOCK_COUNT,
     BlockPipelineConfig,
     passthrough,
-    predicted_latency,
     run_block_pipeline,
 )
 from audiochains.measure import estimate_latency, measure_impulse_response, measure_thd
 from audiochains.mls import MlsConfig
-from audiochains.signals import Signal, generate_sine
+from audiochains.signals import Signal, generate_sine, latency_samples
 
 FS = 44100.0
 TABLE_MS = {16: 1.63, 32: 2.7, 64: 4.9, 128: 9.24}
@@ -31,7 +30,7 @@ def _quiet_cfg(**kw):
 def test_predicted_latency_against_table():
     for block, ref_ms in TABLE_MS.items():
         cfg = BlockPipelineConfig(block_samples=block)
-        assert predicted_latency(cfg) == pytest.approx(ref_ms * 1e-3, abs=0.05e-3)
+        assert cfg.latency == pytest.approx(ref_ms * 1e-3, abs=0.05e-3)
 
 
 def test_defaults_match_least_squares_fit_of_the_table():
@@ -49,7 +48,7 @@ def test_latency_linearity_in_block_size():
     for block in (16, 32, 64):
         small = BlockPipelineConfig(block_samples=block)
         large = BlockPipelineConfig(block_samples=2 * block)
-        diff = predicted_latency(large) - predicted_latency(small)
+        diff = large.latency - small.latency
         assert diff == pytest.approx(3.0 * block / FS, rel=1e-12)
 
 
@@ -68,7 +67,7 @@ def test_identity_processor_is_a_pure_delay_within_half_lsb():
     cfg = _quiet_cfg()
     sine = generate_sine(1000.0, 0.5, 0.25, FS)
     left, _ = run_block_pipeline(sine, sine, cfg)
-    delay = int(round(predicted_latency(cfg) * FS))
+    delay = latency_samples(cfg.latency, FS)
     half_lsb = 0.5 / 32767.0
     err = left.samples[delay:] - sine.samples[: len(sine) - delay]
     assert np.max(np.abs(err)) <= half_lsb + 1e-12
@@ -88,7 +87,7 @@ def test_processor_sees_code_scaled_by_1_over_65535():
     assert seen["value"] == pytest.approx(32767.0 / 65535.0, rel=1e-12)
     assert seen["value"] == pytest.approx(0.4999924, abs=1e-7)
     # identity processor returns the same block value
-    delay = int(round(predicted_latency(cfg) * FS))
+    delay = latency_samples(cfg.latency, FS)
     assert left.samples[delay] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -99,7 +98,7 @@ def test_output_independent_of_block_partitioning():
     outs = {}
     for block in (32, 128):
         cfg = _quiet_cfg(block_samples=block)
-        delay = int(round(predicted_latency(cfg) * FS))
+        delay = latency_samples(cfg.latency, FS)
         left, _ = run_block_pipeline(sine, sine, cfg, proc=tanh)
         outs[block] = left.samples[delay:]
     n = min(len(outs[32]), len(outs[128]))
@@ -164,7 +163,7 @@ def test_mls_latency_matches_prediction_within_one_sample(block):
 
     ir = measure_impulse_response(system, MlsConfig(15, 0.5, 1, FS))
     report = estimate_latency(ir)
-    assert abs(report.latency_seconds - predicted_latency(cfg)) <= 1.0 / FS
+    assert abs(report.latency_seconds - cfg.latency) <= 1.0 / FS
 
 
 def test_noiseless_chain_thd_below_minus_90():

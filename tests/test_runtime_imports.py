@@ -64,6 +64,17 @@ def test_importing_the_cli_loads_no_scipy(tmp_path):
     assert out.strip() == "[]"
 
 
+def test_importing_the_cli_loads_no_numpy_ma(tmp_path):
+    # no code path uses numpy.ma (the latency probe's median is one
+    # partition, not np.median), so loading it would only slow the import
+    out = _python(
+        "import sys, audiochains.cli; "
+        "print([m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')])",
+        cwd=tmp_path,
+    )
+    assert out.strip() == "[]"
+
+
 def test_default_scenarios_run_without_scipy_and_import_nothing_lazily(tmp_path):
     runs = json.loads(_python(BLOCKED_RUN, json.dumps(SCENARIOS), cwd=tmp_path))
     for run in runs:

@@ -70,7 +70,7 @@ def test_sine_rms_closed_form_441_samples():
 
     sig = generate_sine(1000.0, 0.5, 441 / 44100.0, 44100.0, phase=0.3)
     assert len(sig) == 441
-    assert sig.rms() == pytest.approx(0.5, abs=1e-9)
+    assert np.sqrt(np.mean(sig.samples**2)) == pytest.approx(0.5, abs=1e-9)
 
 
 @settings(max_examples=50)
@@ -85,7 +85,7 @@ def test_sine_rms_identity_over_whole_cycles(cycles, samples_per_cycle, amplitud
     freq = fs / samples_per_cycle
     n = cycles * samples_per_cycle
     sig = generate_sine(freq, amplitude, n / fs, fs, phase=phase)
-    assert sig.rms() == pytest.approx(amplitude, rel=1e-9)
+    assert np.sqrt(np.mean(sig.samples**2)) == pytest.approx(amplitude, rel=1e-9)
 
 
 def test_delay_samples():
