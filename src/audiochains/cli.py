@@ -15,9 +15,9 @@ adcdac front end needs a rate above 80 kHz in the thd, thdn and spectrum
 scenarios; the latency scenario bypasses it, so there only a latency that
 rounds to 0 samples of the 16x simulation grid is refused.  Exit codes:
 0 success, 2 usage error or unusable input (including a latency too long
-for order 24 or for the discarded warm-up, or rounding to 0 samples, and a
-THD rate that leaves the calibrated 3rd harmonic no band), 3 chain fault
-(damage voltage), 4 I/O error.
+for order 24 or for the discarded warm-up, or rounding to 0 samples, a
+THD rate that leaves the calibrated 3rd harmonic no band, and a record too
+large to allocate), 3 chain fault (damage voltage), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -209,7 +209,7 @@ def _mls_order(label: str, latency_s: float, sample_rate: float) -> int:
             return order
     raise UnsupportedOrder(
         f"parameter {label}: predicted latency {latency_s:.6g} s needs an MLS period of "
-        f"{math.ceil(need)} samples, longer than order {max(PRIMITIVE_TAPS)} gives"
+        f"{need:.3g} samples, longer than order {max(PRIMITIVE_TAPS)} gives"
     )
 
 
@@ -324,9 +324,9 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, UnsupportedWav) as exc:
         print(f"{PROG}: i/o error: {exc}", file=sys.stderr)
         return 4
-    except (ValueError, AudioChainError) as exc:
+    except (ValueError, MemoryError, AudioChainError) as exc:
         # unusable scenario data, e.g. a wav-in too short or off-frequency,
-        # or a rate the stimulus aliases at
+        # a rate the stimulus aliases at, or a record too large to allocate
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -16,9 +16,9 @@ statistic, taken with one partition) is exact for any affine
 time-invariant system whose response is sparse relative to the period and
 settles within it; an identity system yields a unit impulse at lag zero.
 
-THD integrates each harmonic's power over +/-3 bins of a Hann-windowed
-spectrum (ENBW-corrected) and ratios it against the fundamental band; the
-window scaling is `spectrum.windowed_power`'s.  For THD+N the fundamental
+THD is a ratio of raw +/-3-bin band sums of one Hann-windowed spectrum
+(`spectrum.windowed_power`'s scaling), harmonics over fundamental; the
+ENBW divides every band alike and cancels.  For THD+N the fundamental
 (and DC) is removed exactly by a least-squares sin/cos fit at the stated
 frequency, solved from its 3x3 normal equations: at 10 or more cycles
 below 0.45 fs their Gram matrix is near diag(n, n/2, n/2), condition
@@ -28,8 +28,9 @@ residual, putting a floor well above the quantization-level residuals this
 suite has to resolve.  Every sample of the record is analyzed: the fit
 removes the fundamental at any length (off whole cycles the harmonics leak
 into the fit basis, so THD+N reads about 0.024 dB low at 10.5 cycles and
-within 0.0007 dB at 2850), and a +/-3 bin Hann band reads a tone half a
-bin off centre to about 0.0003 dB.  One analysis yields both figures, so
+within 0.0007 dB at 2850), and a +/-3 bin Hann band holds its tone to
+within 0.0003 dB wherever the tone sits in its bin, so a ratio of two bands
+holds to about that.  One analysis yields both figures, so
 `measure_thdn` is an alias of `measure_thd`.
 """
 
@@ -43,7 +44,7 @@ import numpy as np
 from .errors import EmptySignal, FundamentalNotFound, NoPeak, TruncatedResponse
 from .mls import MlsConfig, generate_mls
 from .signals import Signal
-from .spectrum import band_sum, window_samples, windowed_power
+from .spectrum import window_samples, windowed_power
 
 SystemTransform = Callable[[Signal], Signal]
 
@@ -144,33 +145,30 @@ def measure_thd(sig: Signal, fundamental_hz: float) -> DistortionReport:
         raise FundamentalNotFound("no energy at the stated fundamental")
     thdn_db = 10.0 * np.log10(max(float(np.mean(residual**2)), _FLOOR) / p1_fit)
 
-    # Banded harmonic powers from one Hann-windowed spectrum.
-    powers, enbw_bins = windowed_power((x - x.mean())[np.newaxis], window_samples(n))
+    # Harmonic bands of one Hann-windowed spectrum, used only in ratios.
+    powers, _ = windowed_power((x - x.mean())[np.newaxis], window_samples(n))
 
-    def band(freq: float) -> float:
-        return band_sum(powers, enbw_bins, int(round(freq * n / fs)), HARMONIC_HALF_BINS)
+    def band(c: int) -> float:
+        return float(np.sum(powers[max(c - HARMONIC_HALF_BINS, 0) : c + HARMONIC_HALF_BINS + 1]))
 
     fundamental_bin = int(round(fundamental_hz * n / fs))
-    search = powers.copy()
-    search[: HARMONIC_HALF_BINS + 1] = 0.0  # ignore the DC main lobe
-    peak_bin = int(np.argmax(search))
+    # the search skips the DC main lobe, bins 0 to HARMONIC_HALF_BINS
+    peak_bin = HARMONIC_HALF_BINS + 1 + int(np.argmax(powers[HARMONIC_HALF_BINS + 1 :]))
     if abs(peak_bin - fundamental_bin) > HARMONIC_HALF_BINS:
         raise FundamentalNotFound(
             f"spectrum peak at bin {peak_bin}, fundamental at bin {fundamental_bin}"
         )
 
-    p1_band = band(fundamental_hz)
+    p1_band = band(fundamental_bin)
     harmonic_levels = []
     harmonic_power = 0.0
-    k = 2
-    while k <= MAX_HARMONICS:
-        freq = k * fundamental_hz
-        if freq * n / fs > len(powers) - 1 - HARMONIC_HALF_BINS:
+    for k in range(2, MAX_HARMONICS + 1):
+        centre = k * fundamental_hz * n / fs
+        if centre > len(powers) - 1 - HARMONIC_HALF_BINS:
             break  # band would cross Nyquist
-        p_k = band(freq)
+        p_k = band(int(round(centre)))
         harmonic_power += p_k
         harmonic_levels.append((k, 10.0 * np.log10(max(p_k, _FLOOR) / p1_band)))
-        k += 1
     thd_db = 10.0 * np.log10(max(harmonic_power, _FLOOR) / p1_band)
 
     return DistortionReport(

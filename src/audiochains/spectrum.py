@@ -5,9 +5,8 @@ i.e. a bin-centered sine of rms A reads 10*log10(A**2) dBV in its peak bin
 and a DC level of 1 V reads 0 dBV.  `power_spectrum` always applies the
 periodic Hann window; `windowed_power` takes any window.  Band power (the
 sum of bins over a tone's main lobe) must be divided by the window's
-equivalent noise bandwidth in bins (`enbw_bins`); `band_sum`, which the THD
-analyzer runs, does this, and with that correction the linear sum over all
-bins equals the time-domain mean square.
+equivalent noise bandwidth in bins (`Spectrum.enbw_bins`); with that
+correction the linear sum over all bins equals the time-domain mean square.
 """
 
 from __future__ import annotations
@@ -76,12 +75,3 @@ def power_spectrum(sig: Signal) -> Spectrum:
     freqs = np.arange(segment // 2 + 1) * resolution
     dbv = 10.0 * np.log10(np.maximum(powers, _DB_FLOOR))
     return Spectrum(freqs, dbv, resolution, enbw_bins)
-
-
-def band_sum(powers: np.ndarray, enbw_bins: float, center_bin: int, half_bins: int) -> float:
-    """ENBW-corrected sum of linear `powers` over center_bin +/- half_bins, cut to the array."""
-    lo = max(center_bin - half_bins, 0)
-    hi = min(center_bin + half_bins, len(powers) - 1)
-    if hi < lo:
-        return 0.0
-    return float(np.sum(powers[lo : hi + 1])) / enbw_bins

@@ -419,6 +419,18 @@ def test_latency_too_long_for_any_mls_exits_2_before_generating(tmp_path, capsys
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_record_too_large_to_allocate_exits_2(tmp_path, capsys):
+    # a 3e15-sample record is 21 PiB, beyond any 64-bit user address space:
+    # the allocation fails before a page is touched
+    out = tmp_path / "x.csv"
+    code = run_cli(
+        "--chain", "i2s", "--measure", "thd", "--sample-rate", "1e15", "--out", str(out),
+    )
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_adcdac_below_80k_names_the_front_end_corner(tmp_path, capsys):
     code = run_cli(
         "--chain", "adcdac", "--measure", "thd", "--sample-rate", "48000",
@@ -448,7 +460,10 @@ def test_adcdac_latency_rounding_to_zero_samples_exits_2(
         "--chain", "adcdac", "--measure", "latency", "--sample-rate", rate, "--out", str(out),
     ) == code
     if refused is None:
-        assert len(cli.read_csv(str(out))[2]) == 2
+        # the README's 11.72 and 9.11 us at 48 kHz
+        assert cli.read_csv(str(out))[2] == [
+            ["LOW_SPEED", "1.171875e-05"], ["HIGH_SPEED", "9.1145833333333341e-06"]
+        ]
         return
     err = capsys.readouterr().err
     sim_rate = f"{16 * float(rate):g} Hz"

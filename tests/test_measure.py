@@ -189,6 +189,18 @@ def test_fundamental_not_found():
         measure_thd(Signal(x, FS), 1000.0)
 
 
+@pytest.mark.parametrize("dc_lobe_hz, found", [(2.0, True), (5.0, False)])
+def test_peak_search_skips_the_dc_main_lobe(dc_lobe_hz, found):
+    # 1 s at 44.1 kHz: 1 Hz per bin.  A tone at bin 2 sits inside the skipped
+    # bins 0-3 and loses the search; at bin 5 it is outside and wins it.
+    x = Signal(_tone(1000.0, 0.5) + _tone(dc_lobe_hz, 1.0), FS)
+    if found:
+        measure_thd(x, 1000.0)
+    else:
+        with pytest.raises(FundamentalNotFound):
+            measure_thd(x, 1000.0)
+
+
 def test_too_short_signal_rejected():
     with pytest.raises(ValueError):
         measure_thd(Signal(_tone(1000.0, 0.5, duration=0.005), FS), 1000.0)
