@@ -276,9 +276,11 @@ def test_determinism_byte_identical_outputs(tmp_path):
     assert cli.main(argv) == 0
     assert open(csv_path, "rb").read() == first_csv
     assert open(wav_path, "rb").read() == first_wav
+    # line 1 echoes the argv and so the temp path; count only the rows below it
+    rows_bytes = len(first_csv.split(b"\n", 1)[1])
     _report(
         "determinism",
-        f"csv {len(first_csv)} B and wav {len(first_wav)} B identical across runs",
+        f"csv rows {rows_bytes} B and wav {len(first_wav)} B identical across runs",
     )
 
 

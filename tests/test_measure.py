@@ -20,6 +20,7 @@ from audiochains.measure import (
 )
 from audiochains.mls import MlsConfig
 from audiochains.signals import Signal, generate_sine
+from audiochains.spectrum import power_spectrum
 
 FS = 44100.0
 
@@ -284,6 +285,21 @@ def test_dc_offset_is_removed_before_the_ratio():
     report = measure_thdn(Signal(x, FS), 1000.0)
     assert report.thdn_db <= -120.0
     assert report.fundamental_power_dbv == pytest.approx(20 * np.log10(0.5), abs=0.01)
+
+
+@pytest.mark.parametrize(
+    "analyze",
+    [lambda sig: measure_thd(sig, 1000.0), power_spectrum],
+    ids=["measure_thd", "power_spectrum"],
+)
+def test_analysis_leaves_the_callers_samples_bit_identical(analyze):
+    # Signal shares a float64 array with its caller; the analyzers use their
+    # own buffers as scratch and only read this one
+    x = _tone(1000.0, 0.5) + 1.25 + np.random.default_rng(4).normal(0.0, 1e-4, 44100)
+    before = x.copy()
+    sig = Signal(x, FS)
+    analyze(sig)
+    assert sig.samples.tobytes() == before.tobytes()
 
 
 def _lstsq_fit_reference(sig, f0):
