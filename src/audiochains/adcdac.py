@@ -38,17 +38,19 @@ DAC_OFFSET = 1.25  # added back before the DAC
 ADC_SPEC = QuantizerSpec(bits=16, v_min=0.0, v_max=3.3, enob=13.0)
 DAC_SPEC = QuantizerSpec(bits=16, v_min=0.0, v_max=2.5)
 
-# Lumped conditioning-stage noise, rms volts per channel.  Calibrated from
-# noise-power accounting so the default chain at 1 kHz / 0.5 Vrms reads
-# THD+N = -63 dB once the -76 dB distortion and ENOB-13 noise are in:
-#   sigma^2 = 2 * (0.25 * (10**-6.3 - 10**-7.6) - enob_noise_rms**2 / 2)
-CONDITIONING_NOISE_RMS = 4.7404575629334364e-04
-
 
 class SamplingSpeed(enum.Enum):
     LOW_SPEED = "LOW_SPEED"
     HIGH_SPEED = "HIGH_SPEED"
 
+
+# Characterized THD per speed: the distortion polynomial's calibration target.
+THD_DB = {SamplingSpeed.LOW_SPEED: -76.0, SamplingSpeed.HIGH_SPEED: -67.0}
+# Lumped conditioning-stage noise, rms volts per channel.  Calibrated from
+# noise-power accounting so the default (LOW_SPEED) chain at 1 kHz / 0.5 Vrms
+# reads THD+N = -63 dB once the -76 dB distortion and ENOB-13 noise are in:
+#   sigma^2 = 2 * (0.25 * (10**-6.3 - 10**-7.6) - enob_noise_rms**2 / 2)
+CONDITIONING_NOISE_RMS = 4.7404575629334364e-04
 
 # Conversion time per speed: table latency minus the 0.32 us SPI transfer,
 # with the (unpublished) processing share folded in.

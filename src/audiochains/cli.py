@@ -10,7 +10,8 @@ CSV report; sweeps map one row per swept parameter.  CSV layouts:
 The first line is a ``#`` comment holding the exact command line, numbers
 carry 17 significant digits, and rows are LF-terminated, so identical flags
 reproduce byte-identical files.  Each latency row sizes its MLS to the
-smallest order >= 12 whose period holds twice the predicted latency.  The
+smallest order >= 12 whose period holds twice the predicted latency, and
+every row is checked before the first runs, so a refusal runs nothing.  The
 adcdac front end needs a rate above 80 kHz in the thd, thdn and spectrum
 scenarios; the latency scenario bypasses it, so there only a latency that
 rounds to 0 samples of the 16x simulation grid is refused.  Exit codes:
@@ -47,13 +48,6 @@ DEFAULT_RATE = {
 }
 # adcdac latency runs simulate at 16x the nominal rate (--sample-rate or 96 kHz)
 LATENCY_OVERSAMPLE = {"i2s": 1, "adcdac": 16}
-
-# Characterization targets the distortion polynomial is calibrated against.
-THD_TARGETS_DB = {
-    ("i2s", None): -80.0,
-    ("adcdac", adcdac.SamplingSpeed.LOW_SPEED): -76.0,
-    ("adcdac", adcdac.SamplingSpeed.HIGH_SPEED): -67.0,
-}
 
 STIMULUS_HZ = 1000.0
 STIMULUS_VRMS = 0.5
@@ -188,7 +182,7 @@ def _chain_config(chain: str, param, sample_rate: float, with_distortion: bool):
     distortion = None
     if with_distortion:
         distortion = calibrate_distortion(
-            target_hd3_db=THD_TARGETS_DB[(chain, None if chain == "i2s" else param)],
+            target_hd3_db=i2s.THD_DB if chain == "i2s" else adcdac.THD_DB[param],
             peak_amplitude=STIMULUS_VRMS * np.sqrt(2.0),
         )
     if chain == "i2s":
@@ -216,13 +210,15 @@ def _mls_order(label: str, latency_s: float, sample_rate: float) -> int:
 def _run_latency(args: argparse.Namespace) -> list[tuple]:
     chain = args.chain
     sample_rate = (args.sample_rate or DEFAULT_RATE[chain]) * LATENCY_OVERSAMPLE[chain]
-    rows = []
-    for param in args.params:
-        label, rng = _row_label(param), _param_rng(args.seed, param)
-        with warnings.catch_warnings():
-            # the 16x grid is a simulation rate, not a hardware rate
-            warnings.simplefilter("ignore", RealtimeFeasibilityWarning)
-            cfg = _chain_config(chain, param, sample_rate, with_distortion=False)
+    with warnings.catch_warnings():
+        # the 16x grid is a simulation rate, not a hardware rate
+        warnings.simplefilter("ignore", RealtimeFeasibilityWarning)
+        configs = [
+            _chain_config(chain, p, sample_rate, with_distortion=False) for p in args.params
+        ]
+    probes = []
+    for param, cfg in zip(args.params, configs):  # all rows first: a refusal probes nothing
+        label = _row_label(param)
         if latency_samples(cfg.latency, sample_rate) == 0:
             # the chain would apply no delay and the probe would read lag 0
             raise ValueError(
@@ -230,7 +226,10 @@ def _run_latency(args: argparse.Namespace) -> list[tuple]:
                 f"at the {sample_rate:g} Hz simulation rate"
             )
         order = _mls_order(label, cfg.latency, sample_rate)
-        mls = MlsConfig(order, sample_rate=sample_rate)
+        probes.append(MlsConfig(order, sample_rate=sample_rate))
+    rows = []
+    for param, cfg, mls in zip(args.params, configs, probes):
+        rng = _param_rng(args.seed, param)
 
         def system(stimulus: Signal) -> Signal:
             if chain == "adcdac":
@@ -240,7 +239,7 @@ def _run_latency(args: argparse.Namespace) -> list[tuple]:
             return _run_chain(chain, cfg, (stimulus, stimulus), rng, front_end=False)[0]
 
         report = estimate_latency(measure_impulse_response(system, mls))
-        rows.append((label, report.latency_seconds))
+        rows.append((_row_label(param), report.latency_seconds))
     return rows
 
 

@@ -39,6 +39,8 @@ STANDARD_BLOCK_SIZES = (16, 32, 64, 128)
 PIPELINE_BLOCK_COUNT = 3.0
 FIXED_DELAY = 536e-6
 
+# Characterized THD: the distortion polynomial's calibration target.
+THD_DB = -80.0
 # Chain noise floor, rms volts, referred to the line input.  Calibrated from
 # noise-power accounting so the chain at 1 kHz / 0.5 Vrms reads
 # THD+N = -68 dB once the -80 dB distortion is in:

@@ -18,7 +18,7 @@ settles within it; an identity system yields a unit impulse at lag zero.
 
 THD is a ratio of +/-3-bin band sums of the raw |X|^2 of one rfft under
 the periodic Hann (`spectrum.window_samples`), harmonics over fundamental.
-A calibrated scaling (`spectrum.windowed_power`'s coherent gain, the ENBW)
+A calibrated scaling (`spectrum.power_spectrum`'s coherent gain, the ENBW)
 would divide every band alike and cancel, and the DC and Nyquist bins it
 halves are never read, so none is applied.  For THD+N the fundamental
 (and DC) is removed exactly by a least-squares sin/cos fit at the stated
@@ -33,7 +33,8 @@ into the fit basis, so THD+N reads about 0.024 dB low at 10.5 cycles and
 within 0.0007 dB at 2850), and a +/-3 bin Hann band holds its tone to
 within 0.00031 dB wherever the tone sits in its bin (3.05e-4 dB low at half
 a bin), so a ratio of two bands holds to about that.  One analysis yields
-both figures, so `measure_thdn` is an alias of `measure_thd`.
+both figures, so `measure_thdn` is an alias of `measure_thd`.  With no
+harmonic band below Nyquist, THD is -inf.
 """
 
 from __future__ import annotations
@@ -183,7 +184,8 @@ def measure_thd(sig: Signal, fundamental_hz: float) -> DistortionReport:
         p_k = band(int(round(centre)))
         harmonic_power += p_k
         harmonic_levels.append((k, 10.0 * np.log10(max(p_k, _FLOOR) / p1_band)))
-    thd_db = 10.0 * np.log10(max(harmonic_power, _FLOOR) / p1_band)
+    ratio = max(harmonic_power, _FLOOR) / p1_band  # floor: bands present, all zero
+    thd_db = 10.0 * np.log10(ratio) if harmonic_levels else -np.inf  # none below Nyquist
 
     return DistortionReport(
         fundamental_hz=fundamental_hz,

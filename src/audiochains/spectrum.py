@@ -2,11 +2,13 @@
 
 Scaling convention: each one-sided bin holds coherent-gain-corrected power,
 i.e. a bin-centered sine of rms A reads 10*log10(A**2) dBV in its peak bin
-and a DC level of 1 V reads 0 dBV.  `power_spectrum` always applies the
-periodic Hann window; `windowed_power` takes any window.  Band power (the
-sum of bins over a tone's main lobe) must be divided by the window's
-equivalent noise bandwidth in bins (`Spectrum.enbw_bins`); with that
-correction the linear sum over all bins equals the time-domain mean square.
+and a DC level of 1 V reads 0 dBV.  The window is always the periodic Hann
+(`window_samples`), whose coherent gain and equivalent noise bandwidth
+`power_spectrum` applies itself (Harris 1978).  Band power (the sum of bins
+over a tone's main lobe) must be divided by that bandwidth in bins
+(`Spectrum.enbw_bins`); with that correction the linear sum over all bins
+equals the frames' mean of sum((x * w)**2) / sum(w**2), and for stationary
+noise it is close to the time-domain mean square.
 """
 
 from __future__ import annotations
@@ -40,27 +42,6 @@ def window_samples(n: int) -> np.ndarray:
     return w.ravel()[:n]
 
 
-def windowed_power(frames: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, float]:
-    """Mean one-sided power of the rows of `frames` under window `w`.
-
-    Bins carry the coherent-gain scaling of the module docstring, with DC
-    and an even-length Nyquist bin counted once.  Also returns the window's
-    equivalent noise bandwidth in bins, the divisor for band power.
-    """
-    n = len(w)
-    coherent_gain = w.sum()
-    enbw_bins = n * float(np.sum(w * w)) / coherent_gain**2
-    acc = np.zeros(n // 2 + 1)
-    for frame in frames:
-        z = np.fft.rfft(frame * w)
-        acc += z.real**2 + z.imag**2
-    powers = acc / len(frames) * 2.0 / coherent_gain**2
-    powers[0] /= 2.0
-    if n % 2 == 0:
-        powers[-1] /= 2.0
-    return powers, enbw_bins
-
-
 @dataclass(frozen=True, eq=False)
 class Spectrum:
     """One-sided averaged power spectrum of a signal."""
@@ -83,7 +64,16 @@ def power_spectrum(sig: Signal) -> Spectrum:
 
     n_segments = n // segment
     frames = sig.samples[: n_segments * segment].reshape(n_segments, segment)
-    powers, enbw_bins = windowed_power(frames, window_samples(segment))
+    w = window_samples(segment)
+    coherent_gain = w.sum()
+    enbw_bins = segment * float(np.sum(w * w)) / coherent_gain**2
+    acc = np.zeros(segment // 2 + 1)
+    for frame in frames:  # one frame's temporaries at a time, not the batch's
+        z = np.fft.rfft(frame * w)
+        acc += z.real**2 + z.imag**2
+    powers = acc / n_segments * 2.0 / coherent_gain**2
+    powers[0] /= 2.0  # DC and Nyquist (the segment is even) are counted once
+    powers[-1] /= 2.0
 
     resolution = sig.sample_rate / segment
     freqs = np.arange(segment // 2 + 1) * resolution

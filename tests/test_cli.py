@@ -405,18 +405,34 @@ def test_negative_seed_exits_2_naming_the_flag(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
-def test_latency_too_long_for_any_mls_exits_2_before_generating(tmp_path, capsys):
-    start = time.perf_counter()
-    with pytest.warns(NonStandardBlockSizeWarning):
-        code = run_cli(
-            "--chain", "i2s", "--measure", "latency", "--block-samples", "4194304",
-            "--out", str(tmp_path / "x.csv"),
-        )
-    assert code == 2
-    assert time.perf_counter() - start < 1.0  # no order-24 sequence was built
-    err = capsys.readouterr().err
-    assert "4194304" in err and "285.3" in err  # the block and its predicted latency
-    assert not (tmp_path / "x.csv").exists()
+def _count_probes(monkeypatch) -> list:
+    probes = []
+
+    def counted(*args, **kwargs):
+        probes.append(args)
+        return measure_impulse_response(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "measure_impulse_response", counted)
+    return probes
+
+
+def test_latency_too_long_for_any_mls_exits_2_before_generating(tmp_path, capsys, monkeypatch):
+    # alone, and after a block-16 row that a refusal must not probe first
+    for blocks in (["4194304"], ["16", "4194304"]):
+        probes = _count_probes(monkeypatch)
+        start = time.perf_counter()
+        with pytest.warns(NonStandardBlockSizeWarning):
+            code = run_cli(
+                "--chain", "i2s", "--measure", "latency",
+                *[arg for b in blocks for arg in ("--block-samples", b)],
+                "--out", str(tmp_path / "x.csv"),
+            )
+        assert code == 2
+        assert time.perf_counter() - start < 1.0  # no order-24 sequence was built
+        assert probes == []
+        err = capsys.readouterr().err
+        assert "4194304" in err and "285.3" in err  # the block and its predicted latency
+        assert not (tmp_path / "x.csv").exists()
 
 
 def test_record_too_large_to_allocate_exits_2(tmp_path, capsys):
@@ -453,9 +469,10 @@ def test_adcdac_below_80k_names_the_front_end_corner(tmp_path, capsys):
     ],
 )
 def test_adcdac_latency_rounding_to_zero_samples_exits_2(
-    tmp_path, capsys, rate, code, refused, latency
+    tmp_path, capsys, monkeypatch, rate, code, refused, latency
 ):
     out = tmp_path / "x.csv"
+    probes = _count_probes(monkeypatch)
     assert run_cli(
         "--chain", "adcdac", "--measure", "latency", "--sample-rate", rate, "--out", str(out),
     ) == code
@@ -465,6 +482,7 @@ def test_adcdac_latency_rounding_to_zero_samples_exits_2(
             ["LOW_SPEED", "1.171875e-05"], ["HIGH_SPEED", "9.1145833333333341e-06"]
         ]
         return
+    assert probes == []  # a refused row stops the sweep before its first probe
     err = capsys.readouterr().err
     sim_rate = f"{16 * float(rate):g} Hz"
     assert refused in err and latency in err and sim_rate in err

@@ -5,17 +5,12 @@ from hypothesis import strategies as st
 
 from audiochains.errors import EmptySignal
 from audiochains.signals import Signal, generate_sine
-from audiochains.spectrum import power_spectrum, window_samples, windowed_power
+from audiochains.spectrum import power_spectrum, window_samples
 
 
 def _coherent_sine(freq, amp_rms, fs, n):
     t = np.arange(n) / fs
     return amp_rms * np.sqrt(2.0) * np.sin(2 * np.pi * freq * t + 0.17)
-
-
-def _rectangular_dbv(x):
-    powers, _ = windowed_power(x[np.newaxis], np.ones(len(x)))
-    return 10 * np.log10(np.maximum(powers, 1e-300))
 
 
 def _band(spec, center_hz, half_bins=3):
@@ -26,22 +21,18 @@ def _band(spec, center_hz, half_bins=3):
 
 
 def test_dc_one_volt_reads_zero_dbv_any_window():
-    x = np.ones(16384)
-    assert _rectangular_dbv(x)[0] == pytest.approx(0.0, abs=1e-9)
-    spec = power_spectrum(Signal(x, 44100.0))
+    spec = power_spectrum(Signal(np.ones(16384), 44100.0))
     assert spec.bin_powers_dbv[0] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_bin_centered_sine_peak_reads_tone_power():
     # 1 kHz lands exactly on bin 1000 of a 16384-point segment at 16384 Hz,
-    # so the peak bin reads 20*log10(0.5) dBV for either window.
+    # so the peak bin reads 20*log10(0.5) dBV.
     fs, n = 16384.0, 16384
-    x = _coherent_sine(1000.0, 0.5, fs, n)
-    spec = power_spectrum(Signal(x, fs))
-    for dbv in (_rectangular_dbv(x), spec.bin_powers_dbv):
-        peak = int(np.argmax(dbv))
-        assert spec.bin_frequencies[peak] == 1000.0
-        assert dbv[peak] == pytest.approx(20 * np.log10(0.5), abs=1e-9)
+    spec = power_spectrum(Signal(_coherent_sine(1000.0, 0.5, fs, n), fs))
+    peak = int(np.argmax(spec.bin_powers_dbv))
+    assert spec.bin_frequencies[peak] == 1000.0
+    assert spec.bin_powers_dbv[peak] == pytest.approx(20 * np.log10(0.5), abs=1e-9)
 
 
 def test_main_lobe_band_power_matches_amplitude():
@@ -64,17 +55,16 @@ def test_two_tone_band_powers_add():
     assert 10 * np.log10(measured) == pytest.approx(10 * np.log10(expected), abs=0.1)
 
 
-def test_parseval_rectangular_exact_and_hann_close():
-    rng = np.random.default_rng(3)
-    x = rng.normal(0.0, 0.3, 1 << 18)
-    sig = Signal(x, 48000.0)
-    mean_square = float(np.mean(x**2))
-    powers_r, enbw_r = windowed_power(x.reshape(-1, 16384), np.ones(16384))
-    total_r = np.sum(powers_r) / enbw_r
-    assert 10 * np.log10(total_r / mean_square) == pytest.approx(0.0, abs=1e-9)
-    spec_h = power_spectrum(sig)
-    total_h = _band(spec_h, 0.0, half_bins=len(spec_h.bin_powers_dbv))
-    assert 10 * np.log10(total_h / mean_square) == pytest.approx(0.0, abs=0.1)
+def test_parseval_hann_exact_on_windowed_frames_and_close_to_mean_square():
+    # exact: the ENBW-corrected sum of all bins is the frames' mean of
+    # sum((x * w)**2) / sum(w**2); close: the plain mean square of white noise
+    x = np.random.default_rng(3).normal(0.0, 0.3, 1 << 18)
+    spec = power_spectrum(Signal(x, 48000.0))
+    total = _band(spec, 0.0, half_bins=len(spec.bin_powers_dbv))
+    w = window_samples(16384)
+    windowed = np.mean(np.sum((x.reshape(-1, 16384) * w) ** 2, axis=1)) / np.sum(w**2)
+    assert 10 * np.log10(total / windowed) == pytest.approx(0.0, abs=1e-9)
+    assert 10 * np.log10(total / np.mean(x**2)) == pytest.approx(0.0, abs=0.1)
 
 
 def test_hann_enbw_is_1p5_bins():
@@ -111,8 +101,8 @@ def test_window_is_the_periodic_hann(n):
     assert np.max(np.abs(w - (0.5 - 0.5 * np.cos(2 * np.pi * k / n)))) <= 2e-15
 
 
-@pytest.mark.parametrize("n_frames, n", [(1, 4097), (5, 4096)])
-def test_windowed_power_matches_the_abs_form(n_frames, n):
+@pytest.mark.parametrize("n_frames, n", [(1, 4096), (5, 16384)])
+def test_power_spectrum_matches_the_abs_form(n_frames, n):
     frames = np.random.default_rng(7).normal(0.0, 0.3, (n_frames, n))
     w = window_samples(n)
     acc = np.zeros(n // 2 + 1)
@@ -120,10 +110,10 @@ def test_windowed_power_matches_the_abs_form(n_frames, n):
         acc += np.abs(np.fft.rfft(frame * w)) ** 2
     expected = acc / n_frames * 2.0 / w.sum() ** 2
     expected[0] /= 2.0
-    if n % 2 == 0:
-        expected[-1] /= 2.0
-    powers, _ = windowed_power(frames, w)
-    np.testing.assert_allclose(powers, expected, rtol=1e-14, atol=0)
+    expected[-1] /= 2.0
+    spec = power_spectrum(Signal(frames.ravel(), 48000.0))
+    powers = 10 ** (spec.bin_powers_dbv / 10)  # the dBV round trip
+    np.testing.assert_allclose(powers, expected, rtol=1e-13, atol=0)
 
 
 def test_hann_band_holds_a_tone_anywhere_in_its_bin():
@@ -131,10 +121,12 @@ def test_hann_band_holds_a_tone_anywhere_in_its_bin():
     # within 0.00031 dB, the worst case (3.05e-4 dB low) at half a bin
     fs = n = 44100
     w = window_samples(n)
+    enbw_bins = n * np.sum(w * w) / w.sum() ** 2
     for offset in np.linspace(0.0, 1.0, 11):
         bin_pos = 1000.0 + offset
         x = _coherent_sine(bin_pos * fs / n, 0.5, fs, n)
-        powers, enbw_bins = windowed_power(x[np.newaxis], w)
+        z = np.fft.rfft(x * w)
+        powers = (z.real**2 + z.imag**2) * 2.0 / w.sum() ** 2
         centre = int(round(bin_pos))
         band = np.sum(powers[centre - 3 : centre + 4]) / enbw_bins
         level_db = 10 * np.log10(band / 0.25)
