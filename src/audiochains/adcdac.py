@@ -104,32 +104,29 @@ def spi_decode(wire: bytes) -> np.ndarray:
     return np.frombuffer(wire, ">u2").astype(np.int64)
 
 
-def process_sample(code0: int, code1: int, cfg: SampleChainConfig) -> tuple[int, bool]:
-    """Per-tick arithmetic from two ADC codes to one DAC code.
+def process_sample(code0, code1, cfg: SampleChainConfig):
+    """The per-sample arithmetic from two ADC codes to one DAC code, for one
+    tick (two codes) or a whole record (two code arrays): returns the DAC
+    codes and clipped flags shaped like the input, numpy scalars for a tick.
 
     Each input is converted to volts minus the nominal offset, the outputs
     are averaged, and the result is re-offset and scaled to the DAC range.
     Overflow saturates (with the clipped flag) instead of reproducing the
     undefined float-to-unsigned conversion of the reference arithmetic.
     """
-    for code in (code0, code1):
-        if not 0 <= code <= cfg.adc_spec.max_code:
-            raise InvalidCode(f"ADC code {code} outside [0, {cfg.adc_spec.max_code}]")
-    codes, clipped = _process_sample_arrays(
-        np.asarray([code0]), np.asarray([code1]), cfg
-    )
-    return int(codes[0]), bool(clipped[0])
-
-
-def _process_sample_arrays(codes0, codes1, cfg: SampleChainConfig):
-    in0 = cfg.adc_spec.v_min + codes0 * cfg.adc_spec.lsb - ADC_OFFSET
-    in1 = cfg.adc_spec.v_min + codes1 * cfg.adc_spec.lsb - ADC_OFFSET
+    spec = cfg.adc_spec
+    for codes in (np.asarray(code0), np.asarray(code1)):
+        if codes.size and (codes.min() < 0 or codes.max() > spec.max_code):
+            raise InvalidCode(
+                f"ADC codes [{codes.min()}, {codes.max()}] outside [0, {spec.max_code}]"
+            )
+    in0 = spec.v_min + code0 * spec.lsb - ADC_OFFSET
+    in1 = spec.v_min + code1 * spec.lsb - ADC_OFFSET
     out = 0.5 * in0 + 0.5 * in1
     dac_scale = DAC_SPEC.max_code / (DAC_SPEC.v_max - DAC_SPEC.v_min)
     raw = round_half_away((out + DAC_OFFSET) * dac_scale)
     clipped = (raw < 0) | (raw > DAC_SPEC.max_code)
-    codes = np.clip(raw, 0, DAC_SPEC.max_code).astype(np.int64)
-    return codes, clipped
+    return np.clip(raw, 0, DAC_SPEC.max_code).astype(np.int64), clipped
 
 
 def run_sample_pipeline(
@@ -158,7 +155,7 @@ def run_sample_pipeline(
 
     pins = input_stage(in0, in1, cfg.sample_rate, condition, cfg.conditioning_noise_rms, rng)
     codes0, codes1 = (quantize_uniform(x, cfg.adc_spec, rng) for x in pins)
-    dac_codes, _ = _process_sample_arrays(codes0, codes1, cfg)
+    dac_codes, _ = process_sample(codes0, codes1, cfg)
     out = dequantize(spi_decode(spi_encode(dac_codes)), DAC_SPEC)
     delay = latency_samples(cfg.latency, cfg.sample_rate)
     return Signal(delay_samples(out, delay), cfg.sample_rate)

@@ -16,9 +16,10 @@ adcdac front end needs a rate above 80 kHz in the thd, thdn and spectrum
 scenarios; the latency scenario bypasses it, so there only a latency that
 rounds to 0 samples of the 16x simulation grid is refused.  Exit codes:
 0 success, 2 usage error or unusable input (including a latency too long
-for order 24 or for the discarded warm-up, or rounding to 0 samples, a
-THD rate that leaves the calibrated 3rd harmonic no band, and a record too
-large to allocate), 3 chain fault (damage voltage), 4 I/O error.
+for order 24 or for the discarded warm-up, rounding to 0 samples or
+overflowing a float, a THD rate that leaves the calibrated 3rd harmonic no
+band, a record too large to allocate and an argument holding a line
+break), 3 chain fault (damage voltage), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -87,6 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _check_args(args: argparse.Namespace, argv: list[str]) -> None:
     """Validate the parsed flags in place, then add the sweep (`params`: i2s
     block sizes or adcdac sampling speeds) and the CSV's ``#`` comment line."""
+    if any("\n" in arg for arg in argv):
+        raise ValueError("an argument holds a line break; the CSV's first line echoes each one")
     if args.chain == "i2s":
         if args.sampling_speed is not None:
             raise ValueError("--sampling-speed applies only to --chain adcdac")
@@ -111,20 +114,16 @@ def _check_args(args: argparse.Namespace, argv: list[str]) -> None:
     args.command_line = f"# {PROG} " + " ".join(argv)
 
 
-def _format_value(value) -> str:
-    if isinstance(value, str):
-        return value
-    return format(float(value), ".17g")
-
-
 def write_csv(path: str, comment: str, header: tuple[str, ...], rows) -> None:
+    """The comment and header as given, then each row through one template from
+    the first row (text as is, numbers to 17 digits): rows share its layout."""
     if not rows:
         raise ValueError("refusing to write an empty report")
+    line = ",".join("%s" if isinstance(v, str) else "%.17g" for v in rows[0]) + "\n"
     with open(path, "w", newline="\n") as f:
         f.write(comment + "\n")
         f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(_format_value(v) for v in row) + "\n")
+        f.writelines(line % tuple(row) for row in rows)
 
 
 def read_csv(path: str) -> tuple[list[str], list[str], list[list[str]]]:
@@ -323,9 +322,9 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, UnsupportedWav) as exc:
         print(f"{PROG}: i/o error: {exc}", file=sys.stderr)
         return 4
-    except (ValueError, MemoryError, AudioChainError) as exc:
-        # unusable scenario data, e.g. a wav-in too short or off-frequency,
-        # a rate the stimulus aliases at, or a record too large to allocate
+    except (ValueError, MemoryError, OverflowError, AudioChainError) as exc:
+        # unusable scenario data, e.g. a wav-in too short or off-frequency, a rate
+        # the stimulus aliases at, a record too large to allocate, a float overflow
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -239,7 +239,7 @@ def test_bit_exact_micro_contracts():
         adc_spec=ac.QuantizerSpec(16, 0.0, 3.3), conditioning_noise_rms=0.0
     )
     pairs = rng.integers(0, 65536, size=(100_000, 2))
-    codes, clipped = ac.adcdac._process_sample_arrays(pairs[:, 0], pairs[:, 1], cfg)
+    codes, clipped = ac.process_sample(pairs[:, 0], pairs[:, 1], cfg)
     mismatches = 0
     for (c0, c1), got_code, got_clip in zip(pairs, codes, clipped):
         expect = _oracle_process(int(c0), int(c1))

@@ -115,6 +115,10 @@ def test_process_sample_rejects_bad_codes():
         process_sample(-1, 0, cfg)
     with pytest.raises(InvalidCode):
         process_sample(0, 70000, cfg)
+    with pytest.raises(InvalidCode):
+        process_sample(np.array([0, 70000]), np.array([0, 0]), cfg)
+    codes, clipped = process_sample(np.array([], np.int64), np.array([], np.int64), cfg)
+    assert codes.shape == clipped.shape == (0,)
 
 
 @settings(max_examples=300)

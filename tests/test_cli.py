@@ -44,10 +44,12 @@ def test_write_read_round_trip(tmp_path):
     assert [float(r[1]) for r in parsed] == [rows[0][1], rows[1][1]]
 
 
-@settings(max_examples=100)
-@given(value=st.floats(allow_nan=False, allow_infinity=False, width=64))
-def test_seventeen_digit_formatting_round_trips(value):
-    assert float(cli._format_value(value)) == value
+@settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64), min_size=1))
+def test_seventeen_digit_formatting_round_trips(tmp_path, values):
+    path = str(tmp_path / "f.csv")
+    cli.write_csv(path, "#", ("value",), [(v,) for v in values])
+    assert [float(r[0]) for r in cli.read_csv(path)[2]] == values
 
 
 def test_empty_report_refused(tmp_path):
@@ -447,6 +449,37 @@ def test_record_too_large_to_allocate_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        # 48 / 5e-324 s is inf samples
+        ("--measure", "latency", "--block-samples", "16", "--sample-rate", "5e-324"),
+        # 2**1024 has no float, so neither has the latency
+        ("--measure", "thd", "--block-samples", str(2**1024)),
+        # its latency has a float, but latency x rate is inf
+        ("--measure", "latency", "--block-samples", str(2**1023)),
+    ],
+)
+def test_latency_beyond_the_float_range_exits_2(tmp_path, capsys, flags):
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonStandardBlockSizeWarning)
+        assert run_cli("--chain", "i2s", *flags, "--out", str(out)) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_argument_holding_a_line_break_exits_2_writing_nothing(tmp_path):
+    # line 1 echoes the argv: a line break would split it and shift the header
+    (tmp_path / "a\nb").mkdir()
+    out = tmp_path / "a\nb" / "x.csv"
+    code = exit_code(
+        "--chain", "i2s", "--measure", "latency", "--block-samples", "16", "--out", str(out)
+    )
+    assert code == 2
+    assert not out.exists()
+
+
 def test_adcdac_below_80k_names_the_front_end_corner(tmp_path, capsys):
     code = run_cli(
         "--chain", "adcdac", "--measure", "thd", "--sample-rate", "48000",
@@ -529,7 +562,9 @@ def cli_flags(draw):
     if speed is not None:
         flags += ["--sampling-speed", speed]
     # never a huge rate: the 3 s stimulus is allocated at the given rate
-    rate = draw(st.sampled_from([None, "0", "-1", "nan", "inf", "100", "48000", "96000"]))
+    rate = draw(
+        st.sampled_from([None, "0", "-1", "nan", "inf", "5e-324", "100", "48000", "96000"])
+    )
     if rate is not None:
         flags.append(f"--sample-rate={rate}")
     return flags
