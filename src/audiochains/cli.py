@@ -17,9 +17,9 @@ scenarios; the latency scenario bypasses it, so there only a latency that
 rounds to 0 samples of the 16x simulation grid is refused.  Exit codes:
 0 success, 2 usage error or unusable input (including a latency too long
 for order 24 or for the discarded warm-up, rounding to 0 samples or
-overflowing a float, a THD rate that leaves the calibrated 3rd harmonic no
-band, a record too large to allocate and an argument holding a line
-break), 3 chain fault (damage voltage), 4 I/O error.
+overflowing a float, which names the flags given, a THD rate that leaves
+the calibrated 3rd harmonic no band, a record too large to allocate and an
+argument holding a line break), 3 chain fault (damage voltage), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -322,9 +322,15 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, UnsupportedWav) as exc:
         print(f"{PROG}: i/o error: {exc}", file=sys.stderr)
         return 4
-    except (ValueError, MemoryError, OverflowError, AudioChainError) as exc:
+    except OverflowError as exc:
+        # sample counts and latencies scale with these two flags alone
+        given = (("--block-samples", args.block_samples), ("--sample-rate", args.sample_rate))
+        flags = " or ".join(flag for flag, value in given if value is not None)
+        print(f"{PROG}: error: {flags} out of range: {exc}", file=sys.stderr)
+        return 2
+    except (ValueError, MemoryError, AudioChainError) as exc:
         # unusable scenario data, e.g. a wav-in too short or off-frequency, a rate
-        # the stimulus aliases at, a record too large to allocate, a float overflow
+        # the stimulus aliases at, a record too large to allocate
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 2
     return 0

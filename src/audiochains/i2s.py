@@ -15,11 +15,14 @@ The chain latency, `BlockPipelineConfig.latency`, is PIPELINE_BLOCK_COUNT *
 block_samples/fs + FIXED_DELAY.  The two constants (3.0 blocks, 536 us) are
 a least-squares fit of the four characterized block sizes; the residual is
 attributed to codec group delay.  It is applied as a whole-sample delay
-(`signals.latency_samples`, ties away from zero), not interpolated.
+(`signals.latency_samples`, ties away from zero), not interpolated.  A
+config whose latency in samples leaves the float range raises OverflowError,
+before a non-standard block size would warn.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -66,6 +69,16 @@ class BlockPipelineConfig:
         b = self.block_samples
         if b < 1 or b & (b - 1):
             raise ValueError("block_samples must be a power of two")
+        if self.sample_rate <= 0:
+            raise ValueError("sample_rate must be positive")
+        try:
+            in_range = math.isfinite(self.latency * self.sample_rate)
+        except OverflowError:  # block_samples has no float
+            in_range = False
+        if not in_range:
+            size = b if b < 2**64 else f"2**{b.bit_length() - 1}"
+            raise OverflowError(f"a {size}-sample block at {self.sample_rate:g} Hz "
+                                "has a latency beyond the float range")
         if b not in STANDARD_BLOCK_SIZES:
             warnings.warn(
                 f"block size {b} is outside the characterized set "
@@ -75,8 +88,6 @@ class BlockPipelineConfig:
             )
         if self.noise_floor_rms < 0:
             raise ValueError("noise_floor_rms must be non-negative")
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
 
     @property
     def latency(self) -> float:

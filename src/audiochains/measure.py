@@ -22,8 +22,11 @@ A calibrated scaling (`spectrum.power_spectrum`'s coherent gain, the ENBW)
 would divide every band alike and cancel, and the DC and Nyquist bins it
 halves are never read, so none is applied.  For THD+N the fundamental
 (and DC) is removed exactly by a least-squares sin/cos fit at the stated
-frequency, solved from its 3x3 normal equations: at 10 or more cycles
-below 0.45 fs their Gram matrix is near diag(n, n/2, n/2), condition
+frequency, solved from its 3x3 normal equations.  The basis is
+`signals.phasor`'s cos and sin: cosines and sines are taken per block, not
+per sample, and at an integral frequency and rate each basis sample stays a
+few ulps from the exactly reduced angle at any record length.  At 10 or more
+cycles below 0.45 fs the Gram matrix is near diag(n, n/2, n/2), condition
 number at most about 2.3, so squaring it costs no accuracy.  Binwise
 notching would leave window sidelobe leakage of the fundamental in the
 residual, putting a floor well above the quantization-level residuals this
@@ -46,7 +49,7 @@ import numpy as np
 
 from .errors import EmptySignal, FundamentalNotFound, NoPeak, TruncatedResponse
 from .mls import MlsConfig, generate_mls
-from .signals import Signal
+from .signals import Signal, phasor
 from .spectrum import window_samples
 
 SystemTransform = Callable[[Signal], Signal]
@@ -137,11 +140,7 @@ def measure_thd(sig: Signal, fundamental_hz: float) -> DistortionReport:
     # Exact fundamental + DC removal; the residual is formed from the samples
     # (|x|^2 - coef.b would cancel away a pure sine's floor).  c and s end up
     # as scratch; x is the caller's array and is only read.
-    arg = np.arange(n, dtype=float)
-    arg /= fs
-    arg *= 2 * np.pi * fundamental_hz
-    c = np.cos(arg)
-    s = np.sin(arg, out=arg)
+    c, s = phasor(n, fundamental_hz, fs)
     sc, ss, cs = c.sum(), s.sum(), c @ s
     gram = np.array([[n, sc, ss], [sc, c @ c, cs], [ss, cs, s @ s]])
     coef = np.linalg.solve(gram, [x.sum(), c @ x, s @ x])

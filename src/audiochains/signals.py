@@ -3,6 +3,11 @@
 Everything downstream (both simulated chains and the measurement suite)
 passes signals around as :class:`Signal` values in volts; a Signal shares,
 not copies, a float64 samples array with its caller.
+
+Every sampled sinusoid of the package -- the test tone, the THD fit basis
+and the Hann window -- comes from `phasor`, which evaluates cosines and
+sines only at block starts and over one in-block ramp (the blocking of
+Burrus 1972), with each argument reduced modulo one cycle first.
 """
 
 from __future__ import annotations
@@ -14,6 +19,8 @@ import numpy as np
 
 from .errors import AliasedStimulus, ShapeMismatch
 from .quantize import round_half_away
+
+PHASOR_BLOCK = 512  # samples per block of `phasor`'s outer product
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,6 +54,30 @@ class Signal:
         return self.samples.size / self.sample_rate
 
 
+def phasor(
+    n: int, freq: float, rate: float, phase: float = 0.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of 2 pi freq k / rate + phase for k = 0 .. n - 1.
+
+    At k = j * PHASOR_BLOCK + m the angle is the block start's plus the
+    in-block ramp's, so each sample is the product of two phasors and only
+    about n / PHASOR_BLOCK + PHASOR_BLOCK cosines and sines are evaluated.
+    Both angles are reduced modulo one cycle before the scaling by 2 pi /
+    rate (exactly, for an integral freq * k below 2**53), so the error stays
+    a few ulps at any n instead of growing with freq * k.
+    """
+    starts = np.arange(0, n, PHASOR_BLOCK, dtype=np.float64)
+    ramp = np.arange(min(n, PHASOR_BLOCK), dtype=np.float64)
+    a = 2.0 * np.pi * np.fmod(freq * starts, rate) / rate + phase
+    b = 2.0 * np.pi * np.fmod(freq * ramp, rate) / rate
+    cos_a, sin_a, cos_b, sin_b = np.cos(a), np.sin(a), np.cos(b), np.sin(b)
+    cos = np.multiply.outer(cos_a, cos_b)
+    cos -= np.multiply.outer(sin_a, sin_b)
+    sin = np.multiply.outer(sin_a, cos_b)
+    sin += np.multiply.outer(cos_a, sin_b)
+    return cos.ravel()[:n], sin.ravel()[:n]
+
+
 def generate_sine(
     freq: float,
     amplitude_rms: float,
@@ -65,8 +96,8 @@ def generate_sine(
     if duration <= 0:
         raise ValueError("duration must be positive")
     n = int(round(duration * sample_rate))
-    t = np.arange(n) / sample_rate
-    samples = amplitude_rms * np.sqrt(2.0) * np.sin(2.0 * np.pi * freq * t + phase)
+    _, samples = phasor(n, freq, sample_rate, phase)
+    samples *= amplitude_rms * np.sqrt(2.0)
     return Signal(samples, sample_rate)
 
 

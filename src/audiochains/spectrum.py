@@ -3,8 +3,9 @@
 Scaling convention: each one-sided bin holds coherent-gain-corrected power,
 i.e. a bin-centered sine of rms A reads 10*log10(A**2) dBV in its peak bin
 and a DC level of 1 V reads 0 dBV.  The window is always the periodic Hann
-(`window_samples`), whose coherent gain and equivalent noise bandwidth
-`power_spectrum` applies itself (Harris 1978).  Band power (the sum of bins
+(`window_samples`, its cosine from `signals.phasor`), whose coherent gain
+and equivalent noise bandwidth `power_spectrum` applies itself (Harris
+1978).  Band power (the sum of bins
 over a tone's main lobe) must be divided by that bandwidth in bins
 (`Spectrum.enbw_bins`); with that correction the linear sum over all bins
 equals the frames' mean of sum((x * w)**2) / sum(w**2), and for stationary
@@ -18,28 +19,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySignal
-from .signals import Signal
+from .signals import Signal, phasor
 
 _DB_FLOOR = 1e-300
 MAX_SEGMENT = 16384  # longest averaging segment, in samples
-PHASOR_BLOCK = 512  # samples per block of the window's phasor product
 
 
 def window_samples(n: int) -> np.ndarray:
     """Periodic (DFT-even) Hann of n samples: a tone on an exact bin stays within +/-1 bin.
 
-    cos(2 pi k / n) at k = j * PHASOR_BLOCK + m is the real part of the
-    block-start phasor e^(2 pi i j PHASOR_BLOCK / n) times the in-block phasor
-    e^(2 pi i m / n), so about n / PHASOR_BLOCK + PHASOR_BLOCK cosines and sines
-    are evaluated instead of n (the blocking of Burrus 1972).
+    0.5 - 0.5 cos(2 pi k / n), with the cosine from `signals.phasor` (one
+    cycle over n samples).
     """
-    start = 2.0 * np.pi * np.arange(0, n, PHASOR_BLOCK) / n
-    step = 2.0 * np.pi * np.arange(min(n, PHASOR_BLOCK)) / n
-    w = np.multiply.outer(np.cos(start), np.cos(step))
-    w -= np.multiply.outer(np.sin(start), np.sin(step))
+    w, _ = phasor(n, 1.0, n)
     w *= -0.5
     w += 0.5
-    return w.ravel()[:n]
+    return w
 
 
 @dataclass(frozen=True, eq=False)

@@ -458,14 +458,21 @@ def test_record_too_large_to_allocate_exits_2(tmp_path, capsys):
         ("--measure", "thd", "--block-samples", str(2**1024)),
         # its latency has a float, but latency x rate is inf
         ("--measure", "latency", "--block-samples", str(2**1023)),
+        # 3 s of stimulus at 1e308 Hz is inf samples
+        ("--measure", "thd", "--sample-rate", "1e308"),
     ],
 )
 def test_latency_beyond_the_float_range_exits_2(tmp_path, capsys, flags):
     out = tmp_path / "x.csv"
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NonStandardBlockSizeWarning)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         assert run_cli("--chain", "i2s", *flags, "--out", str(out)) == 2
-    assert "Traceback" not in capsys.readouterr().err
+    assert not caught  # refused before a block size's warning could print its digits
+    err = capsys.readouterr().err
+    named = " or ".join(f for f in ("--block-samples", "--sample-rate") if f in flags)
+    assert f"error: {named} out of range: " in err
+    assert "Traceback" not in err
+    assert len(err) < 200
     assert not out.exists()
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -142,6 +144,14 @@ def test_nonstandard_block_size_warns():
     assert record[0].filename == __file__  # points at the caller
     with pytest.raises(ValueError):
         BlockPipelineConfig(block_samples=48)
+
+
+def test_latency_beyond_the_float_range_is_refused_before_the_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would print 2**1024's 309 digits
+        for block, rate in ((2**1024, FS), (2**1023, FS), (16, 5e-324)):
+            with pytest.raises(OverflowError, match="beyond the float range"):
+                BlockPipelineConfig(block_samples=block, sample_rate=rate, noise_floor_rms=0.0)
 
 
 def test_noise_requires_rng():

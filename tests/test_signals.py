@@ -1,4 +1,5 @@
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from audiochains.errors import AliasedStimulus, ShapeMismatch
-from audiochains.signals import Signal, delay_samples, generate_sine, input_stage
+from audiochains.signals import Signal, delay_samples, generate_sine, input_stage, phasor
 
 
 def test_signal_rejects_nan_and_bad_rate():
@@ -86,6 +87,48 @@ def test_sine_rms_identity_over_whole_cycles(cycles, samples_per_cycle, amplitud
     n = cycles * samples_per_cycle
     sig = generate_sine(freq, amplitude, n / fs, fs, phase=phase)
     assert np.sqrt(np.mean(sig.samples**2)) == pytest.approx(amplitude, rel=1e-9)
+
+
+def _exact_angle(n, freq, fs):
+    """2 pi freq k / fs reduced modulo one cycle in integers: freq / fs = p / q
+    in lowest terms puts sample k at 2 pi ((p k) mod q) / q."""
+    ratio = Fraction(str(freq)) / Fraction(str(fs))
+    k = np.arange(n, dtype=np.int64)
+    return 2 * np.pi * (ratio.numerator * k % ratio.denominator) / ratio.denominator
+
+
+@pytest.mark.parametrize(
+    "freq, fs, n, phase",
+    [
+        (1000.0, 44100.0, 125685, 0.0),  # the CLI's i2s analysis record
+        (1000.0, 96000.0, 288000, 0.0),  # the adcdac stimulus
+        (22000.0, 44100.0, 4410, 0.0),
+        (1000.0, 5000.0, 14250, 0.0),
+        (1000.0, 44100.0, 4410, 0.3),
+    ],
+)
+def test_phasor_is_the_exactly_reduced_sinusoid(freq, fs, n, phase):
+    # np.cos(2 pi f k / fs) is about 5e-12 off over these records
+    cos, sin = phasor(n, freq, fs, phase)
+    angle = _exact_angle(n, freq, fs) + phase
+    assert len(cos) == len(sin) == n
+    assert np.max(np.abs(cos - np.cos(angle))) <= 4e-15
+    assert np.max(np.abs(sin - np.sin(angle))) <= 4e-15
+
+
+def test_phasor_at_a_non_integer_frequency():
+    # freq * k is rounded before its reduction, so here the error grows with k
+    n = 144000  # 3 s at 48 kHz
+    cos, sin = phasor(n, 1234.567, 48000.0)
+    angle = _exact_angle(n, 1234.567, 48000.0)
+    assert np.max(np.abs(cos - np.cos(angle))) <= 1e-11
+    assert np.max(np.abs(sin - np.sin(angle))) <= 1e-11
+
+
+def test_sine_is_the_phasors_sine_scaled():
+    sig = generate_sine(1000.0, 0.5, 0.1, 44100.0, phase=0.7)
+    _, sin = phasor(4410, 1000.0, 44100.0, 0.7)
+    assert sig.samples.tobytes() == (0.5 * np.sqrt(2.0) * sin).tobytes()
 
 
 def test_delay_samples():
