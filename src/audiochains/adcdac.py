@@ -3,10 +3,12 @@
 Every input sample is one conversion tick: the two channels are conditioned
 (`front_end_filter`, in the shared `signals.input_stage`: a pair fed one
 `Signal` is distorted and filtered once, the noise after it is still drawn
-per channel) and quantized (`ADC_SPEC`, 16 bits over 0-3.3 V, ENOB-13
-noise on by default), combined by the fixed per-sample arithmetic, framed
-as two SPI bytes MSB first (`spi_encode`/`spi_decode`), and reconstructed
-by the 16-bit DAC (`DAC_SPEC`, 0-2.5 V).  The DAC output keeps its
+per channel) and quantized (`ADC_SPEC`, 16 bits over 0-3.3 V, ENOB 13),
+combined by the fixed per-sample arithmetic, framed as two SPI bytes MSB
+first (`spi_encode`/`spi_decode`), and reconstructed by the 16-bit DAC
+(`DAC_SPEC`, 0-2.5 V).  Both noises, `CONDITIONING_NOISE_RMS` and the
+ADC's ENOB noise, are drawn when the pipeline is given an rng; without one
+the chain is its deterministic transfer.  The DAC output keeps its
 `DAC_OFFSET` = +1.25 V standing offset (the measurement side AC-couples),
 and the chain latency `SampleChainConfig.latency` -- the per-speed
 `CONVERSION_TIME` plus the `SPI_TRANSFER_TIME` of one 16-bit frame at
@@ -64,15 +66,11 @@ CONVERSION_TIME = {
 class SampleChainConfig:
     sample_rate: float = 96000.0
     sampling_speed: SamplingSpeed = SamplingSpeed.LOW_SPEED
-    adc_spec: QuantizerSpec = ADC_SPEC
     distortion: PolynomialDistortion | None = None
-    conditioning_noise_rms: float = CONDITIONING_NOISE_RMS
 
     def __post_init__(self):
-        if self.sample_rate <= 0:
+        if not self.sample_rate > 0:
             raise ValueError("sample_rate must be positive")
-        if self.conditioning_noise_rms < 0:
-            raise ValueError("conditioning_noise_rms must be non-negative")
         if not self.realtime_feasible:
             warnings.warn(
                 f"{self.sample_rate:.0f} Hz cannot be sustained: one conversion "
@@ -104,7 +102,7 @@ def spi_decode(wire: bytes) -> np.ndarray:
     return np.frombuffer(wire, ">u2").astype(np.int64)
 
 
-def process_sample(code0, code1, cfg: SampleChainConfig):
+def process_sample(code0, code1):
     """The per-sample arithmetic from two ADC codes to one DAC code, for one
     tick (two codes) or a whole record (two code arrays): returns the DAC
     codes and clipped flags shaped like the input, numpy scalars for a tick.
@@ -114,7 +112,7 @@ def process_sample(code0, code1, cfg: SampleChainConfig):
     Overflow saturates (with the clipped flag) instead of reproducing the
     undefined float-to-unsigned conversion of the reference arithmetic.
     """
-    spec = cfg.adc_spec
+    spec = ADC_SPEC
     for codes in (np.asarray(code0), np.asarray(code1)):
         if codes.size and (codes.min() < 0 or codes.max() > spec.max_code):
             raise InvalidCode(
@@ -139,6 +137,8 @@ def run_sample_pipeline(
 ) -> Signal:
     """Drive the two-channel sample chain and return the DAC output signal.
 
+    With an rng the conditioning noise and then the ADC's ENOB noise are
+    drawn; rng=None runs the chain noiseless and consumes no randomness.
     front_end=False bypasses the analog conditioning (the inputs are then
     taken as the pin voltages directly and checked against the damage
     window); useful for measuring the sampling chain's own latency without
@@ -153,9 +153,9 @@ def run_sample_pipeline(
         check_damage(x)
         return x
 
-    pins = input_stage(in0, in1, cfg.sample_rate, condition, cfg.conditioning_noise_rms, rng)
-    codes0, codes1 = (quantize_uniform(x, cfg.adc_spec, rng) for x in pins)
-    dac_codes, _ = process_sample(codes0, codes1, cfg)
+    pins = input_stage(in0, in1, cfg.sample_rate, condition, CONDITIONING_NOISE_RMS, rng)
+    codes0, codes1 = (quantize_uniform(x, ADC_SPEC, rng) for x in pins)
+    dac_codes, _ = process_sample(codes0, codes1)
     out = dequantize(spi_decode(spi_encode(dac_codes)), DAC_SPEC)
     delay = latency_samples(cfg.latency, cfg.sample_rate)
     return Signal(delay_samples(out, delay), cfg.sample_rate)

@@ -63,13 +63,12 @@ class BlockPipelineConfig:
     block_samples: int = 128
     sample_rate: float = 44100.0
     distortion: PolynomialDistortion | None = None
-    noise_floor_rms: float = I2S_NOISE_FLOOR_RMS
 
     def __post_init__(self):
         b = self.block_samples
         if b < 1 or b & (b - 1):
             raise ValueError("block_samples must be a power of two")
-        if self.sample_rate <= 0:
+        if not self.sample_rate > 0:
             raise ValueError("sample_rate must be positive")
         try:
             in_range = math.isfinite(self.latency * self.sample_rate)
@@ -86,8 +85,6 @@ class BlockPipelineConfig:
                 NonStandardBlockSizeWarning,
                 stacklevel=3,  # past the dataclass-generated __init__
             )
-        if self.noise_floor_rms < 0:
-            raise ValueError("noise_floor_rms must be non-negative")
 
     @property
     def latency(self) -> float:
@@ -104,14 +101,15 @@ def run_block_pipeline(
 ) -> tuple[Signal, Signal]:
     """Drive the block pipeline and return both delayed output channels.
 
-    Distortion, then the noise floor, act before the codec ADC in
-    `input_stage`: one Signal on both inputs is distorted once, and the noise
-    is still drawn per channel.  The pure per-sample callback proc is called
-    once with the whole left and right signals and must return one output
-    per input sample.
+    Distortion, then the noise floor `I2S_NOISE_FLOOR_RMS`, act before the
+    codec ADC in `input_stage`: one Signal on both inputs is distorted once,
+    and the noise is drawn per channel when an rng is given (rng=None runs
+    the chain noiseless and consumes no randomness).  The pure per-sample
+    callback proc is called once with the whole left and right signals and
+    must return one output per input sample.
     """
     shape = cfg.distortion.apply if cfg.distortion is not None else (lambda x: x)
-    pins = input_stage(input_left, input_right, cfg.sample_rate, shape, cfg.noise_floor_rms, rng)
+    pins = input_stage(input_left, input_right, cfg.sample_rate, shape, I2S_NOISE_FLOOR_RMS, rng)
     channels = [int16_codes(x / FULL_SCALE_VOLTS * INT16_MAX) for x in pins]
 
     res_l, res_r = proc(channels[0] * CONVERSION_ADC, channels[1] * CONVERSION_ADC)

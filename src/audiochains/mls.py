@@ -63,9 +63,9 @@ class MlsConfig:
             raise UnsupportedOrder(f"no primitive taps for order {self.order}")
         if self.seed % (1 << self.order) == 0:
             raise ValueError("seed must be nonzero modulo 2**order")
-        if self.amplitude <= 0:
+        if not self.amplitude > 0:
             raise ValueError("amplitude must be positive")
-        if self.sample_rate <= 0:
+        if not self.sample_rate > 0:
             raise ValueError("sample_rate must be positive")
 
     @property

@@ -85,17 +85,15 @@ class QuantizerSpec:
 def quantize_uniform(v, spec: QuantizerSpec, rng: np.random.Generator | None = None):
     """Convert volts to integer codes, saturating at the rails.
 
-    With an ENOB present the calibrated Gaussian noise is added first and
-    rng is required; without one (or with enob == bits) the conversion is
-    bit-deterministic and no random numbers are consumed.
+    With an rng and an ENOB below bits the calibrated Gaussian noise is
+    added first; without either the conversion is bit-deterministic and no
+    random numbers are consumed.
 
     Returns an int64 array of the input's shape.
     """
     v = np.asarray(v, dtype=np.float64)
     sigma = spec.noise_rms()
-    if sigma > 0.0:
-        if rng is None:
-            raise ValueError("quantizer with ENOB noise requires an rng")
+    if sigma > 0.0 and rng is not None:
         v = v + rng.normal(0.0, sigma, size=v.shape)
     scaled = (v - spec.v_min) / (spec.v_max - spec.v_min) * spec.max_code
     return np.clip(round_half_away(scaled), 0, spec.max_code).astype(np.int64)

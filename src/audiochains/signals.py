@@ -126,17 +126,16 @@ def input_stage(
     """The line-input stage both chains share: each channel's converter input.
 
     shape, the chain's deterministic analog shaping, runs once per distinct
-    Signal.  Gaussian noise of noise_rms is then drawn per channel, channel 0
-    first; rng is required only when noise_rms > 0.
+    Signal.  Given an rng, Gaussian noise of noise_rms is then drawn per
+    channel, channel 0 first; rng=None returns the shaped pins and consumes
+    no randomness.
     """
     if len(in0) != len(in1):
         raise ShapeMismatch("input signals must have equal length")
     if in0.sample_rate != in1.sample_rate or in0.sample_rate != sample_rate:
         raise ShapeMismatch("input sample rates must equal the chain's sample_rate")
-    if noise_rms > 0.0 and rng is None:
-        raise ValueError("configured noise requires an rng")
     shaped = [shape(sig.samples) for sig in ((in0,) if in1 is in0 else (in0, in1))]
-    if noise_rms == 0.0:
+    if rng is None:
         return shaped[0], shaped[-1]
     pins = rng.normal(0.0, noise_rms, size=(2, len(in0)))  # row k: channel k's noise
     pins[0] += shaped[0]

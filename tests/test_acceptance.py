@@ -233,19 +233,30 @@ def test_bit_exact_micro_contracts():
     for code in range(65536):
         assert ac.spi_decode(ac.spi_encode(code)) == code
 
-    # per-sample arithmetic against the rational oracle on 1e5 random pairs
+    # per-sample arithmetic against the exact integer form of the rational
+    # oracle, 100 * value = 66 * (c0 + c1) - 983025, on 1e7 random pairs.  The
+    # right side is odd, so value never ends in .5 and rounding to nearest
+    # needs no tie rule: round(value) = floor((100 * value + 50) / 100).
+    def integer_oracle(c0, c1):
+        rounded = (66 * (c0 + c1) - 983025 + 50) // 100
+        return np.clip(rounded, 0, 65535), (rounded < 0) | (rounded > 65535)
+
+    # the rational oracle vouches for the integer form on the rails, on both
+    # sides of each clip edge (c0 + c1 = 14893 | 14894 and 114190 | 114191)
+    # and on 2000 random pairs
     rng = np.random.default_rng(99)
-    cfg = ac.SampleChainConfig(
-        adc_spec=ac.QuantizerSpec(16, 0.0, 3.3), conditioning_noise_rms=0.0
-    )
-    pairs = rng.integers(0, 65536, size=(100_000, 2))
-    codes, clipped = ac.process_sample(pairs[:, 0], pairs[:, 1], cfg)
-    mismatches = 0
-    for (c0, c1), got_code, got_clip in zip(pairs, codes, clipped):
-        expect = _oracle_process(int(c0), int(c1))
-        if (int(got_code), bool(got_clip)) != expect:
-            mismatches += 1
-    assert mismatches == 0
+    edges = [[0, 0], [65535, 65535], [14893, 0], [0, 14894], [65535, 48655], [48656, 65535]]
+    subset = np.concatenate([edges, rng.integers(0, 65536, size=(2000, 2))])
+    for (c0, c1), code, clip in zip(subset, *integer_oracle(subset[:, 0], subset[:, 1])):
+        assert (int(code), bool(clip)) == _oracle_process(int(c0), int(c1))
+    checked = 0
+    for _ in range(10):  # chunks of 1e6 pairs
+        pairs = rng.integers(0, 65536, size=(1_000_000, 2))
+        codes, clipped = ac.process_sample(pairs[:, 0], pairs[:, 1])
+        expect_code, expect_clip = integer_oracle(pairs[:, 0], pairs[:, 1])
+        assert np.array_equal(codes, expect_code)
+        assert np.array_equal(clipped, expect_clip)
+        checked += len(pairs)
 
     # quantizer round trip within half an LSB over a full-range sweep
     spec = ac.QuantizerSpec(16, 0.0, 3.3)
@@ -255,7 +266,7 @@ def test_bit_exact_micro_contracts():
     assert worst <= spec.lsb / 2 + 1e-12
     _report(
         "bit-exact-micro-contracts",
-        f"spi 65536/65536, process_sample 100000/100000, "
+        f"spi 65536/65536, process_sample {checked}/{checked}, "
         f"round trip worst {worst * 1e6:.3f} uV (half LSB {spec.lsb / 2 * 1e6:.3f} uV)",
     )
 

@@ -25,14 +25,7 @@ from audiochains.errors import (
 from audiochains.i2s import BlockPipelineConfig, run_block_pipeline
 from audiochains.measure import estimate_latency, measure_impulse_response, measure_thdn
 from audiochains.mls import MlsConfig
-from audiochains.quantize import QuantizerSpec
 from audiochains.signals import Signal, generate_sine
-
-
-def _quiet_cfg(**kw):
-    kw.setdefault("adc_spec", QuantizerSpec(16, 0.0, 3.3))  # ENOB noise off
-    kw.setdefault("conditioning_noise_rms", 0.0)
-    return SampleChainConfig(**kw)
 
 
 def _oracle_process(code0: int, code1: int) -> tuple[int, bool]:
@@ -85,8 +78,7 @@ def test_spi_rejects_out_of_range():
 
 
 def test_process_sample_near_midscale():
-    cfg = _quiet_cfg()
-    code, clipped = process_sample(32271, 32271, cfg)
+    code, clipped = process_sample(32271, 32271)
     assert (code, clipped) == (32767, False)
     assert _oracle_process(32271, 32271) == (32767, False)
     # oracle value of the intermediate input voltage
@@ -95,29 +87,26 @@ def test_process_sample_near_midscale():
 
 
 def test_process_sample_saturates_low():
-    cfg = _quiet_cfg()
-    code, clipped = process_sample(0, 0, cfg)
+    code, clipped = process_sample(0, 0)
     assert (code, clipped) == (0, True)
     assert _oracle_process(0, 0) == (0, True)
 
 
 def test_process_sample_high_example():
-    cfg = _quiet_cfg()
     conv = Fraction(33, 10) / 65535
     assert float(52000 * conv - Fraction(13, 8)) == pytest.approx(0.993448, abs=1e-6)
-    assert process_sample(52000, 52000, cfg) == (58810, False)
+    assert process_sample(52000, 52000) == (58810, False)
     assert _oracle_process(52000, 52000) == (58810, False)
 
 
 def test_process_sample_rejects_bad_codes():
-    cfg = _quiet_cfg()
     with pytest.raises(InvalidCode):
-        process_sample(-1, 0, cfg)
+        process_sample(-1, 0)
     with pytest.raises(InvalidCode):
-        process_sample(0, 70000, cfg)
+        process_sample(0, 70000)
     with pytest.raises(InvalidCode):
-        process_sample(np.array([0, 70000]), np.array([0, 0]), cfg)
-    codes, clipped = process_sample(np.array([], np.int64), np.array([], np.int64), cfg)
+        process_sample(np.array([0, 70000]), np.array([0, 0]))
+    codes, clipped = process_sample(np.array([], np.int64), np.array([], np.int64))
     assert codes.shape == clipped.shape == (0,)
 
 
@@ -127,39 +116,43 @@ def test_process_sample_rejects_bad_codes():
     code1=st.integers(min_value=0, max_value=65535),
 )
 def test_process_sample_matches_oracle_and_is_symmetric(code0, code1):
-    cfg = _quiet_cfg()
-    result = process_sample(code0, code1, cfg)
+    result = process_sample(code0, code1)
     assert result == _oracle_process(code0, code1)
-    assert result == process_sample(code1, code0, cfg)
+    assert result == process_sample(code1, code0)
 
 
 # ---------------------------------------------------------------- latency model
 
 
 def test_predicted_latency_table():
-    low = _quiet_cfg(sampling_speed=SamplingSpeed.LOW_SPEED)
-    high = _quiet_cfg(sampling_speed=SamplingSpeed.HIGH_SPEED)
+    low = SampleChainConfig(sampling_speed=SamplingSpeed.LOW_SPEED)
+    high = SampleChainConfig(sampling_speed=SamplingSpeed.HIGH_SPEED)
     assert low.latency == pytest.approx(12.0e-6, abs=0.5e-6)
     assert high.latency == pytest.approx(9.6e-6, abs=0.5e-6)
     assert SPI_TRANSFER_TIME == pytest.approx(0.32e-6, rel=1e-12)
 
 
+def test_config_rejects_a_rate_that_is_not_positive():
+    for rate in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="sample_rate"):
+            SampleChainConfig(sample_rate=rate)
+
+
 def test_low_speed_at_96k_warns_about_feasibility():
     with pytest.warns(RealtimeFeasibilityWarning) as record:
-        SampleChainConfig(sample_rate=96000.0, conditioning_noise_rms=0.0)
+        SampleChainConfig(sample_rate=96000.0)
     assert record[0].filename == __file__  # points at the caller
-    cfg = _quiet_cfg(sampling_speed=SamplingSpeed.HIGH_SPEED)
+    cfg = SampleChainConfig(sampling_speed=SamplingSpeed.HIGH_SPEED)
     assert cfg.realtime_feasible  # 9.6 us fits in the 10.4 us period
 
 
 def test_mls_latency_at_native_rate_within_one_sample():
     # at the nominal 96 kHz grid the whole 12 us latency rounds to 1 sample
-    cfg = _quiet_cfg()
-    rng = np.random.default_rng(0)
+    cfg = SampleChainConfig()
 
     def system(s):
         biased = Signal(s.samples + 1.65, cfg.sample_rate)
-        return run_sample_pipeline(biased, biased, cfg, rng, front_end=False)
+        return run_sample_pipeline(biased, biased, cfg, front_end=False)
 
     ir = measure_impulse_response(system, MlsConfig(12, 0.5, 1, cfg.sample_rate))
     report = estimate_latency(ir)
@@ -197,7 +190,7 @@ def test_zero_input_settles_at_the_code_implied_offset():
     assert expected == pytest.approx(1.275, abs=1e-3)
     assert float(out_v) == pytest.approx(1.275025, abs=1e-6)
 
-    cfg = _quiet_cfg()
+    cfg = SampleChainConfig()
     zeros = Signal(np.zeros(2000), cfg.sample_rate)
     out = run_sample_pipeline(zeros, zeros, cfg)
     # the bias lands exactly on an ADC rounding tie, so float jitter in the
@@ -207,7 +200,7 @@ def test_zero_input_settles_at_the_code_implied_offset():
 
 
 def test_identical_inputs_pass_the_sine_through():
-    cfg = _quiet_cfg()
+    cfg = SampleChainConfig()
     sine = generate_sine(1000.0, 0.5, 0.5, cfg.sample_rate)
     out = run_sample_pipeline(sine, sine, cfg)
     tail = out.samples[9600:]
@@ -218,7 +211,7 @@ def test_identical_inputs_pass_the_sine_through():
 
 
 def test_antiphase_inputs_cancel_to_dc():
-    cfg = _quiet_cfg()
+    cfg = SampleChainConfig()
     sine = generate_sine(1000.0, 0.5, 0.2, cfg.sample_rate)
     inverted = Signal(-sine.samples, cfg.sample_rate)
     out = run_sample_pipeline(sine, inverted, cfg)
@@ -231,7 +224,7 @@ def test_dc_transfer_is_affine():
     # tracks ((v - 1.625 + 1.25) * 65535 / 2.5).  Each of the two rounding
     # stages contributes at most half a step: the ADC's half LSB is worth
     # 0.66 DAC codes, the DAC rounding 0.5, so the composite bound is 1.16.
-    cfg = _quiet_cfg()
+    cfg = SampleChainConfig()
     # stay inside the non-saturating window: v - 0.375 must fit in [0, 2.5]
     levels = np.linspace(0.4, 2.85, 997)
     worst = 0.0
@@ -246,7 +239,7 @@ def test_dc_transfer_is_affine():
 
 
 def test_code_centered_inputs_round_trip_within_half_dac_lsb():
-    cfg = _quiet_cfg()
+    cfg = SampleChainConfig()
     codes = np.arange(8000, 57000, 1024)  # keep the DAC out of saturation
     volts = codes * 3.3 / 65535.0
     sig = Signal(np.repeat(volts, 4), cfg.sample_rate)
@@ -256,8 +249,23 @@ def test_code_centered_inputs_round_trip_within_half_dac_lsb():
     assert np.max(np.abs(got - ideal)) <= 0.5 + 1e-9
 
 
+def test_noise_is_drawn_exactly_when_an_rng_is_given():
+    cfg = SampleChainConfig()
+    sine = generate_sine(1000.0, 0.5, 0.01, cfg.sample_rate)
+    quiet = run_sample_pipeline(sine, sine, cfg)
+    assert quiet.samples.tobytes() == run_sample_pipeline(sine, sine, cfg).samples.tobytes()
+    rng, ref = np.random.default_rng(6), np.random.default_rng(6)
+    noisy = run_sample_pipeline(sine, sine, cfg, rng)
+    # conditioning noise per channel, then the ADC's ENOB noise per channel
+    ref.normal(0.0, adcdac.CONDITIONING_NOISE_RMS, size=(2, len(sine)))
+    for _ in range(2):
+        ref.normal(0.0, adcdac.ADC_SPEC.noise_rms(), size=len(sine))
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert not np.array_equal(noisy.samples, quiet.samples)
+
+
 def test_damage_voltage_propagates():
-    cfg = _quiet_cfg()
+    cfg = SampleChainConfig()
     big = generate_sine(1000.0, 3.0, 0.1, cfg.sample_rate)  # ~4.2 V peaks
     with pytest.raises(DamageVoltage):
         run_sample_pipeline(big, big, cfg)
@@ -279,7 +287,7 @@ def test_pipeline_runs_the_public_spi_and_front_end_functions(monkeypatch):
 
     for name in ("spi_encode", "spi_decode", "front_end_filter"):
         spy(name, getattr(adcdac, name))
-    cfg = _quiet_cfg()
+    cfg = SampleChainConfig()
     sine = generate_sine(1000.0, 0.5, 0.01, cfg.sample_rate)
     run_sample_pipeline(sine, sine, cfg)
     # one Signal on both inputs is conditioned once
@@ -324,7 +332,7 @@ def test_one_signal_on_both_inputs_matches_two_equal_signals_bit_for_bit(monkeyp
 
 
 def test_shape_mismatch():
-    cfg = _quiet_cfg()
+    cfg = SampleChainConfig()
     a = Signal(np.zeros(100), cfg.sample_rate)
     b = Signal(np.zeros(50), cfg.sample_rate)
     with pytest.raises(ShapeMismatch):
@@ -335,8 +343,9 @@ def test_shape_mismatch():
 
 
 def test_chain_thdn_bounded_by_worst_table_entry():
-    cfg = SampleChainConfig()  # ENOB 13 + conditioning noise on
+    cfg = SampleChainConfig()
     sine = generate_sine(1000.0, 0.5, 1.2, cfg.sample_rate)
+    # the rng turns the conditioning and ENOB-13 noise on
     out = run_sample_pipeline(sine, sine, cfg, np.random.default_rng(3))
     trimmed = Signal(out.samples[14400:], cfg.sample_rate)
     report = measure_thdn(trimmed, 1000.0)

@@ -8,6 +8,7 @@ from audiochains.errors import NonStandardBlockSizeWarning, ShapeMismatch
 from audiochains.i2s import (
     CONVERSION_ADC,
     FIXED_DELAY,
+    I2S_NOISE_FLOOR_RMS,
     PIPELINE_BLOCK_COUNT,
     BlockPipelineConfig,
     passthrough,
@@ -19,11 +20,6 @@ from audiochains.signals import Signal, generate_sine, latency_samples
 
 FS = 44100.0
 TABLE_MS = {16: 1.63, 32: 2.7, 64: 4.9, 128: 9.24}
-
-
-def _quiet_cfg(**kw):
-    kw.setdefault("noise_floor_rms", 0.0)
-    return BlockPipelineConfig(**kw)
 
 
 # ---------------------------------------------------------------- latency model
@@ -58,7 +54,7 @@ def test_latency_linearity_in_block_size():
 
 
 def test_zero_input_gives_zero_output():
-    cfg = _quiet_cfg()
+    cfg = BlockPipelineConfig()
     zero = Signal(np.zeros(1024), FS)
     left, right = run_block_pipeline(zero, zero, cfg)
     assert np.array_equal(left.samples, np.zeros(1024))
@@ -66,7 +62,7 @@ def test_zero_input_gives_zero_output():
 
 
 def test_identity_processor_is_a_pure_delay_within_half_lsb():
-    cfg = _quiet_cfg()
+    cfg = BlockPipelineConfig()
     sine = generate_sine(1000.0, 0.5, 0.25, FS)
     left, _ = run_block_pipeline(sine, sine, cfg)
     delay = latency_samples(cfg.latency, FS)
@@ -82,7 +78,7 @@ def test_processor_sees_code_scaled_by_1_over_65535():
         seen["value"] = left[0]
         return left, right
 
-    cfg = _quiet_cfg(block_samples=16)
+    cfg = BlockPipelineConfig(block_samples=16)
     # one volt -> code 32767; 128 samples outlast the 72-sample delay
     full = Signal(np.full(128, 32767.0 / 32767.0), FS)
     left, _ = run_block_pipeline(full, full, cfg, proc=spy)
@@ -99,7 +95,7 @@ def test_output_independent_of_block_partitioning():
     tanh = lambda l, r: (np.tanh(l), np.tanh(r))
     outs = {}
     for block in (32, 128):
-        cfg = _quiet_cfg(block_samples=block)
+        cfg = BlockPipelineConfig(block_samples=block)
         delay = latency_samples(cfg.latency, FS)
         left, _ = run_block_pipeline(sine, sine, cfg, proc=tanh)
         outs[block] = left.samples[delay:]
@@ -116,12 +112,12 @@ def test_processor_called_once_with_the_whole_signal(block):
         return left, right
 
     sig = Signal(np.linspace(-0.5, 0.5, 1000), FS)  # not a multiple of block
-    run_block_pipeline(sig, sig, _quiet_cfg(block_samples=block), proc=spy)
+    run_block_pipeline(sig, sig, BlockPipelineConfig(block_samples=block), proc=spy)
     assert calls == [(1000, 1000)]
 
 
 def test_shape_mismatch_detected():
-    cfg = _quiet_cfg()
+    cfg = BlockPipelineConfig()
     a = Signal(np.zeros(256), FS)
     b = Signal(np.zeros(128), FS)
     with pytest.raises(ShapeMismatch):
@@ -132,7 +128,7 @@ def test_shape_mismatch_detected():
 
 
 def test_bad_processor_length_detected():
-    cfg = _quiet_cfg(block_samples=16)
+    cfg = BlockPipelineConfig(block_samples=16)
     sig = Signal(np.zeros(64), FS)
     with pytest.raises(ShapeMismatch):
         run_block_pipeline(sig, sig, cfg, proc=lambda l, r: (l[:-1], r))
@@ -140,7 +136,7 @@ def test_bad_processor_length_detected():
 
 def test_nonstandard_block_size_warns():
     with pytest.warns(NonStandardBlockSizeWarning) as record:
-        BlockPipelineConfig(block_samples=256, noise_floor_rms=0.0)
+        BlockPipelineConfig(block_samples=256)
     assert record[0].filename == __file__  # points at the caller
     with pytest.raises(ValueError):
         BlockPipelineConfig(block_samples=48)
@@ -151,13 +147,29 @@ def test_latency_beyond_the_float_range_is_refused_before_the_warning():
         warnings.simplefilter("error")  # a warning would print 2**1024's 309 digits
         for block, rate in ((2**1024, FS), (2**1023, FS), (16, 5e-324)):
             with pytest.raises(OverflowError, match="beyond the float range"):
-                BlockPipelineConfig(block_samples=block, sample_rate=rate, noise_floor_rms=0.0)
+                BlockPipelineConfig(block_samples=block, sample_rate=rate)
 
 
-def test_noise_requires_rng():
-    sig = Signal(np.zeros(128), FS)
-    with pytest.raises(ValueError):
-        run_block_pipeline(sig, sig, BlockPipelineConfig())
+def test_noise_is_drawn_exactly_when_an_rng_is_given():
+    sine = generate_sine(1000.0, 0.5, 0.01, FS)
+    cfg = BlockPipelineConfig()
+    quiet = run_block_pipeline(sine, sine, cfg)
+    again = run_block_pipeline(sine, sine, cfg)
+    assert [s.samples.tobytes() for s in quiet] == [s.samples.tobytes() for s in again]
+    delay = latency_samples(cfg.latency, FS)
+    err = quiet[0].samples[delay:] - sine.samples[: len(sine) - delay]
+    assert np.max(np.abs(err)) <= 0.5 / 32767.0 + 1e-12  # the codec's rounding only
+    rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+    noisy, _ = run_block_pipeline(sine, sine, cfg, rng=rng)
+    ref.normal(0.0, I2S_NOISE_FLOOR_RMS, size=(2, len(sine)))  # one draw per channel sample
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert not np.array_equal(noisy.samples, quiet[0].samples)
+
+
+def test_config_rejects_a_rate_that_is_not_positive():
+    for rate in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="sample_rate"):
+            BlockPipelineConfig(sample_rate=rate)
 
 
 # ---------------------------------------------------------------- characterization
@@ -177,7 +189,7 @@ def test_mls_latency_matches_prediction_within_one_sample(block):
 
 
 def test_noiseless_chain_thd_below_minus_90():
-    cfg = _quiet_cfg()
+    cfg = BlockPipelineConfig()
     sine = generate_sine(1000.0, 0.5, 1.0, FS)
     left, _ = run_block_pipeline(sine, sine, cfg)
     trimmed = Signal(left.samples[4410:], FS)

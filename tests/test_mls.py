@@ -179,3 +179,6 @@ def test_validation():
         MlsConfig(8, seed=256)  # zero modulo 2**8
     with pytest.raises(ValueError):
         MlsConfig(8, amplitude=0.0)
+    for bad in ({"amplitude": float("nan")}, {"sample_rate": float("nan")}, {"sample_rate": 0.0}):
+        with pytest.raises(ValueError, match="must be positive"):
+            MlsConfig(12, **bad)

@@ -144,10 +144,16 @@ def test_enob_equal_bits_is_exactly_noiseless():
     assert np.array_equal(codes, quantize_uniform(v, SPEC_3V3))
 
 
-def test_enob_noise_requires_rng():
+def test_enob_noise_is_drawn_only_with_an_rng():
     spec = QuantizerSpec(bits=16, v_min=0.0, v_max=3.3, enob=13.0)
-    with pytest.raises(ValueError):
-        quantize_uniform(1.0, spec)
+    v = np.linspace(0.0, 3.3, 4096)
+    ideal = quantize_uniform(v, SPEC_3V3)
+    assert np.array_equal(quantize_uniform(v, spec), ideal)
+    rng, ref = np.random.default_rng(0), np.random.default_rng(0)
+    noisy = quantize_uniform(v, spec, rng)
+    ref.normal(0.0, spec.noise_rms(), size=v.shape)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert not np.array_equal(noisy, ideal)
 
 
 def test_enob_noise_rms_value():

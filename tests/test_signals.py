@@ -159,12 +159,10 @@ def test_input_stage_shapes_each_distinct_signal_once_then_adds_noise_channel_0_
     assert [p.tobytes() for p in split] == [p.tobytes() for p in pins]
 
 
-def test_input_stage_checks_the_pair_and_needs_an_rng_only_for_noise():
+def test_input_stage_checks_the_pair_and_draws_noise_only_with_an_rng():
     sig = Signal(np.zeros(8), 8000.0)
-    quiet = input_stage(sig, sig, 8000.0, lambda x: x, 0.0, None)
-    assert all(pin is sig.samples for pin in quiet)
-    with pytest.raises(ValueError, match="rng"):
-        input_stage(sig, sig, 8000.0, lambda x: x, 0.1, None)
+    quiet = input_stage(sig, sig, 8000.0, lambda x: x, 0.1, None)
+    assert all(pin is sig.samples for pin in quiet)  # the shaped pins, nothing drawn
     for other, rate in ((Signal(np.zeros(7), 8000.0), 8000.0),
                         (Signal(np.zeros(8), 16000.0), 8000.0),
                         (sig, 16000.0)):
