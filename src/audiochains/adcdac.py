@@ -13,7 +13,8 @@ the chain is its deterministic transfer.  The DAC output keeps its
 and the chain latency `SampleChainConfig.latency` -- the per-speed
 `CONVERSION_TIME` plus the `SPI_TRANSFER_TIME` of one 16-bit frame at
 50 MHz -- is applied as a whole-sample delay (`signals.latency_samples`)
-at the simulation rate.
+at the simulation rate.  `SampleChainConfig.realtime_feasible` tells whether
+it fits a sample period and never warns: the CLI warns at hardware rates.
 
 The per-sample arithmetic subtracts `ADC_OFFSET` = 1.625 V although the
 hardware bias (`frontend.BIAS_VOLTAGE`) is 1.65 V; the two constants
@@ -23,16 +24,15 @@ are kept separate so the 25 mV systematic offset stays observable.
 from __future__ import annotations
 
 import enum
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distortion import PolynomialDistortion
-from .errors import InvalidCode, RealtimeFeasibilityWarning
+from .errors import InvalidCode
 from .frontend import check_damage, front_end_filter
 from .quantize import QuantizerSpec, dequantize, quantize_uniform, round_half_away
-from .signals import Signal, delay_samples, input_stage, latency_samples
+from .signals import Signal, delay_samples, input_stage, latency_samples, require_positive
 
 SPI_TRANSFER_TIME = 16 / 50e6  # one 16-bit frame at the 50 MHz SPI clock
 ADC_OFFSET = 1.625  # subtracted by the per-sample arithmetic
@@ -69,15 +69,7 @@ class SampleChainConfig:
     distortion: PolynomialDistortion | None = None
 
     def __post_init__(self):
-        if not self.sample_rate > 0:
-            raise ValueError("sample_rate must be positive")
-        if not self.realtime_feasible:
-            warnings.warn(
-                f"{self.sample_rate:.0f} Hz cannot be sustained: one conversion "
-                f"plus SPI transfer takes {self.latency * 1e6:.2f} us",
-                RealtimeFeasibilityWarning,
-                stacklevel=3,  # past the dataclass-generated __init__
-            )
+        require_positive("sample_rate", self.sample_rate)
 
     @property
     def latency(self) -> float:
@@ -86,6 +78,7 @@ class SampleChainConfig:
 
     @property
     def realtime_feasible(self) -> bool:
+        """Whether one conversion plus SPI transfer fits a sample period."""
         return self.sample_rate * self.latency < 1.0
 
 

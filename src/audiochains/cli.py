@@ -10,11 +10,13 @@ CSV report; sweeps map one row per swept parameter.  CSV layouts:
 The first line is a ``#`` comment holding the exact command line, numbers
 carry 17 significant digits, and rows are LF-terminated, so identical flags
 reproduce byte-identical files.  Each latency row sizes its MLS to the
-smallest order >= 12 whose period holds twice the predicted latency, and
-every row is checked before the first runs, so a refusal runs nothing.  The
-adcdac front end needs a rate above 80 kHz in the thd, thdn and spectrum
-scenarios; the latency scenario bypasses it, so there only a latency that
-rounds to 0 samples of the 16x simulation grid is refused.  Exit codes:
+smallest order >= 12 whose period holds twice the predicted latency.  Every
+row is checked before any chain runs, but for two refusals that only row 0's
+run finds: a THD rate that leaves the 3rd harmonic no band, and an adcdac
+rate of 80 kHz or less, under the front end's corner (latency runs bypass
+the front end).  Then each adcdac row that overruns a sample period at the
+hardware rate warns (RealtimeFeasibilityWarning, naming the row); the
+latency scenario's 16x simulation grid never warns.  Exit codes:
 0 success, 2 usage error or unusable input (including a latency too long
 for order 24 or for the discarded warm-up, rounding to 0 samples or
 overflowing a float, which names the flags given, a THD rate that leaves
@@ -25,7 +27,6 @@ argument holding a line break), 3 chain fault (damage voltage), 4 I/O error.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import warnings
 
@@ -37,9 +38,9 @@ from .errors import AudioChainError, DamageVoltage, RealtimeFeasibilityWarning
 from .errors import UnsupportedOrder, UnsupportedWav
 from .measure import estimate_latency, measure_impulse_response, measure_thd
 from .mls import PRIMITIVE_TAPS, MlsConfig
-from .signals import Signal, generate_sine, latency_samples
+from .signals import Signal, generate_sine, latency_samples, require_positive
 from .spectrum import power_spectrum
-from .wavio import read_wav, write_wav
+from .wavio import read_wav, wav_rate, write_wav
 
 PROG = "audiochains"
 
@@ -100,10 +101,8 @@ def _check_args(args: argparse.Namespace, argv: list[str]) -> None:
         args.params = tuple(adcdac.SamplingSpeed)
     else:
         args.params = (adcdac.SamplingSpeed(f"{args.sampling_speed.upper()}_SPEED"),)
-    if args.sample_rate is not None and not (
-        math.isfinite(args.sample_rate) and args.sample_rate > 0
-    ):
-        raise ValueError(f"--sample-rate must be positive and finite, got {args.sample_rate}")
+    if args.sample_rate is not None:
+        require_positive("--sample-rate", args.sample_rate)
     if args.seed < 0:
         raise ValueError(f"--seed must be non-negative, got {args.seed}")
     for flag, value in (("--wav-in", args.wav_in), ("--wav-out", args.wav_out)):
@@ -162,16 +161,6 @@ def _stimulus(args: argparse.Namespace) -> tuple[Signal, Signal]:
     return sine, sine
 
 
-def _discard_warmup(sig: Signal) -> Signal:
-    skip = int(WARMUP_SECONDS * sig.sample_rate)
-    if len(sig) - skip < int(0.1 * sig.sample_rate):
-        raise ValueError(
-            f"stimulus too short: need at least {WARMUP_SECONDS + 0.1:.2f} s "
-            f"(warm-up plus analysis), got {sig.duration:.3f} s"
-        )
-    return Signal(sig.samples[skip:], sig.sample_rate)
-
-
 def _row_label(param) -> str:
     return param.value if isinstance(param, adcdac.SamplingSpeed) else str(param)
 
@@ -209,12 +198,7 @@ def _mls_order(label: str, latency_s: float, sample_rate: float) -> int:
 def _run_latency(args: argparse.Namespace) -> list[tuple]:
     chain = args.chain
     sample_rate = (args.sample_rate or DEFAULT_RATE[chain]) * LATENCY_OVERSAMPLE[chain]
-    with warnings.catch_warnings():
-        # the 16x grid is a simulation rate, not a hardware rate
-        warnings.simplefilter("ignore", RealtimeFeasibilityWarning)
-        configs = [
-            _chain_config(chain, p, sample_rate, with_distortion=False) for p in args.params
-        ]
+    configs = [_chain_config(chain, p, sample_rate, with_distortion=False) for p in args.params]
     probes = []
     for param, cfg in zip(args.params, configs):  # all rows first: a refusal probes nothing
         label = _row_label(param)
@@ -272,18 +256,32 @@ def _run_rows(args: argparse.Namespace, analyze) -> list[tuple]:
     """Per swept parameter: run the chain, drop the warm-up, analyze(param, measured)."""
     chain, rows = args.chain, []
     stimulus = _stimulus(args)
-    rate = stimulus[0].sample_rate
+    rate, skip = stimulus[0].sample_rate, int(WARMUP_SECONDS * stimulus[0].sample_rate)
     configs = [_chain_config(chain, p, rate, with_distortion=True) for p in args.params]
-    for param, cfg in zip(args.params, configs):  # all rows first: a refusal writes nothing
+    for param, cfg in zip(args.params, configs):  # all rows first: a refusal runs no chain
         if cfg.latency >= WARMUP_SECONDS:
             raise ValueError(
                 f"parameter {_row_label(param)}: predicted latency {cfg.latency:.3g} s is not "
                 f"shorter than the {WARMUP_SECONDS:g} s warm-up the analysis discards"
             )
+    if len(stimulus[0]) - skip < int(0.1 * rate):
+        raise ValueError(
+            f"stimulus too short: need at least {WARMUP_SECONDS + 0.1:.2f} s "
+            f"(warm-up plus analysis), got {stimulus[0].duration:.3f} s"
+        )
+    if args.wav_out:
+        wav_rate(rate)
+    for param, cfg in zip(args.params, configs):  # a hardware rate: the stimulus's own
+        if chain == "adcdac" and not cfg.realtime_feasible:
+            warnings.warn(
+                f"parameter {_row_label(param)}: {rate:g} Hz cannot be sustained: one "
+                f"conversion plus SPI transfer takes {cfg.latency * 1e6:.2f} us",
+                RealtimeFeasibilityWarning,
+            )
     for index, (param, cfg) in enumerate(zip(args.params, configs)):
         rng = _param_rng(args.seed, param)
         outputs = _run_chain(chain, cfg, stimulus, rng)
-        rows.extend(analyze(param, _discard_warmup(outputs[0])))
+        rows.extend(analyze(param, Signal(outputs[0].samples[skip:], rate)))
         if index == 0 and args.wav_out:
             if chain == "i2s":
                 write_wav(outputs[0], args.wav_out, right=outputs[1])

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutsideWeakRegime
+from .signals import require_positive
 
 WEAK_REGIME_LIMIT_DB = -40.0
 
@@ -46,8 +47,7 @@ def calibrate_distortion(
     where hd2/hd3 are levels relative to the fundamental.  An absent
     target leaves the coefficient at zero.
     """
-    if peak_amplitude <= 0:
-        raise ValueError("peak_amplitude must be positive")
+    require_positive("peak_amplitude", peak_amplitude)
     for target in (target_hd2_db, target_hd3_db):
         if target is not None and target > WEAK_REGIME_LIMIT_DB:
             raise OutsideWeakRegime(

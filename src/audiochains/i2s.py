@@ -32,7 +32,7 @@ import numpy as np
 from .distortion import PolynomialDistortion
 from .errors import NonStandardBlockSizeWarning, ShapeMismatch
 from .quantize import INT16_MAX, int16_codes, int16_volts
-from .signals import Signal, delay_samples, input_stage, latency_samples
+from .signals import Signal, delay_samples, input_stage, latency_samples, require_positive
 
 CONVERSION_ADC = 1.0 / 65535.0
 CONVERSION_DAC = 65535.0
@@ -68,8 +68,7 @@ class BlockPipelineConfig:
         b = self.block_samples
         if b < 1 or b & (b - 1):
             raise ValueError("block_samples must be a power of two")
-        if not self.sample_rate > 0:
-            raise ValueError("sample_rate must be positive")
+        require_positive("sample_rate", self.sample_rate)
         try:
             in_range = math.isfinite(self.latency * self.sample_rate)
         except OverflowError:  # block_samples has no float

@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import UnsupportedOrder
-from .signals import Signal
+from .signals import Signal, require_positive
 
 # Feedback tap positions (polynomial exponents) giving maximal period for a
 # Fibonacci LFSR, one known-primitive set per register length 2..24.  The
@@ -63,10 +63,8 @@ class MlsConfig:
             raise UnsupportedOrder(f"no primitive taps for order {self.order}")
         if self.seed % (1 << self.order) == 0:
             raise ValueError("seed must be nonzero modulo 2**order")
-        if not self.amplitude > 0:
-            raise ValueError("amplitude must be positive")
-        if not self.sample_rate > 0:
-            raise ValueError("sample_rate must be positive")
+        require_positive("amplitude", self.amplitude)
+        require_positive("sample_rate", self.sample_rate)
 
     @property
     def length(self) -> int:

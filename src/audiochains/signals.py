@@ -12,6 +12,7 @@ Burrus 1972), with each argument reduced modulo one cycle first.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -21,6 +22,12 @@ from .errors import AliasedStimulus, ShapeMismatch
 from .quantize import round_half_away
 
 PHASOR_BLOCK = 512  # samples per block of `phasor`'s outer product
+
+
+def require_positive(name: str, value: float) -> None:
+    """The one rule for a rate, duration or amplitude: positive and finite."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,8 +48,7 @@ class Signal:
             raise ValueError("samples must be one-dimensional")
         if samples.size and not np.all(np.isfinite(samples)):
             raise ValueError("samples must be finite (no NaN/Inf)")
-        if not self.sample_rate > 0:
-            raise ValueError("sample_rate must be positive")
+        require_positive("sample_rate", self.sample_rate)
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "sample_rate", float(self.sample_rate))
 
@@ -93,8 +99,7 @@ def generate_sine(
         raise AliasedStimulus(
             f"{freq} Hz is not below Nyquist ({sample_rate / 2.0} Hz)"
         )
-    if duration <= 0:
-        raise ValueError("duration must be positive")
+    require_positive("duration", duration)
     n = int(round(duration * sample_rate))
     _, samples = phasor(n, freq, sample_rate, phase)
     samples *= amplitude_rms * np.sqrt(2.0)

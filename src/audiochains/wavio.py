@@ -20,6 +20,13 @@ from .quantize import INT16_MAX, int16_codes, int16_volts
 from .signals import Signal
 
 
+def wav_rate(sample_rate: float) -> int:
+    """The WAV header's frame rate for sample_rate; ValueError unless whole hertz."""
+    if not sample_rate.is_integer():
+        raise ValueError(f"a WAV sample rate is a whole number of hertz, got {sample_rate}")
+    return int(sample_rate)
+
+
 def write_wav(
     sig: Signal,
     path: str,
@@ -27,8 +34,7 @@ def write_wav(
     right: Signal | None = None,
 ) -> None:
     """Write one (mono) or two (stereo) channels of 16-bit PCM at a whole-hertz rate."""
-    if not sig.sample_rate.is_integer():
-        raise ValueError(f"a WAV sample rate is a whole number of hertz, got {sig.sample_rate}")
+    rate = wav_rate(sig.sample_rate)
     channels = [sig] if right is None else [sig, right]
     if right is not None and (
         len(right) != len(sig) or right.sample_rate != sig.sample_rate
@@ -42,7 +48,7 @@ def write_wav(
     with wave.open(path, "wb") as f:
         f.setnchannels(len(channels))
         f.setsampwidth(2)
-        f.setframerate(int(sig.sample_rate))
+        f.setframerate(rate)
         f.writeframes(codes.astype("<i2").tobytes())
 
 

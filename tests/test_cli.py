@@ -106,13 +106,32 @@ def test_adcdac_latency_run_raises_no_feasibility_warning(tmp_path):
         ) == 0
 
 
+def _feasibility_warnings(*args) -> tuple[int, list[str]]:
+    """Exit code and RealtimeFeasibilityWarning messages of one adcdac run."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = exit_code("--chain", "adcdac", *args)
+    return code, [str(w.message) for w in caught if w.category is RealtimeFeasibilityWarning]
+
+
 def test_low_speed_distortion_run_keeps_the_feasibility_warning(tmp_path):
-    # 12 us per sample does not fit the 10.4 us period of the nominal 96 kHz
-    with pytest.warns(RealtimeFeasibilityWarning):
-        assert run_cli(
-            "--chain", "adcdac", "--measure", "thd", "--sampling-speed", "low",
-            "--out", str(tmp_path / "t.csv"),
-        ) == 0
+    # 12 us per sample does not fit the 10.4 us period of the nominal 96 kHz;
+    # HIGH_SPEED's 9.6 us does
+    code, messages = _feasibility_warnings("--measure", "thd", "--out", str(tmp_path / "t.csv"))
+    assert code == 0
+    assert len(messages) == 1
+    assert messages[0].startswith("parameter LOW_SPEED: 96000 Hz cannot be sustained")
+
+
+def test_feasible_or_refused_adcdac_runs_raise_no_feasibility_warning(tmp_path):
+    out = str(tmp_path / "t.csv")
+    high = ("--sampling-speed", "high")
+    assert _feasibility_warnings("--measure", "thd", *high, "--out", out) == (0, [])
+    # LOW_SPEED overruns 96000.5 Hz too, but a WAV cannot hold that rate: the
+    # run is refused before any row warns
+    wav_out = ("--sample-rate", "96000.5", "--wav-out", str(tmp_path / "x.wav"))
+    low = ("--sampling-speed", "low", *wav_out)
+    assert _feasibility_warnings("--measure", "thd", *low, "--out", out) == (2, [])
 
 
 def test_single_parameter_run(tmp_path):
@@ -600,7 +619,20 @@ def test_io_error_exits_4(tmp_path):
     assert code == 4
 
 
-def test_too_short_wav_in_exits_2(tmp_path):
+def _count_chain_runs(monkeypatch) -> list:
+    runs = []
+    run_chain = cli._run_chain
+
+    def counted(*args, **kwargs):
+        runs.append(args)
+        return run_chain(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_run_chain", counted)
+    return runs
+
+
+def test_too_short_wav_in_exits_2(tmp_path, monkeypatch):
+    runs = _count_chain_runs(monkeypatch)
     stim = str(tmp_path / "short.wav")
     write_wav(generate_sine(1000.0, 0.5, 0.005, 44100.0), stim)
     code = run_cli(
@@ -608,6 +640,7 @@ def test_too_short_wav_in_exits_2(tmp_path):
         "--out", str(tmp_path / "x.csv"), "--wav-in", stim,
     )
     assert code == 2
+    assert runs == []  # refused before any chain runs
 
 
 def _thd_rows_of_a_cut_wav(tmp_path, channels: int, cut: int) -> list[list[str]]:
@@ -645,13 +678,17 @@ def test_sample_rate_disagreeing_with_wav_in_exits_2_naming_both(tmp_path, capsy
     assert run_cli(*args, "--sample-rate", "44100") == 0
 
 
-def test_fractional_sample_rate_with_wav_out_exits_2_writing_nothing(tmp_path, capsys):
+def test_fractional_sample_rate_with_wav_out_exits_2_writing_nothing(
+    tmp_path, capsys, monkeypatch
+):
+    runs = _count_chain_runs(monkeypatch)
     out, wav_out = tmp_path / "x.csv", tmp_path / "x.wav"
     code = run_cli(
         "--chain", "i2s", "--measure", "spectrum", "--block-samples", "128",
         "--sample-rate", "44100.5", "--out", str(out), "--wav-out", str(wav_out),
     )
     assert code == 2
+    assert runs == []  # refused before any chain runs
     assert "44100.5" in capsys.readouterr().err
     assert not out.exists() and not wav_out.exists()
 

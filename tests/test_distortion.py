@@ -16,6 +16,13 @@ def test_weak_regime_bounds():
         calibrate_distortion(target_hd3_db=-30.0, peak_amplitude=1.0)
 
 
+def test_peak_amplitude_must_be_positive_and_finite():
+    for peak in (0.0, -1.0, float("nan"), float("inf")):
+        message = f"peak_amplitude must be positive and finite, got {peak}"
+        with pytest.raises(ValueError, match=message):
+            calibrate_distortion(target_hd3_db=-80.0, peak_amplitude=peak)
+
+
 def test_absent_target_gives_zero_coefficient():
     dist = calibrate_distortion(target_hd3_db=-80.0, peak_amplitude=1.0)
     assert dist.a2 == 0.0

@@ -177,8 +177,8 @@ def test_validation():
         MlsConfig(8, seed=0)
     with pytest.raises(ValueError):
         MlsConfig(8, seed=256)  # zero modulo 2**8
-    with pytest.raises(ValueError):
-        MlsConfig(8, amplitude=0.0)
-    for bad in ({"amplitude": float("nan")}, {"sample_rate": float("nan")}, {"sample_rate": 0.0}):
-        with pytest.raises(ValueError, match="must be positive"):
-            MlsConfig(12, **bad)
+    for name in ("amplitude", "sample_rate"):
+        for value in (0.0, float("nan"), float("inf")):
+            message = f"{name} must be positive and finite, got {value}"
+            with pytest.raises(ValueError, match=message):
+                MlsConfig(12, **{name: value})

@@ -15,8 +15,10 @@ def test_signal_rejects_nan_and_bad_rate():
         Signal(np.array([0.0, np.nan]), 44100.0)
     with pytest.raises(ValueError):
         Signal(np.array([0.0, np.inf]), 44100.0)
-    with pytest.raises(ValueError):
-        Signal(np.array([0.0]), 0.0)
+    for rate in (0.0, float("nan"), float("inf")):
+        message = f"sample_rate must be positive and finite, got {rate}"
+        with pytest.raises(ValueError, match=message):
+            Signal(np.array([0.0]), rate)
     with pytest.raises(ValueError):
         Signal(np.zeros((2, 2)), 44100.0)
 
@@ -56,8 +58,10 @@ def test_sine_rejects_nyquist_and_bad_duration():
         generate_sine(22050.0, 0.5, 1.0, 44100.0)
     with pytest.raises(AliasedStimulus):
         generate_sine(30000.0, 0.5, 1.0, 44100.0)
-    with pytest.raises(ValueError):
-        generate_sine(1000.0, 0.5, 0.0, 44100.0)
+    for duration in (0.0, float("nan"), float("inf")):
+        message = f"duration must be positive and finite, got {duration}"
+        with pytest.raises(ValueError, match=message):
+            generate_sine(1000.0, 0.5, duration, 44100.0)
 
 
 def test_sine_rms_closed_form_441_samples():
