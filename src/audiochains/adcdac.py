@@ -15,6 +15,7 @@ and the chain latency `SampleChainConfig.latency` -- the per-speed
 50 MHz -- is applied as a whole-sample delay (`signals.latency_samples`)
 at the simulation rate.  `SampleChainConfig.realtime_feasible` tells whether
 it fits a sample period and never warns: the CLI warns at hardware rates.
+A code outside its spec raises InvalidCode (`QuantizerSpec.checked_codes`).
 
 The per-sample arithmetic subtracts `ADC_OFFSET` = 1.625 V although the
 hardware bias (`frontend.BIAS_VOLTAGE`) is 1.65 V; the two constants
@@ -29,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distortion import PolynomialDistortion
-from .errors import InvalidCode
 from .frontend import check_damage, front_end_filter
 from .quantize import QuantizerSpec, dequantize, quantize_uniform, round_half_away
 from .signals import Signal, delay_samples, input_stage, latency_samples, require_positive
@@ -84,10 +84,7 @@ class SampleChainConfig:
 
 def spi_encode(dac_codes) -> bytes:
     """Wire bytes of one or more 16-bit DAC codes: two per code, MSB first."""
-    codes = np.asarray(dac_codes)
-    if codes.size and (codes.min() < 0 or codes.max() > 0xFFFF):
-        raise InvalidCode(f"DAC codes [{codes.min()}, {codes.max()}] outside [0, 65535]")
-    return codes.astype(">u2").tobytes()
+    return DAC_SPEC.checked_codes(dac_codes).astype(">u2").tobytes()
 
 
 def spi_decode(wire: bytes) -> np.ndarray:
@@ -106,11 +103,7 @@ def process_sample(code0, code1):
     undefined float-to-unsigned conversion of the reference arithmetic.
     """
     spec = ADC_SPEC
-    for codes in (np.asarray(code0), np.asarray(code1)):
-        if codes.size and (codes.min() < 0 or codes.max() > spec.max_code):
-            raise InvalidCode(
-                f"ADC codes [{codes.min()}, {codes.max()}] outside [0, {spec.max_code}]"
-            )
+    code0, code1 = spec.checked_codes(code0), spec.checked_codes(code1)
     in0 = spec.v_min + code0 * spec.lsb - ADC_OFFSET
     in1 = spec.v_min + code1 * spec.lsb - ADC_OFFSET
     out = 0.5 * in0 + 0.5 * in1

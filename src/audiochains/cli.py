@@ -14,9 +14,10 @@ smallest order >= 12 whose period holds twice the predicted latency.  Every
 row is checked before any chain runs, but for two refusals that only row 0's
 run finds: a THD rate that leaves the 3rd harmonic no band, and an adcdac
 rate of 80 kHz or less, under the front end's corner (latency runs bypass
-the front end).  Then each adcdac row that overruns a sample period at the
-hardware rate warns (RealtimeFeasibilityWarning, naming the row); the
-latency scenario's 16x simulation grid never warns.  Exit codes:
+the front end).  Then `_warn_rows` warns once per row, naming it: a block
+outside `i2s.STANDARD_BLOCK_SIZES`, and an adcdac row that overruns a sample
+period at the hardware rate (never on the latency scenario's 16x grid), so
+a run refused before any chain runs warns nothing.  Exit codes:
 0 success, 2 usage error or unusable input (including a latency too long
 for order 24 or for the discarded warm-up, rounding to 0 samples or
 overflowing a float, which names the flags given, a THD rate that leaves
@@ -34,8 +35,8 @@ import numpy as np
 
 from . import adcdac, frontend, i2s
 from .distortion import calibrate_distortion
-from .errors import AudioChainError, DamageVoltage, RealtimeFeasibilityWarning
-from .errors import UnsupportedOrder, UnsupportedWav
+from .errors import AudioChainError, DamageVoltage, NonStandardBlockSizeWarning
+from .errors import RealtimeFeasibilityWarning, UnsupportedOrder, UnsupportedWav
 from .measure import estimate_latency, measure_impulse_response, measure_thd
 from .mls import PRIMITIVE_TAPS, MlsConfig
 from .signals import Signal, generate_sine, latency_samples, require_positive
@@ -195,6 +196,24 @@ def _mls_order(label: str, latency_s: float, sample_rate: float) -> int:
     )
 
 
+def _warn_rows(args: argparse.Namespace, configs: list, hardware_rate: bool) -> None:
+    """Every run-level warning, once per row and naming it; called after every
+    row has passed its checks, so a run they refuse warns nothing."""
+    for param, cfg in zip(args.params, configs):
+        if args.chain == "i2s" and param not in i2s.STANDARD_BLOCK_SIZES:
+            warnings.warn(
+                f"parameter {param}: block size outside the characterized set "
+                f"{i2s.STANDARD_BLOCK_SIZES}",
+                NonStandardBlockSizeWarning,
+            )
+        elif args.chain == "adcdac" and hardware_rate and not cfg.realtime_feasible:
+            warnings.warn(
+                f"parameter {param.value}: {cfg.sample_rate:g} Hz cannot be sustained: one "
+                f"conversion plus SPI transfer takes {cfg.latency * 1e6:.2f} us",
+                RealtimeFeasibilityWarning,
+            )
+
+
 def _run_latency(args: argparse.Namespace) -> list[tuple]:
     chain = args.chain
     sample_rate = (args.sample_rate or DEFAULT_RATE[chain]) * LATENCY_OVERSAMPLE[chain]
@@ -210,6 +229,7 @@ def _run_latency(args: argparse.Namespace) -> list[tuple]:
             )
         order = _mls_order(label, cfg.latency, sample_rate)
         probes.append(MlsConfig(order, sample_rate=sample_rate))
+    _warn_rows(args, configs, hardware_rate=False)  # the simulation grid, 16x for adcdac
     rows = []
     for param, cfg, mls in zip(args.params, configs, probes):
         rng = _param_rng(args.seed, param)
@@ -271,13 +291,7 @@ def _run_rows(args: argparse.Namespace, analyze) -> list[tuple]:
         )
     if args.wav_out:
         wav_rate(rate)
-    for param, cfg in zip(args.params, configs):  # a hardware rate: the stimulus's own
-        if chain == "adcdac" and not cfg.realtime_feasible:
-            warnings.warn(
-                f"parameter {_row_label(param)}: {rate:g} Hz cannot be sustained: one "
-                f"conversion plus SPI transfer takes {cfg.latency * 1e6:.2f} us",
-                RealtimeFeasibilityWarning,
-            )
+    _warn_rows(args, configs, hardware_rate=True)  # the stimulus's own rate
     for index, (param, cfg) in enumerate(zip(args.params, configs)):
         rng = _param_rng(args.seed, param)
         outputs = _run_chain(chain, cfg, stimulus, rng)

@@ -16,21 +16,19 @@ block_samples/fs + FIXED_DELAY.  The two constants (3.0 blocks, 536 us) are
 a least-squares fit of the four characterized block sizes; the residual is
 attributed to codec group delay.  It is applied as a whole-sample delay
 (`signals.latency_samples`, ties away from zero), not interpolated.  A
-config whose latency in samples leaves the float range raises OverflowError,
-before a non-standard block size would warn.
+config whose latency in samples leaves the float range raises OverflowError;
+the CLI, not the config, warns about a block outside `STANDARD_BLOCK_SIZES`.
 """
 
 from __future__ import annotations
 
-import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .distortion import PolynomialDistortion
-from .errors import NonStandardBlockSizeWarning, ShapeMismatch
+from .errors import ShapeMismatch
 from .quantize import INT16_MAX, int16_codes, int16_volts
 from .signals import Signal, delay_samples, input_stage, latency_samples, require_positive
 
@@ -69,21 +67,7 @@ class BlockPipelineConfig:
         if b < 1 or b & (b - 1):
             raise ValueError("block_samples must be a power of two")
         require_positive("sample_rate", self.sample_rate)
-        try:
-            in_range = math.isfinite(self.latency * self.sample_rate)
-        except OverflowError:  # block_samples has no float
-            in_range = False
-        if not in_range:
-            size = b if b < 2**64 else f"2**{b.bit_length() - 1}"
-            raise OverflowError(f"a {size}-sample block at {self.sample_rate:g} Hz "
-                                "has a latency beyond the float range")
-        if b not in STANDARD_BLOCK_SIZES:
-            warnings.warn(
-                f"block size {b} is outside the characterized set "
-                f"{STANDARD_BLOCK_SIZES}",
-                NonStandardBlockSizeWarning,
-                stacklevel=3,  # past the dataclass-generated __init__
-            )
+        latency_samples(self.latency, self.sample_rate)  # OverflowError beyond the float range
 
     @property
     def latency(self) -> float:

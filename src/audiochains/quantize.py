@@ -1,4 +1,5 @@
-"""Uniform quantizer with an effective-number-of-bits noise model."""
+"""Uniform quantizer with an effective-number-of-bits noise model, and the one
+code-range rule, `QuantizerSpec.checked_codes`, that every code reader runs."""
 
 from __future__ import annotations
 
@@ -67,6 +68,13 @@ class QuantizerSpec:
     def lsb(self) -> float:
         return (self.v_max - self.v_min) / self.max_code
 
+    def checked_codes(self, code) -> np.ndarray:
+        """code as an array; InvalidCode unless every code is in [0, max_code]."""
+        codes = np.asarray(code)
+        if codes.size and (codes.min() < 0 or codes.max() > self.max_code):
+            raise InvalidCode(f"codes [{codes.min()}, {codes.max()}] outside [0, {self.max_code}]")
+        return codes
+
     def noise_rms(self) -> float:
         """Input-referred Gaussian noise rms implied by the ENOB.
 
@@ -101,7 +109,5 @@ def quantize_uniform(v, spec: QuantizerSpec, rng: np.random.Generator | None = N
 
 def dequantize(code, spec: QuantizerSpec):
     """Volts of integer codes, an array of the input's shape; rejects out-of-range codes."""
-    codes = np.asarray(code)
-    if codes.size and (codes.min() < 0 or codes.max() > spec.max_code):
-        raise InvalidCode(f"code outside [0, {spec.max_code}]")
+    codes = spec.checked_codes(code)
     return spec.v_min + codes.astype(np.float64) * (spec.v_max - spec.v_min) / spec.max_code

@@ -45,7 +45,8 @@ def write_wav(
     codes = int16_codes(scaled)
     if not np.all(np.abs(codes - scaled) <= 0.5):
         raise ValueError("samples exceed full scale and are not representable")
-    with wave.open(path, "wb") as f:
+    # a path wave.open cannot open leaves a half-built writer whose __del__ raises
+    with open(path, "wb") as fh, wave.open(fh, "wb") as f:
         f.setnchannels(len(channels))
         f.setsampwidth(2)
         f.setframerate(rate)

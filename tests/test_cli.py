@@ -134,6 +134,34 @@ def test_feasible_or_refused_adcdac_runs_raise_no_feasibility_warning(tmp_path):
     assert _feasibility_warnings("--measure", "thd", *low, "--out", out) == (2, [])
 
 
+def _i2s_warnings(*args) -> tuple[int, list[str]]:
+    """Exit code and every warning, as 'Category: message', of one i2s run."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = exit_code("--chain", "i2s", *args)
+    return code, [f"{w.category.__name__}: {w.message}" for w in caught]
+
+
+def test_sweep_refused_at_its_second_block_warns_nothing(tmp_path):
+    # 256 is outside the characterized set, but 48 refuses the run
+    blocks = ("--block-samples", "256", "--block-samples", "48")
+    assert _i2s_warnings("--measure", "thd", *blocks, "--out", str(tmp_path / "t.csv")) == (2, [])
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--measure", "thd", "--block-samples", "16", "--block-samples", "256"),
+        ("--measure", "latency", "--block-samples", "256"),
+    ],
+)
+def test_nonstandard_block_warns_once_naming_its_row(tmp_path, flags):
+    assert _i2s_warnings(*flags, "--out", str(tmp_path / "t.csv")) == (0, [
+        "NonStandardBlockSizeWarning: parameter 256: block size outside the "
+        "characterized set (16, 32, 64, 128)"
+    ])
+
+
 def test_single_parameter_run(tmp_path):
     out = str(tmp_path / "one.csv")
     assert run_cli(
@@ -150,8 +178,7 @@ def test_long_block_latency_does_not_wrap_around_the_probe(tmp_path):
         assert run_cli(
             "--chain", "i2s", "--measure", "latency", "--block-samples", "32768", "--out", out
         ) == 0
-    with pytest.warns(NonStandardBlockSizeWarning):
-        predicted = i2s.BlockPipelineConfig(block_samples=32768).latency
+    predicted = i2s.BlockPipelineConfig(block_samples=32768).latency
     assert abs(float(cli.read_csv(out)[2][0][1]) - predicted) <= 1.0 / 44100.0
 
 
@@ -171,8 +198,7 @@ def test_mls_order_is_the_smallest_period_holding_twice_the_latency(latency_samp
 
 
 def test_mls_order_for_a_65536_block():
-    with pytest.warns(NonStandardBlockSizeWarning):
-        cfg = i2s.BlockPipelineConfig(block_samples=65536)
+    cfg = i2s.BlockPipelineConfig(block_samples=65536)
     assert cli._mls_order("65536", cfg.latency, cfg.sample_rate) == 19
 
 
@@ -442,13 +468,15 @@ def test_latency_too_long_for_any_mls_exits_2_before_generating(tmp_path, capsys
     for blocks in (["4194304"], ["16", "4194304"]):
         probes = _count_probes(monkeypatch)
         start = time.perf_counter()
-        with pytest.warns(NonStandardBlockSizeWarning):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = run_cli(
                 "--chain", "i2s", "--measure", "latency",
                 *[arg for b in blocks for arg in ("--block-samples", b)],
                 "--out", str(tmp_path / "x.csv"),
             )
         assert code == 2
+        assert not caught  # a refused run warns about no block size
         assert time.perf_counter() - start < 1.0  # no order-24 sequence was built
         assert probes == []
         err = capsys.readouterr().err
@@ -552,12 +580,14 @@ def test_latency_outlasting_the_warm_up_exits_2_before_any_row_runs(tmp_path, ca
     # 3 * 4096 / 44.1 kHz + 536 us = 0.279 s: the analyzed record would start
     # inside the delay's zero-fill
     out, wav_out = tmp_path / "x.csv", tmp_path / "x.wav"
-    with pytest.warns(NonStandardBlockSizeWarning):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = run_cli(
             "--chain", "i2s", "--measure", "thd", "--block-samples", "16",
             "--block-samples", "4096", "--out", str(out), "--wav-out", str(wav_out),
         )
     assert code == 2
+    assert not caught  # a refused run warns about no block size
     err = capsys.readouterr().err
     assert "4096" in err and "0.279 s" in err and "0.15 s" in err
     assert not out.exists() and not wav_out.exists()
@@ -617,6 +647,18 @@ def test_io_error_exits_4(tmp_path):
         "--out", str(tmp_path / "missing_dir" / "x.csv"),
     )
     assert code == 4
+
+
+@pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
+def test_unwritable_wav_out_exits_4_with_one_line(tmp_path, capsys):
+    # wave.open(path) that cannot open the path leaves a half-built writer
+    # behind, whose __del__ raised once the run had exited
+    code = run_cli(
+        "--chain", "i2s", "--measure", "thd", "--block-samples", "128",
+        "--out", str(tmp_path / "x.csv"), "--wav-out", str(tmp_path / "missing" / "x.wav"),
+    )
+    assert code == 4
+    assert capsys.readouterr().err.count("\n") == 1
 
 
 def _count_chain_runs(monkeypatch) -> list:

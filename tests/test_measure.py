@@ -9,7 +9,6 @@ from scipy import signal as sps
 from audiochains.errors import (
     EmptySignal,
     FundamentalNotFound,
-    NonStandardBlockSizeWarning,
     NoPeak,
     TruncatedResponse,
 )
@@ -82,8 +81,7 @@ def test_truncated_response_detected():
 
 def test_response_longer_than_one_period_raises_instead_of_wrapping():
     # 2.23 s of i2s latency against the 1.49 s order-16 period read 0.7436 s
-    with pytest.warns(NonStandardBlockSizeWarning):
-        cfg = BlockPipelineConfig(block_samples=32768)
+    cfg = BlockPipelineConfig(block_samples=32768)
     rng = np.random.default_rng(0)
 
     def system(s):
