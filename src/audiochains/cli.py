@@ -11,18 +11,17 @@ The first line is a ``#`` comment holding the exact command line, numbers
 carry 17 significant digits, and rows are LF-terminated, so identical flags
 reproduce byte-identical files.  Each latency row sizes its MLS to the
 smallest order >= 12 whose period holds twice the predicted latency.  Every
-row is checked before any chain runs, but for two refusals that only row 0's
-run finds: a THD rate that leaves the 3rd harmonic no band, and an adcdac
-rate of 80 kHz or less, under the front end's corner (latency runs bypass
-the front end).  Then `_warn_rows` warns once per row, naming it: a block
-outside `i2s.STANDARD_BLOCK_SIZES`, and an adcdac row that overruns a sample
-period at the hardware rate (never on the latency scenario's 16x grid), so
-a run refused before any chain runs warns nothing.  Exit codes:
-0 success, 2 usage error or unusable input (including a latency too long
-for order 24 or for the discarded warm-up, rounding to 0 samples or
-overflowing a float, which names the flags given, a THD rate that leaves
-the calibrated 3rd harmonic no band, a record too large to allocate and an
-argument holding a line break), 3 chain fault (damage voltage), 4 I/O error.
+row is checked before any chain runs.  Once the report is written,
+`_warn_rows` warns once per row, naming it: a block outside
+`i2s.STANDARD_BLOCK_SIZES`, and an adcdac row that overruns a sample period
+at the hardware rate (never on the latency scenario's 16x grid); a refused
+run warns nothing.  Exit codes: 0 success, 2 usage error or unusable input
+(including a block that is not a power of two, a latency too long for order
+24 or for the discarded warm-up, rounding to 0 samples or overflowing a
+float, which names the flags given, a THD rate that leaves the calibrated
+3rd harmonic no band, an adcdac rate of 80 kHz or less outside latency runs,
+a record too large to allocate and an argument holding a line break),
+3 chain fault (damage voltage), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -37,9 +36,10 @@ from . import adcdac, frontend, i2s
 from .distortion import calibrate_distortion
 from .errors import AudioChainError, DamageVoltage, NonStandardBlockSizeWarning
 from .errors import RealtimeFeasibilityWarning, UnsupportedOrder, UnsupportedWav
-from .measure import estimate_latency, measure_impulse_response, measure_thd
+from .measure import estimate_latency, harmonics_below_nyquist, measure_impulse_response
+from .measure import measure_thd
 from .mls import PRIMITIVE_TAPS, MlsConfig
-from .signals import Signal, generate_sine, latency_samples, require_positive
+from .signals import Signal, generate_sine, latency_samples, require_below_nyquist, require_positive
 from .spectrum import power_spectrum
 from .wavio import read_wav, wav_rate, write_wav
 
@@ -175,12 +175,11 @@ def _chain_config(chain: str, param, sample_rate: float, with_distortion: bool):
             peak_amplitude=STIMULUS_VRMS * np.sqrt(2.0),
         )
     if chain == "i2s":
-        return i2s.BlockPipelineConfig(
-            block_samples=param, sample_rate=sample_rate, distortion=distortion
-        )
-    return adcdac.SampleChainConfig(
-        sample_rate=sample_rate, sampling_speed=param, distortion=distortion
-    )
+        try:
+            return i2s.BlockPipelineConfig(param, sample_rate, distortion)
+        except ValueError as exc:  # the config's power-of-two rule, named by its flag
+            raise ValueError(f"--block-samples {param}: {exc}") from None
+    return adcdac.SampleChainConfig(sample_rate, param, distortion)
 
 
 def _mls_order(label: str, latency_s: float, sample_rate: float) -> int:
@@ -196,9 +195,9 @@ def _mls_order(label: str, latency_s: float, sample_rate: float) -> int:
     )
 
 
-def _warn_rows(args: argparse.Namespace, configs: list, hardware_rate: bool) -> None:
-    """Every run-level warning, once per row and naming it; called after every
-    row has passed its checks, so a run they refuse warns nothing."""
+def _warn_rows(args: argparse.Namespace, configs: list) -> None:
+    """Every run-level warning, once per row and naming it, once the report is
+    written (a refused run warns nothing); a latency grid is no hardware rate."""
     for param, cfg in zip(args.params, configs):
         if args.chain == "i2s" and param not in i2s.STANDARD_BLOCK_SIZES:
             warnings.warn(
@@ -206,7 +205,7 @@ def _warn_rows(args: argparse.Namespace, configs: list, hardware_rate: bool) -> 
                 f"{i2s.STANDARD_BLOCK_SIZES}",
                 NonStandardBlockSizeWarning,
             )
-        elif args.chain == "adcdac" and hardware_rate and not cfg.realtime_feasible:
+        elif args.chain == "adcdac" and args.measure != "latency" and not cfg.realtime_feasible:
             warnings.warn(
                 f"parameter {param.value}: {cfg.sample_rate:g} Hz cannot be sustained: one "
                 f"conversion plus SPI transfer takes {cfg.latency * 1e6:.2f} us",
@@ -214,7 +213,7 @@ def _warn_rows(args: argparse.Namespace, configs: list, hardware_rate: bool) -> 
             )
 
 
-def _run_latency(args: argparse.Namespace) -> list[tuple]:
+def _run_latency(args: argparse.Namespace) -> tuple[list[tuple], list]:
     chain = args.chain
     sample_rate = (args.sample_rate or DEFAULT_RATE[chain]) * LATENCY_OVERSAMPLE[chain]
     configs = [_chain_config(chain, p, sample_rate, with_distortion=False) for p in args.params]
@@ -229,7 +228,6 @@ def _run_latency(args: argparse.Namespace) -> list[tuple]:
             )
         order = _mls_order(label, cfg.latency, sample_rate)
         probes.append(MlsConfig(order, sample_rate=sample_rate))
-    _warn_rows(args, configs, hardware_rate=False)  # the simulation grid, 16x for adcdac
     rows = []
     for param, cfg, mls in zip(args.params, configs, probes):
         rng = _param_rng(args.seed, param)
@@ -243,7 +241,7 @@ def _run_latency(args: argparse.Namespace) -> list[tuple]:
 
         report = estimate_latency(measure_impulse_response(system, mls))
         rows.append((_row_label(param), report.latency_seconds))
-    return rows
+    return rows, configs
 
 
 def _run_chain(chain: str, cfg, stimulus: tuple[Signal, Signal], rng, front_end=True) -> tuple:
@@ -256,11 +254,6 @@ def _run_chain(chain: str, cfg, stimulus: tuple[Signal, Signal], rng, front_end=
 
 def _thd_rows(param, measured: Signal) -> list[tuple]:
     report = measure_thd(measured, STIMULUS_HZ)
-    if 3 not in dict(report.harmonic_levels):
-        raise ValueError(
-            f"at {measured.sample_rate:g} Hz the 3rd harmonic ({3 * STIMULUS_HZ:g} Hz), "
-            f"which the distortion is calibrated on, has no band below Nyquist"
-        )
     return [(_row_label(param), report.thd_db, report.thdn_db)]
 
 
@@ -272,8 +265,8 @@ def _spectrum_rows(param, measured: Signal) -> list[tuple]:
     return list(zip(spec.bin_frequencies, spec.bin_powers_dbv))
 
 
-def _run_rows(args: argparse.Namespace, analyze) -> list[tuple]:
-    """Per swept parameter: run the chain, drop the warm-up, analyze(param, measured)."""
+def _run_rows(args: argparse.Namespace, analyze) -> tuple[list[tuple], list]:
+    """Rows and configs; per swept parameter: run the chain, drop the warm-up, analyze."""
     chain, rows = args.chain, []
     stimulus = _stimulus(args)
     rate, skip = stimulus[0].sample_rate, int(WARMUP_SECONDS * stimulus[0].sample_rate)
@@ -284,14 +277,21 @@ def _run_rows(args: argparse.Namespace, analyze) -> list[tuple]:
                 f"parameter {_row_label(param)}: predicted latency {cfg.latency:.3g} s is not "
                 f"shorter than the {WARMUP_SECONDS:g} s warm-up the analysis discards"
             )
-    if len(stimulus[0]) - skip < int(0.1 * rate):
+    n = len(stimulus[0]) - skip  # samples each row analyzes
+    if n < int(0.1 * rate):
         raise ValueError(
             f"stimulus too short: need at least {WARMUP_SECONDS + 0.1:.2f} s "
             f"(warm-up plus analysis), got {stimulus[0].duration:.3f} s"
         )
+    if chain == "adcdac":  # the front end, which latency rows bypass
+        require_below_nyquist("front-end corner", frontend.SALLEN_KEY_CUTOFF, rate)
+    if args.measure != "spectrum" and 3 not in harmonics_below_nyquist(n, STIMULUS_HZ, rate):
+        raise ValueError(
+            f"at {rate:g} Hz the 3rd harmonic ({3 * STIMULUS_HZ:g} Hz), which the "
+            f"distortion is calibrated on, has no band below Nyquist"
+        )
     if args.wav_out:
         wav_rate(rate)
-    _warn_rows(args, configs, hardware_rate=True)  # the stimulus's own rate
     for index, (param, cfg) in enumerate(zip(args.params, configs)):
         rng = _param_rng(args.seed, param)
         outputs = _run_chain(chain, cfg, stimulus, rng)
@@ -302,20 +302,21 @@ def _run_rows(args: argparse.Namespace, analyze) -> list[tuple]:
             else:
                 # the output carries the DAC's standing offset
                 write_wav(outputs[0], args.wav_out, full_scale=adcdac.DAC_SPEC.v_max)
-    return rows
+    return rows, configs
 
 
 def run_scenario(args: argparse.Namespace) -> None:
     if args.measure == "latency":
-        rows = _run_latency(args)
+        rows, configs = _run_latency(args)
         header = ("parameter", "latency_seconds")
     elif args.measure in ("thd", "thdn"):
-        rows = _run_rows(args, _thd_rows)
+        rows, configs = _run_rows(args, _thd_rows)
         header = ("parameter", "thd_db", "thdn_db")
     else:
-        rows = _run_rows(args, _spectrum_rows)
+        rows, configs = _run_rows(args, _spectrum_rows)
         header = ("frequency_hz", "power_dbv")
     write_csv(args.out, args.command_line, header, rows)
+    _warn_rows(args, configs)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -5,8 +5,8 @@ class AudioChainError(Exception):
     """Base class for all simulator errors."""
 
 
-class AliasedStimulus(AudioChainError):
-    """Requested tone frequency is at or above Nyquist."""
+class AliasedStimulus(AudioChainError, ValueError):
+    """A frequency at or above Nyquist (`signals.require_below_nyquist`)."""
 
 
 class InvalidCode(AudioChainError):

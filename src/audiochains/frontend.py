@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DamageVoltage
-from .signals import Signal
+from .signals import Signal, require_below_nyquist
 
 BIAS_VOLTAGE = 1.65  # mid-supply operating point
 COUPLING_CUTOFF = 0.040  # AC-coupling corner, Hz
@@ -49,25 +49,13 @@ def highpass_coeffs(cutoff: float, sample_rate: float) -> tuple[np.ndarray, np.n
 
 
 def sallen_key_coeffs(cutoff: float, q: float, sample_rate: float) -> tuple[np.ndarray, np.ndarray]:
-    """Unity-gain 2nd-order low-pass b, a (bilinear transform, prewarped)."""
-    if cutoff >= sample_rate / 2.0:
-        raise ValueError(
-            f"low-pass corner {cutoff:g} Hz must lie below Nyquist: the sample "
-            f"rate must exceed {2.0 * cutoff:g} Hz, got {sample_rate:g} Hz"
-        )
+    """Unity-gain 2nd-order low-pass b, a (bilinear, prewarped); cutoff below Nyquist."""
+    require_below_nyquist("low-pass corner", cutoff, sample_rate)
     w0 = 2.0 * math.pi * cutoff / sample_rate
     alpha = math.sin(w0) / (2.0 * q)
     b = np.array([(1 - math.cos(w0)) / 2.0, 1 - math.cos(w0), (1 - math.cos(w0)) / 2.0])
     a = np.array([1 + alpha, -2.0 * math.cos(w0), 1 - alpha])
     return b / a[0], a / a[0]
-
-
-def filter_gain_db(b: np.ndarray, a: np.ndarray, freq: float, sample_rate: float) -> float:
-    """Closed-form magnitude of a rational digital filter at one frequency."""
-    z = np.exp(-2j * np.pi * freq / sample_rate)
-    num = np.polyval(b[::-1], z)
-    den = np.polyval(a[::-1], z)
-    return 20.0 * math.log10(abs(num / den))
 
 
 @lru_cache(maxsize=4)

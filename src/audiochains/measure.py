@@ -36,8 +36,9 @@ into the fit basis, so THD+N reads about 0.024 dB low at 10.5 cycles and
 within 0.0007 dB at 2850), and a +/-3 bin Hann band holds its tone to
 within 0.00031 dB wherever the tone sits in its bin (3.05e-4 dB low at half
 a bin), so a ratio of two bands holds to about that.  One analysis yields
-both figures, so `measure_thdn` is an alias of `measure_thd`.  With no
-harmonic band below Nyquist, THD is -inf.
+both figures, so `measure_thdn` is an alias of `measure_thd`.  The harmonics
+read are those `harmonics_below_nyquist` names, each band below Nyquist; with
+none, THD is -inf.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ import numpy as np
 
 from .errors import EmptySignal, FundamentalNotFound, NoPeak, TruncatedResponse
 from .mls import MlsConfig, generate_mls
-from .signals import Signal, phasor
+from .signals import Signal, phasor, require_below_nyquist, require_positive
 from .spectrum import window_samples
 
 SystemTransform = Callable[[Signal], Signal]
@@ -125,15 +126,20 @@ def estimate_latency(ir: Signal) -> LatencyReport:
     )
 
 
+def harmonics_below_nyquist(n: int, fundamental_hz: float, fs: float) -> list[int]:
+    """The harmonics `measure_thd` reads in an n-sample record: each k in 2 ..
+    MAX_HARMONICS whose +/-HARMONIC_HALF_BINS rfft band lies below Nyquist."""
+    top = n // 2 - HARMONIC_HALF_BINS
+    return [k for k in range(2, MAX_HARMONICS + 1) if k * fundamental_hz * n / fs <= top]
+
+
 def measure_thd(sig: Signal, fundamental_hz: float) -> DistortionReport:
     """THD and THD+N of `sig` against its fundamental, in dB (see module docstring)."""
     if len(sig) == 0:
         raise EmptySignal("cannot analyze an empty signal")
-    if not 0.0 < fundamental_hz < sig.sample_rate / 2.0:
-        raise ValueError("fundamental must lie below Nyquist")
-    fs = sig.sample_rate
-    x = sig.samples
-    n = len(x)
+    x, n, fs = sig.samples, len(sig), sig.sample_rate
+    require_positive("fundamental_hz", fundamental_hz)
+    require_below_nyquist("fundamental", fundamental_hz, fs)
     if n * fundamental_hz < 10 * fs:
         raise ValueError("signal must span at least 10 fundamental periods")
 
@@ -176,11 +182,8 @@ def measure_thd(sig: Signal, fundamental_hz: float) -> DistortionReport:
     p1_band = band(fundamental_bin)
     harmonic_levels = []
     harmonic_power = 0.0
-    for k in range(2, MAX_HARMONICS + 1):
-        centre = k * fundamental_hz * n / fs
-        if centre > len(powers) - 1 - HARMONIC_HALF_BINS:
-            break  # band would cross Nyquist
-        p_k = band(int(round(centre)))
+    for k in harmonics_below_nyquist(n, fundamental_hz, fs):
+        p_k = band(int(round(k * fundamental_hz * n / fs)))
         harmonic_power += p_k
         harmonic_levels.append((k, 10.0 * np.log10(max(p_k, _FLOOR) / p1_band)))
     ratio = max(harmonic_power, _FLOOR) / p1_band  # floor: bands present, all zero

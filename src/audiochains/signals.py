@@ -2,7 +2,8 @@
 
 Everything downstream (both simulated chains and the measurement suite)
 passes signals around as :class:`Signal` values in volts; a Signal shares,
-not copies, a float64 samples array with its caller.
+not copies, a float64 samples array with its caller.  Every frequency meets
+its sample rate in one rule, `require_below_nyquist`.
 
 Every sampled sinusoid of the package -- the test tone, the THD fit basis
 and the Hann window -- comes from `phasor`, which evaluates cosines and
@@ -28,6 +29,15 @@ def require_positive(name: str, value: float) -> None:
     """The one rule for a rate, duration or amplitude: positive and finite."""
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def require_below_nyquist(name: str, freq: float, rate: float) -> None:
+    """The one frequency-vs-rate rule: AliasedStimulus unless freq < rate / 2."""
+    if not freq < rate / 2.0:
+        raise AliasedStimulus(
+            f"{name} {freq:g} Hz is not below Nyquist: the sample rate must exceed "
+            f"{2.0 * freq:g} Hz, got {rate:g} Hz"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,10 +105,7 @@ def generate_sine(
 
     Raises AliasedStimulus for freq at or above Nyquist.
     """
-    if freq >= sample_rate / 2.0:
-        raise AliasedStimulus(
-            f"{freq} Hz is not below Nyquist ({sample_rate / 2.0} Hz)"
-        )
+    require_below_nyquist("tone", freq, sample_rate)
     require_positive("duration", duration)
     n = int(round(duration * sample_rate))
     _, samples = phasor(n, freq, sample_rate, phase)

@@ -605,6 +605,102 @@ def test_thd_without_a_third_harmonic_band_exits_2_naming_the_rate(tmp_path, cap
     assert not out.exists()
 
 
+def _refusal(monkeypatch, capsys, *args) -> tuple[int, int, list, list[str]]:
+    """Exit code, chain runs, warnings and stderr lines of one refused run."""
+    runs = _count_chain_runs(monkeypatch)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = exit_code(*args)
+    return code, len(runs), caught, capsys.readouterr().err.splitlines()
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        # the 3rd harmonic's band lies above Nyquist, and block 8 would warn
+        (("--chain", "i2s", "--measure", "thd", "--block-samples", "8",
+          "--sample-rate", "4500"), ("4500 Hz", "3rd harmonic")),
+        # the 40 kHz front-end corner lies above Nyquist
+        (("--chain", "adcdac", "--measure", "thd", "--sample-rate", "48000"),
+         ("40000 Hz", "48000 Hz")),
+    ],
+)
+def test_rate_refusals_run_no_chain_and_warn_nothing(
+    tmp_path, capsys, monkeypatch, flags, named
+):
+    out = tmp_path / "x.csv"
+    code, runs, caught, err = _refusal(monkeypatch, capsys, *flags, "--out", str(out))
+    assert (code, runs, caught, len(err)) == (2, 0, [], 1)
+    assert all(text in err[0] for text in named)
+    assert not out.exists()
+
+
+def _off_frequency_wav(tmp_path) -> str:
+    stim = str(tmp_path / "5k.wav")
+    write_wav(generate_sine(5000.0, 0.5, 3.0, 44100.0), stim)
+    return stim
+
+
+@pytest.mark.parametrize(
+    "where, code",
+    [
+        # FundamentalNotFound from the analyzer, after the chain ran
+        (lambda tmp: ("--out", str(tmp / "x.csv"), "--wav-in", _off_frequency_wav(tmp)), 2),
+        # the WAV is opened after row 0's chain
+        (lambda tmp: ("--out", str(tmp / "x.csv"), "--wav-out", str(tmp / "no" / "x.wav")), 4),
+        # the CSV is opened after every row
+        (lambda tmp: ("--out", str(tmp / "no" / "x.csv")), 4),
+    ],
+)
+def test_a_run_refused_after_its_chain_ran_prints_only_its_error(
+    tmp_path, capsys, monkeypatch, where, code
+):
+    # block 256 is outside the characterized set: a finished run warns about it
+    flags = ("--chain", "i2s", "--measure", "thd", "--block-samples", "256", *where(tmp_path))
+    got, runs, caught, err = _refusal(monkeypatch, capsys, *flags)
+    assert runs == 1  # refused after the chain ran
+    assert (got, caught, len(err)) == (code, [], 1)
+
+
+def test_a_chain_fault_prints_only_its_error(tmp_path, capsys, monkeypatch):
+    # LOW_SPEED at 96 kHz overruns its sample period: a finished run warns
+    def faulty(*args, **kwargs):
+        raise DamageVoltage("pin at 4.2 V")
+
+    monkeypatch.setattr(cli, "_run_chain", faulty)
+    flags = ("--chain", "adcdac", "--measure", "thd", "--out", str(tmp_path / "x.csv"))
+    assert _refusal(monkeypatch, capsys, *flags) == (
+        3, 1, [], ["audiochains: chain fault: pin at 4.2 V"]
+    )
+
+
+def test_warnings_follow_the_written_report(tmp_path):
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", NonStandardBlockSizeWarning)
+        with pytest.raises(NonStandardBlockSizeWarning):
+            cli.main(["--chain", "i2s", "--measure", "latency", "--block-samples", "256",
+                      "--out", str(out)])
+    assert cli.read_csv(str(out))[2][0][0] == "256"
+
+
+@pytest.mark.parametrize("measure", ["latency", "thd", "spectrum"])
+@pytest.mark.parametrize("block", [48, 0, 3, -8, pytest.param(2**1023, id="2**1023")])
+def test_a_bad_block_exits_2_with_one_line_naming_the_flag(tmp_path, capsys, measure, block):
+    with warnings.catch_warnings(record=True):
+        warnings.simplefilter("always")
+        code = exit_code(
+            "--chain", "i2s", "--measure", measure, f"--block-samples={block}",
+            "--out", str(tmp_path / "x.csv"),
+        )
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2 and len(err) == 1 and "Traceback" not in err[0]
+    if block == 2**1023:  # a power of two whose latency in samples overflows
+        assert "--block-samples out of range" in err[0]
+    else:
+        assert f"--block-samples {block}: " in err[0] and "power of two" in err[0]
+
+
 @st.composite
 def cli_flags(draw):
     flags = [

@@ -5,17 +5,17 @@ import pytest
 from scipy import signal as sps
 
 from audiochains import frontend
-from audiochains.errors import DamageVoltage
-from audiochains.frontend import (
-    check_damage,
-    filter_gain_db,
-    front_end_filter,
-    highpass_coeffs,
-    sallen_key_coeffs,
-)
+from audiochains.errors import AliasedStimulus, DamageVoltage
+from audiochains.frontend import check_damage, front_end_filter, highpass_coeffs, sallen_key_coeffs
 from audiochains.signals import Signal, generate_sine
 
 FS = 96000.0
+
+
+def filter_gain_db(b, a, freq, sample_rate):
+    """The coefficients' magnitude at one frequency, read from scipy's freqz."""
+    _, h = sps.freqz(b, a, worN=[freq], fs=sample_rate)
+    return 20.0 * np.log10(abs(h[0]))
 
 
 def test_constants_keep_the_physical_ordering():
@@ -91,6 +91,13 @@ def test_highpass_blocks_dc_exactly():
 def test_sallen_key_rejects_cutoff_at_nyquist():
     with pytest.raises(ValueError):
         sallen_key_coeffs(FS / 2, 0.7071, FS)
+
+
+def test_sallen_key_above_nyquist_raises_aliased_stimulus_naming_both_frequencies():
+    # the 40 kHz corner at 48 kHz: one rule, an AliasedStimulus that is a ValueError
+    with pytest.raises(AliasedStimulus, match="40000 Hz .* got 48000 Hz") as caught:
+        sallen_key_coeffs(frontend.SALLEN_KEY_CUTOFF, frontend.SALLEN_KEY_Q, 48000.0)
+    assert isinstance(caught.value, ValueError)
 
 
 def _lfilter_front_end(sig):

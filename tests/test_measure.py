@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import signal as sps
 
 from audiochains.errors import (
+    AliasedStimulus,
     EmptySignal,
     FundamentalNotFound,
     NoPeak,
@@ -14,7 +15,9 @@ from audiochains.errors import (
 )
 from audiochains.i2s import BlockPipelineConfig, run_block_pipeline
 from audiochains.measure import (
+    HARMONIC_HALF_BINS,
     estimate_latency,
+    harmonics_below_nyquist,
     measure_impulse_response,
     measure_thd,
     measure_thdn,
@@ -200,6 +203,35 @@ def test_peak_search_skips_the_dc_main_lobe(dc_lobe_hz, found):
     else:
         with pytest.raises(FundamentalNotFound):
             measure_thd(x, 1000.0)
+
+
+@pytest.mark.parametrize("f0", [22050.0, 30000.0])
+def test_fundamental_at_or_above_nyquist_raises_aliased_stimulus(f0):
+    with pytest.raises(AliasedStimulus, match=f"{f0:g} Hz .* got 44100 Hz") as caught:
+        measure_thd(Signal(_tone(1000.0, 0.5), FS), f0)
+    assert isinstance(caught.value, ValueError)
+
+
+@pytest.mark.parametrize("n", [4410, 4411, 9999])
+@pytest.mark.parametrize("top_k", [3, 7, 20])
+@pytest.mark.parametrize("nudge", [-1e-9, 0.0, 1e-9])
+def test_harmonics_below_nyquist_are_the_ones_measure_thd_reads(n, top_k, nudge):
+    # f0 puts harmonic top_k's band on the last bins below Nyquist, then a
+    # hair inside (nudge < 0) or outside (nudge > 0) them
+    f0 = (n // 2 - HARMONIC_HALF_BINS) * FS / (top_k * n) * (1.0 + nudge)
+    t = np.arange(n) / FS
+    amps = [1.0] + [0.01] * (top_k - 1)
+    x = sum(a * np.sin(2 * np.pi * k * f0 * t + k) for k, a in enumerate(amps, start=1))
+    read = [k for k, _ in measure_thd(Signal(x, FS), f0).harmonic_levels]
+    assert harmonics_below_nyquist(n, f0, FS) == read
+    if nudge:
+        assert read[-1] == (top_k if nudge < 0 else top_k - 1)
+
+
+def test_a_band_ending_on_the_nyquist_bin_is_read():
+    # 0.1 s at 44.1 kHz: the 3rd harmonic of 7340 Hz sits exactly on bin 2202,
+    # so its band ends on bin 2205, the Nyquist bin
+    assert harmonics_below_nyquist(4410, 7340.0, FS) == [2, 3]
 
 
 def test_too_short_signal_rejected():

@@ -7,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from audiochains.errors import AliasedStimulus, ShapeMismatch
-from audiochains.signals import Signal, delay_samples, generate_sine, input_stage, phasor
+from audiochains.signals import (
+    Signal,
+    delay_samples,
+    generate_sine,
+    input_stage,
+    phasor,
+    require_below_nyquist,
+)
 
 
 def test_signal_rejects_nan_and_bad_rate():
@@ -62,6 +69,15 @@ def test_sine_rejects_nyquist_and_bad_duration():
         message = f"duration must be positive and finite, got {duration}"
         with pytest.raises(ValueError, match=message):
             generate_sine(1000.0, 0.5, duration, 44100.0)
+
+
+def test_require_below_nyquist_names_the_frequency_and_the_rate():
+    require_below_nyquist("tone", 22049.5, 44100.0)
+    for freq in (22050.0, 30000.0, float("nan")):
+        with pytest.raises(AliasedStimulus, match=f"^tone {freq:g} Hz .* got 44100 Hz$"):
+            require_below_nyquist("tone", freq, 44100.0)
+    with pytest.raises(ValueError, match="30000 Hz .* got 44100 Hz"):  # AliasedStimulus is one
+        generate_sine(30000.0, 0.5, 1.0, 44100.0)
 
 
 def test_sine_rms_closed_form_441_samples():
