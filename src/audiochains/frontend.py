@@ -3,13 +3,13 @@
 Stage 1 AC-couples the input and re-centers it on the mid-supply bias,
 stage 2 is a second-order Sallen-Key low-pass (anti-aliasing), and the
 rail-to-rail output stage clamps a few tens of millivolts inside the
-supplies.  The stages are fixed hardware, so their values are module
-constants.  `front_end_filter` runs all three and is the only conditioning
-path; a raw pin voltage outside the absolute-maximum window raises
-DamageVoltage before the clamp could hide it.  Filters are discretized at
-the signal's own rate: the biquad by bilinear transform with frequency
-prewarping, the coupling pole by an exact one-pole recurrence (its
-sub-hertz corner would otherwise underflow).
+supplies.  The stages are fixed hardware: their values are module constants,
+and the coefficient helpers take only the rate.  `front_end_filter` runs
+all three and is the only conditioning path; a raw pin voltage outside the
+absolute-maximum window raises DamageVoltage before the clamp could hide
+it.  Filters are discretized at the signal's own rate: the biquad by
+bilinear transform with frequency prewarping, the coupling pole by an
+exact one-pole recurrence (its sub-hertz corner would otherwise underflow).
 
 Coupling pole, bias and Sallen-Key are one 3-state linear system (both
 filters in transposed direct form II) driven by the input and by the bias
@@ -42,17 +42,17 @@ BLOCK = 32  # samples per block of the block realization
 CHUNK = 256  # blocks per matrix product; the 74 KB operand stays in cache
 
 
-def highpass_coeffs(cutoff: float, sample_rate: float) -> tuple[np.ndarray, np.ndarray]:
-    """DC-blocker b, a with the pole matched to exp(-2*pi*fc/fs)."""
-    p = math.exp(-2.0 * math.pi * cutoff / sample_rate)
+def highpass_coeffs(sample_rate: float) -> tuple[np.ndarray, np.ndarray]:
+    """Coupling DC-blocker b, a with the pole matched to exp(-2*pi*COUPLING_CUTOFF/fs)."""
+    p = math.exp(-2.0 * math.pi * COUPLING_CUTOFF / sample_rate)
     return np.array([p, -p]), np.array([1.0, -p])
 
 
-def sallen_key_coeffs(cutoff: float, q: float, sample_rate: float) -> tuple[np.ndarray, np.ndarray]:
-    """Unity-gain 2nd-order low-pass b, a (bilinear, prewarped); cutoff below Nyquist."""
-    require_below_nyquist("low-pass corner", cutoff, sample_rate)
-    w0 = 2.0 * math.pi * cutoff / sample_rate
-    alpha = math.sin(w0) / (2.0 * q)
+def sallen_key_coeffs(sample_rate: float) -> tuple[np.ndarray, np.ndarray]:
+    """The Sallen-Key stage's unity-gain low-pass b, a (bilinear, prewarped); corner below Nyquist."""
+    require_below_nyquist("low-pass corner", SALLEN_KEY_CUTOFF, sample_rate)
+    w0 = 2.0 * math.pi * SALLEN_KEY_CUTOFF / sample_rate
+    alpha = math.sin(w0) / (2.0 * SALLEN_KEY_Q)
     b = np.array([(1 - math.cos(w0)) / 2.0, 1 - math.cos(w0), (1 - math.cos(w0)) / 2.0])
     a = np.array([1 + alpha, -2.0 * math.cos(w0), 1 - alpha])
     return b / a[0], a / a[0]
@@ -67,8 +67,8 @@ def _block_map(sample_rate: float) -> np.ndarray:
     state.  Each row is the response to one unit case, stepped through both
     filters' transposed direct form II recurrences.
     """
-    (hb0, hb1), (_, ha1) = highpass_coeffs(COUPLING_CUTOFF, sample_rate)
-    (lb0, lb1, lb2), (_, la1, la2) = sallen_key_coeffs(SALLEN_KEY_CUTOFF, SALLEN_KEY_Q, sample_rate)
+    (hb0, hb1), (_, ha1) = highpass_coeffs(sample_rate)
+    (lb0, lb1, lb2), (_, la1, la2) = sallen_key_coeffs(sample_rate)
     cases = np.eye(BLOCK + 4)
     x, (h, z1, z2), bias = cases[:, :BLOCK], cases[:, BLOCK:-1].T, cases[:, -1] * BIAS_VOLTAGE
     rows = np.empty((BLOCK + 4, BLOCK + 3))

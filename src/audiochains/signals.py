@@ -107,6 +107,7 @@ def generate_sine(
     """
     require_below_nyquist("tone", freq, sample_rate)
     require_positive("duration", duration)
+    require_positive("amplitude_rms", amplitude_rms)
     n = int(round(duration * sample_rate))
     _, samples = phasor(n, freq, sample_rate, phase)
     samples *= amplitude_rms * np.sqrt(2.0)

@@ -1,12 +1,12 @@
 """16-bit PCM WAV reading and writing.
 
-Analog volts map onto the integer codes through a full-scale field:
-+/-full_scale volts corresponds to +/-32767 (default 1 V peak), so a write
-followed by a read is exact to within half an LSB per sample.  Code -32768
-reads as -32768/32767 full scale and is written back exactly; only samples
-more than half an LSB outside [-32768, 32767] are rejected.  Files are
-little-endian RIFF/WAVE with the canonical 44-byte header; anything else is
-rejected as UnsupportedWav.
+Analog volts map onto the integer codes through full_scale, refused by
+both functions unless positive and finite (`signals.require_positive`):
++/-full_scale volts is +/-32767 (default 1 V peak), so a write followed by
+a read is exact to within half an LSB per sample.  Code -32768 reads as
+-32768/32767 full scale and is written back exactly; only samples more
+than half an LSB outside [-32768, 32767] are rejected.  Anything but
+little-endian RIFF/WAVE with the canonical 44-byte header is UnsupportedWav.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import UnsupportedWav
 from .quantize import INT16_MAX, int16_codes, int16_volts
-from .signals import Signal
+from .signals import Signal, require_positive
 
 
 def wav_rate(sample_rate: float) -> int:
@@ -34,6 +34,7 @@ def write_wav(
     right: Signal | None = None,
 ) -> None:
     """Write one (mono) or two (stereo) channels of 16-bit PCM at a whole-hertz rate."""
+    require_positive("full_scale", full_scale)
     rate = wav_rate(sig.sample_rate)
     channels = [sig] if right is None else [sig, right]
     if right is not None and (
@@ -56,6 +57,7 @@ def write_wav(
 def read_wav(path: str, full_scale: float = 1.0) -> list[Signal]:
     """Read a 16-bit PCM WAV; one Signal per channel (mono or stereo) holding
     every whole frame present: data cut mid-frame loses only its partial frame."""
+    require_positive("full_scale", full_scale)
     try:
         with wave.open(path, "rb") as f:
             n_channels = f.getnchannels()

@@ -305,7 +305,7 @@ def test_one_signal_on_both_inputs_matches_two_equal_signals_bit_for_bit(monkeyp
     # The shared input stage is deterministic and the noise is still drawn
     # per channel in the same order, so sharing the shaped input changes no
     # bit.  Both chains run it, with distortion and their noise on.
-    distortion = PolynomialDistortion(a2=0.01, a3=0.02)
+    distortion = PolynomialDistortion(a3=0.02)
     sample_cfg = SampleChainConfig(distortion=distortion)
     block_cfg = BlockPipelineConfig(distortion=distortion)
 

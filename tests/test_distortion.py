@@ -9,11 +9,12 @@ from audiochains.signals import Signal, generate_sine
 
 def test_weak_regime_bounds():
     with pytest.raises(ValueError):
-        PolynomialDistortion(a2=0.1)
-    with pytest.raises(ValueError):
         PolynomialDistortion(a3=-0.2)
     with pytest.raises(OutsideWeakRegime):
         calibrate_distortion(target_hd3_db=-30.0, peak_amplitude=1.0)
+    # a NaN target is refused by name, not by the coefficient it would make
+    with pytest.raises(OutsideWeakRegime, match="harmonic target nan dB"):
+        calibrate_distortion(target_hd3_db=float("nan"), peak_amplitude=1.0)
 
 
 def test_peak_amplitude_must_be_positive_and_finite():
@@ -23,19 +24,10 @@ def test_peak_amplitude_must_be_positive_and_finite():
             calibrate_distortion(target_hd3_db=-80.0, peak_amplitude=peak)
 
 
-def test_absent_target_gives_zero_coefficient():
-    dist = calibrate_distortion(target_hd3_db=-80.0, peak_amplitude=1.0)
-    assert dist.a2 == 0.0
-    dist = calibrate_distortion(target_hd2_db=-60.0, peak_amplitude=1.0)
-    assert dist.a3 == 0.0
-
-
 def test_coefficient_formulas():
     # trig-identity oracle: a3 = 4*10^(hd3/20)/A^2 with A^2 = 0.5 exactly
     dist = calibrate_distortion(target_hd3_db=-80.0, peak_amplitude=0.5 * np.sqrt(2.0))
     assert dist.a3 == pytest.approx(8.0e-4, rel=1e-9)
-    dist = calibrate_distortion(target_hd2_db=-60.0, peak_amplitude=1.0)
-    assert dist.a2 == pytest.approx(2.0e-3, rel=1e-12)
 
 
 def _measured_harmonic_db(dist, amp_peak, order):
@@ -44,11 +36,6 @@ def _measured_harmonic_db(dist, amp_peak, order):
     out = Signal(dist.apply(sig.samples), fs)
     report = measure_thd(out, 1000.0)
     return dict(report.harmonic_levels)[order]
-
-
-def test_second_harmonic_lands_at_target():
-    dist = calibrate_distortion(target_hd2_db=-60.0, peak_amplitude=1.0)
-    assert _measured_harmonic_db(dist, 1.0, 2) == pytest.approx(-60.0, abs=0.1)
 
 
 def test_third_harmonic_lands_at_target():

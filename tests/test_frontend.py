@@ -34,8 +34,8 @@ def test_zero_input_settles_on_the_bias():
 
 def test_unity_gain_at_1khz():
     # closed-form oracle: cascade magnitude from the coefficients
-    bh, ah = highpass_coeffs(frontend.COUPLING_CUTOFF, FS)
-    bl, al = sallen_key_coeffs(frontend.SALLEN_KEY_CUTOFF, frontend.SALLEN_KEY_Q, FS)
+    bh, ah = highpass_coeffs(FS)
+    bl, al = sallen_key_coeffs(FS)
     oracle_db = filter_gain_db(bh, ah, 1000.0, FS) + filter_gain_db(bl, al, 1000.0, FS)
     assert oracle_db == pytest.approx(0.0, abs=0.01)
 
@@ -47,7 +47,7 @@ def test_unity_gain_at_1khz():
 
 
 def test_minus_3db_at_the_sallen_key_corner():
-    bl, al = sallen_key_coeffs(frontend.SALLEN_KEY_CUTOFF, frontend.SALLEN_KEY_Q, FS)
+    bl, al = sallen_key_coeffs(FS)
     gain_db = filter_gain_db(bl, al, frontend.SALLEN_KEY_CUTOFF, FS)
     assert gain_db == pytest.approx(-3.01, abs=0.05)
 
@@ -81,7 +81,7 @@ def test_check_damage():
 
 
 def test_highpass_blocks_dc_exactly():
-    bh, ah = highpass_coeffs(0.040, FS)
+    bh, ah = highpass_coeffs(FS)
     # passband ripple is bounded by the pole radius, ~1e-5 dB at 40 mHz
     assert filter_gain_db(bh, ah, 1000.0, FS) == pytest.approx(0.0, abs=1e-4)
     z_dc = np.sum(bh) / np.sum(ah)
@@ -90,20 +90,20 @@ def test_highpass_blocks_dc_exactly():
 
 def test_sallen_key_rejects_cutoff_at_nyquist():
     with pytest.raises(ValueError):
-        sallen_key_coeffs(FS / 2, 0.7071, FS)
+        sallen_key_coeffs(2 * frontend.SALLEN_KEY_CUTOFF)
 
 
 def test_sallen_key_above_nyquist_raises_aliased_stimulus_naming_both_frequencies():
     # the 40 kHz corner at 48 kHz: one rule, an AliasedStimulus that is a ValueError
     with pytest.raises(AliasedStimulus, match="40000 Hz .* got 48000 Hz") as caught:
-        sallen_key_coeffs(frontend.SALLEN_KEY_CUTOFF, frontend.SALLEN_KEY_Q, 48000.0)
+        sallen_key_coeffs(48000.0)
     assert isinstance(caught.value, ValueError)
 
 
 def _lfilter_front_end(sig):
     # the two filters run sample by sample, the oracle the block form must match
-    bh, ah = highpass_coeffs(frontend.COUPLING_CUTOFF, sig.sample_rate)
-    bl, al = sallen_key_coeffs(frontend.SALLEN_KEY_CUTOFF, frontend.SALLEN_KEY_Q, sig.sample_rate)
+    bh, ah = highpass_coeffs(sig.sample_rate)
+    bl, al = sallen_key_coeffs(sig.sample_rate)
     raw = sps.lfilter(bl, al, sps.lfilter(bh, ah, sig.samples) + frontend.BIAS_VOLTAGE)
     return np.clip(raw, frontend.RAIL_LOW, frontend.RAIL_HIGH)
 

@@ -69,6 +69,11 @@ def test_sine_rejects_nyquist_and_bad_duration():
         message = f"duration must be positive and finite, got {duration}"
         with pytest.raises(ValueError, match=message):
             generate_sine(1000.0, 0.5, duration, 44100.0)
+    # an amplitude meets the same rule: no silence, no inverted tone
+    for amplitude in (0.0, -0.5, float("nan"), float("inf")):
+        message = f"amplitude_rms must be positive and finite, got {amplitude}"
+        with pytest.raises(ValueError, match=message):
+            generate_sine(1000.0, amplitude, 1.0, 44100.0)
 
 
 def test_require_below_nyquist_names_the_frequency_and_the_rate():
