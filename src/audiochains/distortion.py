@@ -19,7 +19,7 @@ class PolynomialDistortion:
     |a3| < 0.1 keeps it in the weak regime the small-signal trig identities assume.
     """
 
-    a3: float = 0.0
+    a3: float
 
     def __post_init__(self):
         if not abs(self.a3) < 0.1:
