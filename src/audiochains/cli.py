@@ -19,9 +19,8 @@ run warns nothing.  Exit codes: 0 success, 2 usage error or unusable input
 (including a block that is not a power of two, a latency too long for order
 24 or for the discarded warm-up, rounding to 0 samples or overflowing a
 float, which names the flags given, a THD rate that leaves the calibrated
-3rd harmonic no band, an adcdac rate of 80 kHz or less outside latency runs,
-a record too large to allocate and an argument holding a line break),
-3 chain fault (damage voltage), 4 I/O error.
+3rd harmonic no band, a record too large to allocate and an argument holding
+a line break), 3 chain fault (damage voltage), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from .errors import RealtimeFeasibilityWarning, UnsupportedOrder, UnsupportedWav
 from .measure import estimate_latency, harmonics_below_nyquist, measure_impulse_response
 from .measure import measure_thd
 from .mls import PRIMITIVE_TAPS, MlsConfig
-from .signals import Signal, generate_sine, latency_samples, require_below_nyquist, require_positive
+from .signals import Signal, generate_sine, latency_samples, require_positive
 from .spectrum import power_spectrum
 from .wavio import read_wav, wav_rate, write_wav
 
@@ -283,8 +282,6 @@ def _run_rows(args: argparse.Namespace, analyze) -> tuple[list[tuple], list]:
             f"stimulus too short: need at least {WARMUP_SECONDS + 0.1:.2f} s "
             f"(warm-up plus analysis), got {stimulus[0].duration:.3f} s"
         )
-    if chain == "adcdac":  # the front end, which latency rows bypass
-        require_below_nyquist("front-end corner", frontend.SALLEN_KEY_CUTOFF, rate)
     if args.measure != "spectrum" and 3 not in harmonics_below_nyquist(n, STIMULUS_HZ, rate):
         raise ValueError(
             f"at {rate:g} Hz the 3rd harmonic ({3 * STIMULUS_HZ:g} Hz), which the "

@@ -14,16 +14,9 @@ WEAK_REGIME_LIMIT_DB = -40.0
 
 @dataclass(frozen=True)
 class PolynomialDistortion:
-    """y = x + a3*x**3, x in volts normalized to 1 V.
-
-    |a3| < 0.1 keeps it in the weak regime the small-signal trig identities assume.
-    """
+    """y = x + a3*x**3, x in volts normalized to 1 V."""
 
     a3: float
-
-    def __post_init__(self):
-        if not abs(self.a3) < 0.1:
-            raise ValueError("|a3| must be below 0.1 (weak distortion)")
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return x + self.a3 * x * x * x
@@ -35,7 +28,8 @@ def calibrate_distortion(target_hd3_db: float, peak_amplitude: float) -> Polynom
     For x = A*sin(wt), sin^3 = (3 sin - sin 3wt)/4 gives a 3rd harmonic of
     a3*A^3/4, so a3 = 4 * 10**(hd3/20) / A**2, hd3 being the level relative
     to the fundamental.  A target that is not at or below
-    WEAK_REGIME_LIMIT_DB, NaN included, raises OutsideWeakRegime.
+    WEAK_REGIME_LIMIT_DB, NaN included, raises OutsideWeakRegime: the one
+    weak-regime rule, which bounds a3*A^2 at 0.04 for any A.
     """
     require_positive("peak_amplitude", peak_amplitude)
     if not target_hd3_db <= WEAK_REGIME_LIMIT_DB:

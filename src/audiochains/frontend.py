@@ -7,9 +7,11 @@ supplies.  The stages are fixed hardware: their values are module constants,
 and the coefficient helpers take only the rate.  `front_end_filter` runs
 all three and is the only conditioning path; a raw pin voltage outside the
 absolute-maximum window raises DamageVoltage before the clamp could hide
-it.  Filters are discretized at the signal's own rate: the biquad by
-bilinear transform with frequency prewarping, the coupling pole by an
-exact one-pole recurrence (its sub-hertz corner would otherwise underflow).
+it.  Filters are discretized at the signal's own rate: the coupling pole by
+an exact one-pole recurrence (its sub-hertz corner would otherwise
+underflow), the biquad by the matched design of M. Vicanek ("Matched Second
+Order Digital Filters", 2016): impulse-invariant poles and a numerator that
+gives the analog |H|^2 at DC, fs/4 and Nyquist, so any rate works.
 
 Coupling pole, bias and Sallen-Key are one 3-state linear system (both
 filters in transposed direct form II) driven by the input and by the bias
@@ -30,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DamageVoltage
-from .signals import Signal, require_below_nyquist
+from .signals import Signal
 
 BIAS_VOLTAGE = 1.65  # mid-supply operating point
 COUPLING_CUTOFF = 0.040  # AC-coupling corner, Hz
@@ -49,13 +51,16 @@ def highpass_coeffs(sample_rate: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sallen_key_coeffs(sample_rate: float) -> tuple[np.ndarray, np.ndarray]:
-    """The Sallen-Key stage's unity-gain low-pass b, a (bilinear, prewarped); corner below Nyquist."""
-    require_below_nyquist("low-pass corner", SALLEN_KEY_CUTOFF, sample_rate)
-    w0 = 2.0 * math.pi * SALLEN_KEY_CUTOFF / sample_rate
-    alpha = math.sin(w0) / (2.0 * SALLEN_KEY_Q)
-    b = np.array([(1 - math.cos(w0)) / 2.0, 1 - math.cos(w0), (1 - math.cos(w0)) / 2.0])
-    a = np.array([1 + alpha, -2.0 * math.cos(w0), 1 - alpha])
-    return b / a[0], a / a[0]
+    """The Sallen-Key stage's unity-gain low-pass b, a: the matched design, at any rate."""
+    w0, zeta = 2.0 * math.pi * SALLEN_KEY_CUTOFF / sample_rate, 0.5 / SALLEN_KEY_Q
+    a1 = -2.0 * math.exp(-zeta * w0) * math.cos(w0 * math.sqrt(1.0 - zeta * zeta))
+    a2 = math.exp(-2.0 * zeta * w0)
+    w = np.array([math.pi / 2.0, math.pi])  # the analog |H|^2 at fs/4 and at Nyquist
+    g_quarter, g_nyquist = w0**4 / ((w0 * w0 - w * w) ** 2 + (2.0 * zeta * w0 * w) ** 2)
+    s0, s1 = 1.0 + a1 + a2, (1.0 - a1 + a2) * math.sqrt(g_nyquist)  # b0 + b1 + b2, b0 - b1 + b2
+    big_b2 = g_quarter * ((1.0 - a2) ** 2 + a1 * a1) - (s0 * s0 + s1 * s1) / 2.0  # -4 b0 b2
+    b0 = ((s0 + s1) / 2.0 + math.sqrt((s0 + s1) ** 2 / 4.0 + big_b2)) / 2.0
+    return np.array([b0, (s0 - s1) / 2.0, -big_b2 / (4.0 * b0)]), np.array([1.0, a1, a2])
 
 
 @lru_cache(maxsize=4)

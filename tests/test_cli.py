@@ -534,14 +534,21 @@ def test_argument_holding_a_line_break_exits_2_writing_nothing(tmp_path):
     assert not out.exists()
 
 
-def test_adcdac_below_80k_names_the_front_end_corner(tmp_path, capsys):
-    code = run_cli(
-        "--chain", "adcdac", "--measure", "thd", "--sample-rate", "48000",
-        "--out", str(tmp_path / "x.csv"),
-    )
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "40000 Hz" in err and "48000 Hz" in err
+def test_adcdac_at_the_reference_48k_runs_warning_nothing_and_closes(tmp_path, capsys):
+    # the reference per-sample code's rate: both speeds fit its 20.8 us period
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli(
+            "--chain", "adcdac", "--measure", "thd", "--sample-rate", "48000", "--out", str(out)
+        )
+    assert (code, caught, capsys.readouterr().err) == (0, [], "")
+    (low, low_thd, low_thdn), (high, high_thd, _) = cli.read_csv(str(out))[2]
+    assert (low, high) == ("LOW_SPEED", "HIGH_SPEED")
+    # the acceptance tolerances of the characterized rows
+    assert float(low_thd) == pytest.approx(-76.0, abs=0.5)
+    assert float(low_thdn) == pytest.approx(-63.0, abs=1.0)
+    assert float(high_thd) == pytest.approx(-67.0, abs=0.5)
 
 
 @pytest.mark.parametrize(
@@ -551,7 +558,7 @@ def test_adcdac_below_80k_names_the_front_end_corner(tmp_path, capsys):
         ("1000", 2, "LOW_SPEED", "1.2e-05 s"),
         # 9.6 us at 48 kHz is 0.46 samples; LOW_SPEED's 12.0 us rounds to 1
         ("3000", 2, "HIGH_SPEED", "9.6e-06 s"),
-        # latency bypasses the front end, so the 80 kHz rule does not apply
+        # the reference per-sample code's rate
         ("48000", 0, None, None),
     ],
 )
@@ -620,9 +627,9 @@ def _refusal(monkeypatch, capsys, *args) -> tuple[int, int, list, list[str]]:
         # the 3rd harmonic's band lies above Nyquist, and block 8 would warn
         (("--chain", "i2s", "--measure", "thd", "--block-samples", "8",
           "--sample-rate", "4500"), ("4500 Hz", "3rd harmonic")),
-        # the 40 kHz front-end corner lies above Nyquist
-        (("--chain", "adcdac", "--measure", "thd", "--sample-rate", "48000"),
-         ("40000 Hz", "48000 Hz")),
+        # the sample chain, by the same rule
+        (("--chain", "adcdac", "--measure", "thd", "--sample-rate", "4500"),
+         ("4500 Hz", "3rd harmonic")),
     ],
 )
 def test_rate_refusals_run_no_chain_and_warn_nothing(

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
-from audiochains.distortion import PolynomialDistortion, calibrate_distortion
+from audiochains.distortion import calibrate_distortion
 from audiochains.errors import OutsideWeakRegime
 from audiochains.measure import measure_thd
 from audiochains.signals import Signal, generate_sine
 
 
 def test_weak_regime_bounds():
-    with pytest.raises(ValueError):
-        PolynomialDistortion(a3=-0.2)
+    # the target check is the one rule: it bounds a3*A^2, whatever the peak A
+    for peak in (0.5, 0.6):
+        dist = calibrate_distortion(target_hd3_db=-40.0, peak_amplitude=peak)
+        assert dist.a3 * peak**2 == pytest.approx(0.04, rel=1e-12)
     with pytest.raises(OutsideWeakRegime):
         calibrate_distortion(target_hd3_db=-30.0, peak_amplitude=1.0)
     # a NaN target is refused by name, not by the coefficient it would make

@@ -5,7 +5,7 @@ import pytest
 from scipy import signal as sps
 
 from audiochains import frontend
-from audiochains.errors import AliasedStimulus, DamageVoltage
+from audiochains.errors import DamageVoltage
 from audiochains.frontend import check_damage, front_end_filter, highpass_coeffs, sallen_key_coeffs
 from audiochains.signals import Signal, generate_sine
 
@@ -46,10 +46,22 @@ def test_unity_gain_at_1khz():
     assert 20 * np.log10(measured / 0.5) == pytest.approx(0.0, abs=0.01)
 
 
-def test_minus_3db_at_the_sallen_key_corner():
-    bl, al = sallen_key_coeffs(FS)
-    gain_db = filter_gain_db(bl, al, frontend.SALLEN_KEY_CUTOFF, FS)
-    assert gain_db == pytest.approx(-3.01, abs=0.05)
+def _gain_error_db(rate, freqs):
+    """The Sallen-Key coefficients' magnitude less the analog prototype's (scipy freqs)."""
+    _, h = sps.freqz(*sallen_key_coeffs(rate), worN=freqs, fs=rate)
+    wc = 2.0 * np.pi * frontend.SALLEN_KEY_CUTOFF
+    _, ha = sps.freqs([wc * wc], [1.0, wc / frontend.SALLEN_KEY_Q, wc * wc], 2.0 * np.pi * freqs)
+    return 20.0 * np.log10(np.abs(h / ha))
+
+
+def test_sallen_key_follows_the_analog_prototype():
+    # in band at the audio rates, whose Nyquist lies below the 40 kHz corner or above it
+    for rate in (44100.0, 48000.0, 96000.0):
+        err = _gain_error_db(rate, np.append(np.geomspace(20.0, 10000.0, 60), 20000.0))
+        assert np.max(np.abs(err[:-1])) <= 0.05 and abs(err[-1]) <= 0.2
+    # oversampled, the digital corner converges on the analog -3.01 dB
+    corner = filter_gain_db(*sallen_key_coeffs(1536000.0), frontend.SALLEN_KEY_CUTOFF, 1536000.0)
+    assert corner == pytest.approx(-3.01, abs=0.05)
 
 
 def test_large_sine_clips_at_the_rail():
@@ -88,16 +100,12 @@ def test_highpass_blocks_dc_exactly():
     assert z_dc == pytest.approx(0.0, abs=1e-15)
 
 
-def test_sallen_key_rejects_cutoff_at_nyquist():
-    with pytest.raises(ValueError):
-        sallen_key_coeffs(2 * frontend.SALLEN_KEY_CUTOFF)
-
-
-def test_sallen_key_above_nyquist_raises_aliased_stimulus_naming_both_frequencies():
-    # the 40 kHz corner at 48 kHz: one rule, an AliasedStimulus that is a ValueError
-    with pytest.raises(AliasedStimulus, match="40000 Hz .* got 48000 Hz") as caught:
-        sallen_key_coeffs(48000.0)
-    assert isinstance(caught.value, ValueError)
+def test_sallen_key_is_stable_and_minimum_phase_at_any_rate():
+    # 80 kHz puts the corner on Nyquist, 44.1 and 48 kHz above it
+    for rate in (44100.0, 48000.0, 80000.0, 96000.0, 1536000.0):
+        bl, al = sallen_key_coeffs(rate)
+        assert np.max(np.abs(np.roots(al))) < 1.0
+        assert np.max(np.abs(np.roots(bl))) < 1.0
 
 
 def _lfilter_front_end(sig):
@@ -108,7 +116,7 @@ def _lfilter_front_end(sig):
     return np.clip(raw, frontend.RAIL_LOW, frontend.RAIL_HIGH)
 
 
-@pytest.mark.parametrize("rate", [80500.0, 88200.0, 96000.0, 192000.0])
+@pytest.mark.parametrize("rate", [48000.0, 80500.0, 88200.0, 96000.0, 192000.0])
 @pytest.mark.parametrize("n", [0, 1, 2, 31, 32, 33, 20000])
 def test_block_form_matches_lfilter(rate, n):
     samples = np.random.default_rng(n).uniform(-1.0, 1.0, n)
