@@ -38,6 +38,9 @@ SCENARIOS = [
                             "high", "--wav-in", "adcdac_spectrum.wav",
                             "--wav-out", "adcdac_high_wav_in.wav"]),
     ("i2s_thd_48k", ["--chain", "i2s", "--measure", "thd", "--sample-rate", "48000"]),
+    # the reference code's rate; its 136 800-sample record ends in a partial
+    # 96-sample block of the THD fit
+    ("adcdac_thd_48k", ["--chain", "adcdac", "--measure", "thd", "--sample-rate", "48000"]),
     # a stereo file whose channels differ by their noise, so the adcdac run
     # below feeds two distinct Signals where every scenario above feeds one
     ("i2s_spectrum_96k", ["--chain", "i2s", "--measure", "spectrum", "--sample-rate", "96000",

@@ -11,21 +11,27 @@ The first line is a ``#`` comment holding the exact command line, numbers
 carry 17 significant digits, and rows are LF-terminated, so identical flags
 reproduce byte-identical files.  Each latency row sizes its MLS to the
 smallest order >= 12 whose period holds twice the predicted latency.  Every
-row is checked before any chain runs.  Once the report is written,
-`_warn_rows` warns once per row, naming it: a block outside
-`i2s.STANDARD_BLOCK_SIZES`, and an adcdac row that overruns a sample period
-at the hardware rate (never on the latency scenario's 16x grid); a refused
-run warns nothing.  Exit codes: 0 success, 2 usage error or unusable input
-(including a block that is not a power of two, a latency too long for order
-24 or for the discarded warm-up, rounding to 0 samples or overflowing a
-float, which names the flags given, a THD rate that leaves the calibrated
-3rd harmonic no band, a record too large to allocate and an argument holding
-a line break), 3 chain fault (damage voltage), 4 I/O error.
+row is checked before any chain runs, and the check ends by creating
+``--out`` and ``--wav-out`` as temporary files beside their targets; they
+are written there and moved into place after the last row, so a refused run
+leaves neither behind.  Once the report is written, `_warn_rows` warns once
+per row, naming it: a block outside `i2s.STANDARD_BLOCK_SIZES`, and an
+adcdac row that overruns a sample period at the hardware rate (never on the
+latency scenario's 16x grid); a refused run warns nothing.  Exit codes: 0
+success, 2 usage error or unusable input (including a block that is not a
+power of two, a latency too long for order 24 or for the discarded warm-up,
+rounding to 0 samples or overflowing a float, which names the flags given, a
+THD rate that leaves the calibrated 3rd harmonic no band, a record too large
+to allocate and an argument holding a line break), 3 chain fault (damage
+voltage), 4 I/O error (an unwritable ``--out`` or ``--wav-out`` before any
+chain runs).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
 import warnings
 
@@ -212,6 +218,24 @@ def _warn_rows(args: argparse.Namespace, configs: list) -> None:
             )
 
 
+def _stage_outputs(args: argparse.Namespace) -> None:
+    """Create --out and --wav-out, the last step of the all-rows check, as empty
+    temporary files beside their targets (`args.staged`, by flag), so an
+    unwritable one raises OSError before any chain runs; `run_scenario` moves
+    them into place after the last row."""
+    for flag in ("out", "wav_out"):
+        target = getattr(args, flag)
+        if target is None:
+            continue
+        if os.path.isdir(target):  # os.replace could not move a file onto it
+            raise IsADirectoryError(f"--{flag.replace('_', '-')} {target} is a directory")
+        head, tail = os.path.split(target)
+        staged = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
+        # the mode a plain open() gives; O_EXCL never takes over an existing file
+        os.close(os.open(staged, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+        args.staged[flag] = staged
+
+
 def _run_latency(args: argparse.Namespace) -> tuple[list[tuple], list]:
     chain = args.chain
     sample_rate = (args.sample_rate or DEFAULT_RATE[chain]) * LATENCY_OVERSAMPLE[chain]
@@ -227,6 +251,7 @@ def _run_latency(args: argparse.Namespace) -> tuple[list[tuple], list]:
             )
         order = _mls_order(label, cfg.latency, sample_rate)
         probes.append(MlsConfig(order, sample_rate=sample_rate))
+    _stage_outputs(args)
     rows = []
     for param, cfg, mls in zip(args.params, configs, probes):
         rng = _param_rng(args.seed, param)
@@ -289,30 +314,40 @@ def _run_rows(args: argparse.Namespace, analyze) -> tuple[list[tuple], list]:
         )
     if args.wav_out:
         wav_rate(rate)
+    _stage_outputs(args)
     for index, (param, cfg) in enumerate(zip(args.params, configs)):
         rng = _param_rng(args.seed, param)
         outputs = _run_chain(chain, cfg, stimulus, rng)
         rows.extend(analyze(param, Signal(outputs[0].samples[skip:], rate)))
         if index == 0 and args.wav_out:
             if chain == "i2s":
-                write_wav(outputs[0], args.wav_out, right=outputs[1])
+                write_wav(outputs[0], args.staged["wav_out"], right=outputs[1])
             else:
                 # the output carries the DAC's standing offset
-                write_wav(outputs[0], args.wav_out, full_scale=adcdac.DAC_SPEC.v_max)
+                write_wav(outputs[0], args.staged["wav_out"], full_scale=adcdac.DAC_SPEC.v_max)
     return rows, configs
 
 
 def run_scenario(args: argparse.Namespace) -> None:
-    if args.measure == "latency":
-        rows, configs = _run_latency(args)
-        header = ("parameter", "latency_seconds")
-    elif args.measure in ("thd", "thdn"):
-        rows, configs = _run_rows(args, _thd_rows)
-        header = ("parameter", "thd_db", "thdn_db")
-    else:
-        rows, configs = _run_rows(args, _spectrum_rows)
-        header = ("frequency_hz", "power_dbv")
-    write_csv(args.out, args.command_line, header, rows)
+    args.staged = {}
+    try:
+        if args.measure == "latency":
+            rows, configs = _run_latency(args)
+            header = ("parameter", "latency_seconds")
+        elif args.measure in ("thd", "thdn"):
+            rows, configs = _run_rows(args, _thd_rows)
+            header = ("parameter", "thd_db", "thdn_db")
+        else:
+            rows, configs = _run_rows(args, _spectrum_rows)
+            header = ("frequency_hz", "power_dbv")
+        write_csv(args.staged["out"], args.command_line, header, rows)
+        for flag, path in list(args.staged.items()):
+            os.replace(path, getattr(args, flag))
+            del args.staged[flag]
+    finally:
+        for path in args.staged.values():  # a refused run leaves no output behind
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
     _warn_rows(args, configs)
 
 

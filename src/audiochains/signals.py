@@ -5,10 +5,13 @@ passes signals around as :class:`Signal` values in volts; a Signal shares,
 not copies, a float64 samples array with its caller.  Every frequency meets
 its sample rate in one rule, `require_below_nyquist`.
 
-Every sampled sinusoid of the package -- the test tone, the THD fit basis
-and the Hann window -- comes from `phasor`, which evaluates cosines and
-sines only at block starts and over one in-block ramp (the blocking of
-Burrus 1972), with each argument reduced modulo one cycle first.
+Every cosine and sine the package takes of a sampled sinusoid -- the test
+tone, the THD fit and the Hann window -- comes from `block_phasors`, which
+evaluates them only at block starts and over one in-block ramp (the
+blocking of Burrus 1972), with each argument reduced modulo one cycle
+first.  Each caller builds from those only the component it reads:
+`sine_samples` for the tone, `cosine_samples` for the window, and the fit
+only block sums.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 from .errors import AliasedStimulus, ShapeMismatch
 from .quantize import round_half_away
 
-PHASOR_BLOCK = 512  # samples per block of `phasor`'s outer product
+PHASOR_BLOCK = 512  # samples per block of `block_phasors`
 
 
 def require_positive(name: str, value: float) -> None:
@@ -70,28 +73,42 @@ class Signal:
         return self.samples.size / self.sample_rate
 
 
-def phasor(
+def block_phasors(
     n: int, freq: float, rate: float, phase: float = 0.0
-) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of 2 pi freq k / rate + phase for k = 0 .. n - 1.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """cos a, sin a, cos b, sin b: the blocked angles of 2 pi freq k / rate + phase.
 
-    At k = j * PHASOR_BLOCK + m the angle is the block start's plus the
-    in-block ramp's, so each sample is the product of two phasors and only
-    about n / PHASOR_BLOCK + PHASOR_BLOCK cosines and sines are evaluated.
-    Both angles are reduced modulo one cycle before the scaling by 2 pi /
-    rate (exactly, for an integral freq * k below 2**53), so the error stays
-    a few ulps at any n instead of growing with freq * k.
+    Sample k = j * PHASOR_BLOCK + m, for k = 0 .. n - 1, has the angle
+    a[j] + b[m]: a at the block starts (phase included), b over one in-block
+    ramp of min(n, PHASOR_BLOCK) samples.  So only about n / PHASOR_BLOCK +
+    PHASOR_BLOCK cosines and sines are evaluated.  Both angles are reduced
+    modulo one cycle before the scaling by 2 pi / rate (exactly, for an
+    integral freq * k below 2**53), so the error stays a few ulps at any n
+    instead of growing with freq * k.
     """
     starts = np.arange(0, n, PHASOR_BLOCK, dtype=np.float64)
     ramp = np.arange(min(n, PHASOR_BLOCK), dtype=np.float64)
     a = 2.0 * np.pi * np.fmod(freq * starts, rate) / rate + phase
     b = 2.0 * np.pi * np.fmod(freq * ramp, rate) / rate
-    cos_a, sin_a, cos_b, sin_b = np.cos(a), np.sin(a), np.cos(b), np.sin(b)
-    cos = np.multiply.outer(cos_a, cos_b)
-    cos -= np.multiply.outer(sin_a, sin_b)
+    return np.cos(a), np.sin(a), np.cos(b), np.sin(b)
+
+
+def sine_samples(n: int, freq: float, rate: float, phase: float = 0.0) -> np.ndarray:
+    """sin(2 pi freq k / rate + phase) for k = 0 .. n - 1, as sin a cos b + cos a sin b
+    of `block_phasors`."""
+    cos_a, sin_a, cos_b, sin_b = block_phasors(n, freq, rate, phase)
     sin = np.multiply.outer(sin_a, cos_b)
     sin += np.multiply.outer(cos_a, sin_b)
-    return cos.ravel()[:n], sin.ravel()[:n]
+    return sin.ravel()[:n]
+
+
+def cosine_samples(n: int, freq: float, rate: float, phase: float = 0.0) -> np.ndarray:
+    """cos(2 pi freq k / rate + phase) for k = 0 .. n - 1, as cos a cos b - sin a sin b
+    of `block_phasors`."""
+    cos_a, sin_a, cos_b, sin_b = block_phasors(n, freq, rate, phase)
+    cos = np.multiply.outer(cos_a, cos_b)
+    cos -= np.multiply.outer(sin_a, sin_b)
+    return cos.ravel()[:n]
 
 
 def generate_sine(
@@ -109,7 +126,7 @@ def generate_sine(
     require_positive("duration", duration)
     require_positive("amplitude_rms", amplitude_rms)
     n = int(round(duration * sample_rate))
-    _, samples = phasor(n, freq, sample_rate, phase)
+    samples = sine_samples(n, freq, sample_rate, phase)
     samples *= amplitude_rms * np.sqrt(2.0)
     return Signal(samples, sample_rate)
 

@@ -3,10 +3,10 @@
 Scaling convention: each one-sided bin holds coherent-gain-corrected power,
 i.e. a bin-centered sine of rms A reads 10*log10(A**2) dBV in its peak bin
 and a DC level of 1 V reads 0 dBV.  The window is always the periodic Hann
-(`window_samples`, its cosine from `signals.phasor`), whose coherent gain
-and equivalent noise bandwidth `power_spectrum` applies itself (Harris
-1978).  Band power (the sum of bins
-over a tone's main lobe) must be divided by that bandwidth in bins
+(`window_samples`, its cosine from `signals.cosine_samples`), whose
+coherent gain and equivalent noise bandwidth `power_spectrum` applies
+itself (Harris 1978).  Band power (the sum of bins over a tone's main
+lobe) must be divided by that bandwidth in bins
 (`Spectrum.enbw_bins`); with that correction the linear sum over all bins
 equals the frames' mean of sum((x * w)**2) / sum(w**2), and for stationary
 noise it is close to the time-domain mean square.
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySignal
-from .signals import Signal, phasor
+from .signals import Signal, cosine_samples
 
 _DB_FLOOR = 1e-300
 MAX_SEGMENT = 16384  # longest averaging segment, in samples
@@ -28,10 +28,10 @@ MAX_SEGMENT = 16384  # longest averaging segment, in samples
 def window_samples(n: int) -> np.ndarray:
     """Periodic (DFT-even) Hann of n samples: a tone on an exact bin stays within +/-1 bin.
 
-    0.5 - 0.5 cos(2 pi k / n), with the cosine from `signals.phasor` (one
-    cycle over n samples).
+    0.5 - 0.5 cos(2 pi k / n), with the cosine from `signals.cosine_samples`
+    (one cycle over n samples).
     """
-    w, _ = phasor(n, 1.0, n)
+    w = cosine_samples(n, 1.0, n)
     w *= -0.5
     w += 0.5
     return w

@@ -1,3 +1,4 @@
+import os
 import time
 import warnings
 
@@ -652,11 +653,8 @@ def _off_frequency_wav(tmp_path) -> str:
     "where, code",
     [
         # FundamentalNotFound from the analyzer, after the chain ran
-        (lambda tmp: ("--out", str(tmp / "x.csv"), "--wav-in", _off_frequency_wav(tmp)), 2),
-        # the WAV is opened after row 0's chain
-        (lambda tmp: ("--out", str(tmp / "x.csv"), "--wav-out", str(tmp / "no" / "x.wav")), 4),
-        # the CSV is opened after every row
-        (lambda tmp: ("--out", str(tmp / "no" / "x.csv")), 4),
+        (lambda tmp: ("--out", str(tmp / "x.csv"), "--wav-out", str(tmp / "x.wav"),
+                      "--wav-in", _off_frequency_wav(tmp)), 2),
     ],
 )
 def test_a_run_refused_after_its_chain_ran_prints_only_its_error(
@@ -667,6 +665,44 @@ def test_a_run_refused_after_its_chain_ran_prints_only_its_error(
     got, runs, caught, err = _refusal(monkeypatch, capsys, *flags)
     assert runs == 1  # refused after the chain ran
     assert (got, caught, len(err)) == (code, [], 1)
+    assert sorted(os.listdir(tmp_path)) == ["5k.wav"]  # no report, WAV or temporary left
+
+
+@pytest.mark.parametrize(
+    "flags, outputs",
+    [
+        (("--chain", "i2s", "--measure", "thd", "--block-samples", "256"), ("no/x.csv",)),
+        (("--chain", "i2s", "--measure", "thd", "--block-samples", "256"),
+         ("x.csv", "no/x.wav")),
+        (("--chain", "i2s", "--measure", "latency", "--block-samples", "16"), ("no/x.csv",)),
+        (("--chain", "adcdac", "--measure", "spectrum", "--sampling-speed", "low"),
+         ("x.csv", "d")),
+    ],
+    ids=["out", "wav-out", "latency-out", "wav-out-a-directory"],
+)
+def test_an_unwritable_output_exits_4_before_any_chain_runs(
+    tmp_path, capsys, monkeypatch, flags, outputs
+):
+    (tmp_path / "d").mkdir()
+    paths = [str(tmp_path / name) for name in outputs]
+    wav_out = ("--wav-out", paths[1]) if len(paths) > 1 else ()
+    code, runs, caught, err = _refusal(
+        monkeypatch, capsys, *flags, "--out", paths[0], *wav_out
+    )
+    assert (code, runs, caught, len(err)) == (4, 0, [], 1)
+    assert err[0].startswith("audiochains: i/o error: ")
+    assert os.listdir(tmp_path) == ["d"] and os.listdir(tmp_path / "d") == []
+
+
+def test_outputs_are_moved_into_place_with_the_mode_of_a_plain_write(tmp_path):
+    out, wav_out, plain = tmp_path / "x.csv", tmp_path / "x.wav", tmp_path / "plain"
+    plain.write_text("")
+    assert run_cli(
+        "--chain", "i2s", "--measure", "spectrum", "--block-samples", "128",
+        "--sample-rate", "8000", "--out", str(out), "--wav-out", str(wav_out),
+    ) == 0
+    assert sorted(os.listdir(tmp_path)) == ["plain", "x.csv", "x.wav"]
+    assert out.stat().st_mode == wav_out.stat().st_mode == plain.stat().st_mode
 
 
 def test_a_chain_fault_prints_only_its_error(tmp_path, capsys, monkeypatch):

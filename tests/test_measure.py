@@ -367,6 +367,8 @@ def _low_residual_record(f0, n, fs, offset=0.0):
         (1000.0, 273600, 96000.0, 1.25),  # the adcdac record with the DAC offset
         (997.3, 443, 44100.0, 0.0),  # 10.02 cycles
         (22000.0, 4410, 44100.0, 0.0),  # 100 Hz below Nyquist
+        (1000.0, 512 * 250, 48000.0, 0.0),  # whole 512-sample blocks only
+        (1000.0, 512 * 250 + 1, 48000.0, 1.25),  # a last block of one sample
     ],
 )
 def test_normal_equation_fit_matches_lstsq_on_the_basis(f0, n, fs, offset):
@@ -379,8 +381,8 @@ def test_normal_equation_fit_matches_lstsq_on_the_basis(f0, n, fs, offset):
 
 
 def test_fit_basis_and_test_tone_evaluate_trig_per_block_not_per_sample(monkeypatch):
-    # signals.phasor takes cos/sin of about n / 512 block starts and one
-    # 512-sample ramp; a per-sample basis would pass 547 200 elements here
+    # signals.block_phasors takes cos/sin of about n / 512 block starts and
+    # one 512-sample ramp; a per-sample basis would pass 547 200 elements here
     sig = _low_residual_record(1000.0, 273600, 96000.0, 1.25)
     elements = []
 

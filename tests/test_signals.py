@@ -11,9 +11,10 @@ from audiochains.signals import (
     Signal,
     delay_samples,
     generate_sine,
+    cosine_samples,
     input_stage,
-    phasor,
     require_below_nyquist,
+    sine_samples,
 )
 
 
@@ -134,7 +135,7 @@ def _exact_angle(n, freq, fs):
 )
 def test_phasor_is_the_exactly_reduced_sinusoid(freq, fs, n, phase):
     # np.cos(2 pi f k / fs) is about 5e-12 off over these records
-    cos, sin = phasor(n, freq, fs, phase)
+    cos, sin = cosine_samples(n, freq, fs, phase), sine_samples(n, freq, fs, phase)
     angle = _exact_angle(n, freq, fs) + phase
     assert len(cos) == len(sin) == n
     assert np.max(np.abs(cos - np.cos(angle))) <= 4e-15
@@ -144,7 +145,7 @@ def test_phasor_is_the_exactly_reduced_sinusoid(freq, fs, n, phase):
 def test_phasor_at_a_non_integer_frequency():
     # freq * k is rounded before its reduction, so here the error grows with k
     n = 144000  # 3 s at 48 kHz
-    cos, sin = phasor(n, 1234.567, 48000.0)
+    cos, sin = cosine_samples(n, 1234.567, 48000.0), sine_samples(n, 1234.567, 48000.0)
     angle = _exact_angle(n, 1234.567, 48000.0)
     assert np.max(np.abs(cos - np.cos(angle))) <= 1e-11
     assert np.max(np.abs(sin - np.sin(angle))) <= 1e-11
@@ -152,7 +153,7 @@ def test_phasor_at_a_non_integer_frequency():
 
 def test_sine_is_the_phasors_sine_scaled():
     sig = generate_sine(1000.0, 0.5, 0.1, 44100.0, phase=0.7)
-    _, sin = phasor(4410, 1000.0, 44100.0, 0.7)
+    sin = sine_samples(4410, 1000.0, 44100.0, 0.7)
     assert sig.samples.tobytes() == (0.5 * np.sqrt(2.0) * sin).tobytes()
 
 
