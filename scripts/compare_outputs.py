@@ -30,8 +30,6 @@ SCENARIOS = [
                       "--wav-out", "i2s_spectrum.wav"]),
     ("adcdac_spectrum", ["--chain", "adcdac", "--measure", "spectrum", "--sampling-speed", "low",
                          "--wav-out", "adcdac_spectrum.wav"]),
-    ("i2s_thdn", ["--chain", "i2s", "--measure", "thdn"]),
-    ("adcdac_thdn", ["--chain", "adcdac", "--measure", "thdn"]),
     ("i2s_thd_wav_in", ["--chain", "i2s", "--measure", "thd", "--wav-in", "i2s_spectrum.wav",
                         "--wav-out", "i2s_thd_wav_in.wav"]),
     ("adcdac_high_wav_in", ["--chain", "adcdac", "--measure", "spectrum", "--sampling-speed",

@@ -55,7 +55,6 @@ from .measure import (
     estimate_latency,
     measure_impulse_response,
     measure_thd,
-    measure_thdn,
 )
 from .mls import PRIMITIVE_TAPS, MlsConfig, generate_mls
 from .quantize import QuantizerSpec, dequantize, quantize_uniform, round_half_away

@@ -4,7 +4,7 @@ Each run measures one chain (block codec or sample ADC/DAC) and writes a
 CSV report; sweeps map one row per swept parameter.  CSV layouts:
 
     latency      parameter,latency_seconds
-    thd / thdn   parameter,thd_db,thdn_db
+    thd          parameter,thd_db,thdn_db
     spectrum     frequency_hz,power_dbv
 
 The first line is a ``#`` comment holding the exact command line, numbers
@@ -73,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--chain", required=True, choices=("i2s", "adcdac"))
     parser.add_argument(
-        "--measure", required=True, choices=("latency", "thd", "thdn", "spectrum")
+        "--measure", required=True, choices=("latency", "thd", "spectrum")
     )
     parser.add_argument(
         "--block-samples",
@@ -334,7 +334,7 @@ def run_scenario(args: argparse.Namespace) -> None:
         if args.measure == "latency":
             rows, configs = _run_latency(args)
             header = ("parameter", "latency_seconds")
-        elif args.measure in ("thd", "thdn"):
+        elif args.measure == "thd":
             rows, configs = _run_rows(args, _thd_rows)
             header = ("parameter", "thd_db", "thdn_db")
         else:

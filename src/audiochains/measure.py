@@ -22,30 +22,32 @@ calibrated scaling (`spectrum.power_spectrum`'s coherent gain, the ENBW)
 would divide every band alike and cancel, and the DC and Nyquist bins it
 halves are never read, so none is applied.  For THD+N the fundamental (and
 DC) is removed exactly by a least-squares sin/cos fit at the stated
-frequency, solved from its 3x3 normal equations.  These are built from block
-sums, not from an n-sample basis: with `signals.block_phasors`, sample
-k = 512j + m has the angle a[j] + b[m], so each projection is one
-(blocks x 512) @ (512 x 2) product against the in-block cos b and sin b,
-summed with the block-start phasors by the angle-addition formulas, and each
-Gram entry is a sum of block-start products times in-block sums (a last
-partial block uses the same formulas over the ramp's first n mod 512
-samples).  At an integral frequency and rate each phasor stays a few ulps
-from the exactly reduced angle at any record length.  The residual is formed
-from the samples, block j's fit being A[j] cos b + B[j] sin b, in one
-n-sample buffer that the Hann frame then reuses.  At 10 or more cycles below
-0.45 fs the Gram matrix is near diag(n, n/2, n/2), condition number at most
-about 2.3, so squaring it costs no accuracy.  Binwise notching would leave
-window sidelobe leakage of the fundamental in the residual, putting a floor
-well above the quantization-level residuals this suite has to resolve.  Every
+frequency, solved from its 3x3 normal equations with no n-sample basis.
+The Gram matrix does not depend on the data: at the fundamental's angle t
+its entries are n and the record sums of cos t, sin t,
+cos^2 t = (1 + cos 2t) / 2, sin^2 t = (1 - cos 2t) / 2 and
+cos t sin t = (sin 2t) / 2, in closed form from `signals.phasor_sums` at the
+fundamental and at twice it.  The projections are block sums: with
+`signals.block_phasors`, sample k = 512j + m has the angle a[j] + b[m], so
+they are one (blocks x 512) @ (512 x 2) product against the in-block cos b
+and sin b (a last partial block uses the ramp's first n mod 512 samples),
+summed with the block-start phasors by the angle-addition formulas.  At an
+integral frequency and rate each phasor stays a few ulps from the exactly
+reduced angle at any record length.  The residual is formed from the
+samples, block j's fit being A[j] cos b + B[j] sin b, in one n-sample buffer
+that the Hann frame then reuses.  At 10 or more cycles below 0.45 fs the
+Gram matrix is near diag(n, n/2, n/2), condition number at most about 2.3,
+so squaring it costs no accuracy.  Binwise notching would leave window
+sidelobe leakage of the fundamental in the residual, putting a floor well
+above the quantization-level residuals this suite has to resolve.  Every
 sample of the record is analyzed: the fit removes the fundamental at any
 length (off whole cycles the harmonics leak into the fit basis, so THD+N
 reads about 0.024 dB low at 10.5 cycles and within 0.0007 dB at 2850), and a
 +/-3 bin Hann band holds its tone to within 0.00031 dB wherever the tone
 sits in its bin (3.05e-4 dB low at half a bin), so a ratio of two bands
-holds to about that.  One analysis yields both figures, so `measure_thdn` is
-an alias of `measure_thd`.  The harmonics read are those
-`harmonics_below_nyquist` names, each band below Nyquist; with none, THD is
--inf.
+holds to about that.  One analysis, `measure_thd`, yields both figures.  The
+harmonics read are those `harmonics_below_nyquist` names, each band below
+Nyquist; with none, THD is -inf.
 """
 
 from __future__ import annotations
@@ -57,8 +59,8 @@ import numpy as np
 
 from .errors import EmptySignal, FundamentalNotFound, NoPeak, TruncatedResponse
 from .mls import MlsConfig, generate_mls
-from .signals import PHASOR_BLOCK, Signal, block_phasors, require_below_nyquist
-from .signals import require_positive
+from .signals import PHASOR_BLOCK, Signal, block_phasors, phasor_sums
+from .signals import require_below_nyquist, require_positive
 from .spectrum import window_samples
 
 SystemTransform = Callable[[Signal], Signal]
@@ -151,32 +153,20 @@ def measure_thd(sig: Signal, fundamental_hz: float) -> DistortionReport:
     if n * fundamental_hz < 10 * fs:
         raise ValueError("signal must span at least 10 fundamental periods")
 
-    # Exact fundamental + DC removal from block sums (module docstring).  Per
-    # block: the in-block sums of cos b, sin b and their products (a last
-    # partial block sums the ramp's first n % PHASOR_BLOCK samples), and the
-    # block's samples projected on cos b and sin b.
+    # Exact fundamental + DC removal (module docstring): the Gram matrix from
+    # the cos and sin sums at f and 2f, the projections per block (a last
+    # partial block projects on the ramp's first n % PHASOR_BLOCK samples).
+    c1, s1 = phasor_sums(n, fundamental_hz, fs)
+    c2, s2 = phasor_sums(n, 2.0 * fundamental_hz, fs)
+    gram = [[n, c1, s1], [c1, (n + c2) / 2.0, s2 / 2.0], [s1, s2 / 2.0, (n - c2) / 2.0]]
     cos_a, sin_a, cos_b, sin_b = block_phasors(n, fundamental_hz, fs)
     ramp = np.stack([cos_b, sin_b])
     full, part = divmod(n, PHASOR_BLOCK)
-
-    def ramp_sums(m: int) -> tuple:
-        cb, sb = ramp[:, :m]
-        return cb.sum(), sb.sum(), cb @ cb, cb @ sb, sb @ sb
-
-    sums = np.empty((len(cos_a), 5))
-    sums[:full] = ramp_sums(PHASOR_BLOCK)
-    sums[full:] = ramp_sums(part)
     proj = np.empty((len(cos_a), 2))
     proj[:full] = x[: full * PHASOR_BLOCK].reshape(full, len(cos_b)) @ ramp.T
     proj[full:] = x[full * PHASOR_BLOCK :] @ ramp[:, :part].T
+    xc, xs = proj.T
     # cos(a + b) = cos a cos b - sin a sin b, sin(a + b) = sin a cos b + cos a sin b
-    (c, s, cc, cs, ss), (xc, xs) = sums.T, proj.T
-    cos2_a, cos_sin_a, sin2_a = cos_a * cos_a, cos_a * sin_a, sin_a * sin_a
-    sum_cos, sum_sin = cos_a @ c - sin_a @ s, sin_a @ c + cos_a @ s
-    cos_cos = cos2_a @ cc - 2.0 * (cos_sin_a @ cs) + sin2_a @ ss
-    sin_sin = sin2_a @ cc + 2.0 * (cos_sin_a @ cs) + cos2_a @ ss
-    cos_sin = cos_sin_a @ (cc - ss) + (cos2_a - sin2_a) @ cs
-    gram = [[n, sum_cos, sum_sin], [sum_cos, cos_cos, cos_sin], [sum_sin, cos_sin, sin_sin]]
     coef = np.linalg.solve(gram, [x.sum(), cos_a @ xc - sin_a @ xs, sin_a @ xc + cos_a @ xs])
     # The residual x - coef[0] - [A B] @ ramp is formed from the samples
     # (|x|^2 - coef.b would cancel away a pure sine's floor), in one n-sample
@@ -228,6 +218,3 @@ def measure_thd(sig: Signal, fundamental_hz: float) -> DistortionReport:
         thdn_db=float(thdn_db),
         harmonic_levels=tuple(harmonic_levels),
     )
-
-
-measure_thdn = measure_thd

@@ -6,12 +6,13 @@ not copies, a float64 samples array with its caller.  Every frequency meets
 its sample rate in one rule, `require_below_nyquist`.
 
 Every cosine and sine the package takes of a sampled sinusoid -- the test
-tone, the THD fit and the Hann window -- comes from `block_phasors`, which
-evaluates them only at block starts and over one in-block ramp (the
-blocking of Burrus 1972), with each argument reduced modulo one cycle
-first.  Each caller builds from those only the component it reads:
-`sine_samples` for the tone, `cosine_samples` for the window, and the fit
-only block sums.
+tone, the THD fit's projections and the Hann window -- comes from
+`block_phasors`, which evaluates them only at block starts and over one
+in-block ramp (the blocking of Burrus 1972), with each argument reduced
+modulo one cycle first.  Each caller builds from those only the component it
+reads: `sine_samples` for the tone, `cosine_samples` for the window, and the
+fit only block projections.  The fit's Gram matrix needs only whole-record
+sums, which `phasor_sums` gives in closed form.
 """
 
 from __future__ import annotations
@@ -91,6 +92,17 @@ def block_phasors(
     a = 2.0 * np.pi * np.fmod(freq * starts, rate) / rate + phase
     b = 2.0 * np.pi * np.fmod(freq * ramp, rate) / rate
     return np.cos(a), np.sin(a), np.cos(b), np.sin(b)
+
+
+def phasor_sums(n: int, freq: float, rate: float) -> tuple[float, float]:
+    """The sums of cos and sin of 2 pi freq k / rate over k = 0 .. n - 1, for
+    0 < freq < rate: the Dirichlet kernel sin(pi freq n / rate) / sin(pi freq /
+    rate) rotated by pi freq (n - 1) / rate, each angle reduced modulo one
+    cycle as in `block_phasors`."""
+    top, bottom, turn = (2.0 * math.pi * math.fmod(0.5 * freq * m, rate) / rate
+                         for m in (n, 1, n - 1))
+    kernel = math.sin(top) / math.sin(bottom)
+    return kernel * math.cos(turn), kernel * math.sin(turn)
 
 
 def sine_samples(n: int, freq: float, rate: float, phase: float = 0.0) -> np.ndarray:

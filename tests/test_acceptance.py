@@ -16,7 +16,6 @@ from audiochains.measure import (
     estimate_latency,
     measure_impulse_response,
     measure_thd,
-    measure_thdn,
 )
 from audiochains.mls import MlsConfig, lfsr_bits
 from audiochains.signals import Signal, generate_sine
@@ -164,7 +163,7 @@ def test_analyzer_exactness():
 
     noise_sig = generate_sine(1000.0, 0.5, 2.0, I2S_FS)
     noisy = noise_sig.samples + rng.normal(0.0, 0.5 * 10 ** (-68 / 20), len(noise_sig))
-    thdn = measure_thdn(Signal(noisy, I2S_FS), 1000.0).thdn_db
+    thdn = measure_thd(Signal(noisy, I2S_FS), 1000.0).thdn_db
     assert thdn == pytest.approx(-68.0, abs=0.5)
     _report(
         "analyzer-exactness",

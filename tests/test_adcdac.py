@@ -23,7 +23,7 @@ from audiochains.errors import (
     ShapeMismatch,
 )
 from audiochains.i2s import BlockPipelineConfig, run_block_pipeline
-from audiochains.measure import estimate_latency, measure_impulse_response, measure_thdn
+from audiochains.measure import estimate_latency, measure_impulse_response, measure_thd
 from audiochains.mls import MlsConfig
 from audiochains.signals import Signal, generate_sine
 
@@ -209,7 +209,7 @@ def test_identical_inputs_pass_the_sine_through():
     tail = out.samples[9600:]
     ac = tail - tail.mean()
     assert np.sqrt(np.mean(ac**2)) == pytest.approx(0.5, abs=1e-3)
-    report = measure_thdn(Signal(tail, cfg.sample_rate), 1000.0)
+    report = measure_thd(Signal(tail, cfg.sample_rate), 1000.0)
     assert report.thdn_db < -85.0  # quantization floor only
 
 
@@ -351,5 +351,5 @@ def test_chain_thdn_bounded_by_worst_table_entry():
     # the rng turns the conditioning and ENOB-13 noise on
     out = run_sample_pipeline(sine, sine, cfg, np.random.default_rng(3))
     trimmed = Signal(out.samples[14400:], cfg.sample_rate)
-    report = measure_thdn(trimmed, 1000.0)
+    report = measure_thd(trimmed, 1000.0)
     assert report.thdn_db <= -61.0

@@ -229,7 +229,7 @@ def thd_rows(tmp_path_factory):
     return cli.read_csv(out)[2]
 
 
-@pytest.mark.parametrize("measure", ["thd", "thdn"])
+@pytest.mark.parametrize("measure", ["thd"])
 def test_thd_report_format(tmp_path, thd_rows, measure):
     out = str(tmp_path / "thd.csv")
     assert run_cli(
@@ -240,7 +240,7 @@ def test_thd_report_format(tmp_path, thd_rows, measure):
     assert rows[0][0] == "128"
     assert float(rows[0][1]) == pytest.approx(-80.0, abs=0.5)
     assert float(rows[0][2]) == pytest.approx(-68.0, abs=1.0)
-    assert rows == thd_rows  # both spellings run the same analysis
+    assert rows == thd_rows  # identical flags reproduce identical rows
 
 
 def test_spectrum_report(tmp_path):
@@ -417,7 +417,7 @@ def test_a_sweep_builds_its_stimulus_once_and_leaves_it_unchanged(
 # ---------------------------------------------------------------- exit codes
 
 
-def test_usage_errors_exit_2(tmp_path):
+def test_usage_errors_exit_2(tmp_path, capsys):
     out = str(tmp_path / "x.csv")
     bad_flag_sets = [
         ("--chain", "i2s", "--measure", "latency", "--sampling-speed", "low", "--out", out),
@@ -426,11 +426,14 @@ def test_usage_errors_exit_2(tmp_path):
         ("--chain", "i2s", "--measure", "latency", "--wav-in", "x.wav", "--out", out),
         ("--chain", "nope", "--measure", "latency", "--out", out),
         ("--chain", "i2s", "--out", out),
+        ("--chain", "i2s", "--measure", "thdn", "--out", out),  # thd reports THD+N
     ]
     for flags in bad_flag_sets:
         with pytest.raises(SystemExit) as exc:
             cli.main(list(flags))
         assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert sum(line.startswith(f"{cli.PROG}: error: ") for line in err) == 1
 
 
 @pytest.mark.parametrize("rate", ["0", "-1", "nan", "inf", "100", "1000"])
@@ -748,7 +751,7 @@ def test_a_bad_block_exits_2_with_one_line_naming_the_flag(tmp_path, capsys, mea
 def cli_flags(draw):
     flags = [
         "--chain", draw(st.sampled_from(["i2s", "adcdac"])),
-        "--measure", draw(st.sampled_from(["latency", "thd", "thdn", "spectrum"])),
+        "--measure", draw(st.sampled_from(["latency", "thd", "spectrum"])),
         "--seed", str(draw(st.integers(0, 3))),
     ]
     for block in draw(st.lists(st.sampled_from([16, 64, 256, 0, 3, -8]), max_size=2)):

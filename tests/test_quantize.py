@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from audiochains.errors import InvalidCode
-from audiochains.measure import measure_thdn
+from audiochains.measure import measure_thd
 from audiochains.quantize import QuantizerSpec, dequantize, quantize_uniform, round_half_away
 from audiochains.signals import Signal, generate_sine
 
@@ -174,5 +174,5 @@ def test_enob_13_full_scale_sine_reaches_sinad_formula():
     shifted = sine.samples + 1.65
     codes = quantize_uniform(shifted, spec, np.random.default_rng(42))
     out = Signal(dequantize(codes, spec), fs)
-    report = measure_thdn(out, 997.0)
+    report = measure_thd(out, 997.0)
     assert -report.thdn_db == pytest.approx(6.02 * 13 + 1.76, abs=0.2)

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from audiochains.signals import (
     generate_sine,
     cosine_samples,
     input_stage,
+    phasor_sums,
     require_below_nyquist,
     sine_samples,
 )
@@ -149,6 +151,30 @@ def test_phasor_at_a_non_integer_frequency():
     angle = _exact_angle(n, 1234.567, 48000.0)
     assert np.max(np.abs(cos - np.cos(angle))) <= 1e-11
     assert np.max(np.abs(sin - np.sin(angle))) <= 1e-11
+
+
+@pytest.mark.parametrize(
+    "freq, fs",
+    [
+        (997.3, 44100.0),
+        (1000.0, 44100.0),
+        (19845.0, 44100.0),  # 0.45 fs
+        (21609.0, 44100.0),  # 0.49 fs
+        (997.3, 96000.0),
+        (1000.0, 96000.0),
+        (43200.0, 96000.0),  # 0.45 fs
+        (47040.0, 96000.0),  # 0.49 fs
+    ],
+)
+@pytest.mark.parametrize("n", [1, 500, 511, 512, 513, 273600])
+def test_phasor_sums_match_the_exactly_reduced_sums(n, freq, fs):
+    # each frequency is also summed at twice itself, as the THD fit's Gram
+    # matrix does; the reference's own rounding grows with n
+    for f in (freq, 2.0 * freq):
+        angle = _exact_angle(n, f, fs)
+        cos_sum, sin_sum = phasor_sums(n, f, fs)
+        assert abs(cos_sum - math.fsum(np.cos(angle))) <= 1e-15 * n
+        assert abs(sin_sum - math.fsum(np.sin(angle))) <= 1e-15 * n
 
 
 def test_sine_is_the_phasors_sine_scaled():
