@@ -53,6 +53,9 @@ SCENARIOS = [
     # a record short enough that the spectrum derives an 8192-sample segment
     ("i2s_spectrum_5k", ["--chain", "i2s", "--measure", "spectrum", "--sample-rate", "5000",
                          "--block-samples", "16"]),
+    # a 15 000-sample adcdac record: the chain's last 8192-sample slice is partial
+    ("adcdac_spectrum_5k", ["--chain", "adcdac", "--measure", "spectrum", "--sample-rate", "5000",
+                            "--sampling-speed", "high"]),
 ]
 
 

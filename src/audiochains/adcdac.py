@@ -6,9 +6,10 @@ Every input sample is one conversion tick: the two channels are conditioned
 per channel) and quantized (`ADC_SPEC`, 16 bits over 0-3.3 V, ENOB 13),
 combined by the fixed per-sample arithmetic, framed as two SPI bytes MSB
 first (`spi_encode`/`spi_decode`), and reconstructed by the 16-bit DAC
-(`DAC_SPEC`, 0-2.5 V).  Both noises, `CONDITIONING_NOISE_RMS` and the
-ADC's ENOB noise, are drawn when the pipeline is given an rng; without one
-the chain is its deterministic transfer.  The DAC output keeps its
+(`DAC_SPEC`, 0-2.5 V), slice by slice (`signals.delayed_slices`).  Both
+noises, `CONDITIONING_NOISE_RMS` and then the ENOB noise, are drawn per
+channel when the pipeline is given an rng, before the first slice; without
+one the chain is its deterministic transfer.  The DAC output keeps its
 `DAC_OFFSET` = +1.25 V standing offset (the measurement side AC-couples),
 and the chain latency `SampleChainConfig.latency` -- the per-speed
 `CONVERSION_TIME` plus the `SPI_TRANSFER_TIME` of one 16-bit frame at
@@ -32,7 +33,7 @@ import numpy as np
 from .distortion import PolynomialDistortion
 from .frontend import check_damage, front_end_filter
 from .quantize import QuantizerSpec, dequantize, quantize_uniform, round_half_away
-from .signals import Signal, delay_samples, input_stage, latency_samples, require_positive
+from .signals import Signal, delayed_slices, input_stage, latency_samples, require_positive
 
 SPI_TRANSFER_TIME = 16 / 50e6  # one 16-bit frame at the 50 MHz SPI clock
 ADC_OFFSET = 1.625  # subtracted by the per-sample arithmetic
@@ -140,8 +141,14 @@ def run_sample_pipeline(
         return x
 
     pins = input_stage(in0, in1, cfg.sample_rate, condition, CONDITIONING_NOISE_RMS, rng)
-    codes0, codes1 = (quantize_uniform(x, ADC_SPEC, rng) for x in pins)
-    dac_codes, _ = process_sample(codes0, codes1)
-    out = dequantize(spi_decode(spi_encode(dac_codes)), DAC_SPEC)
+    if rng is not None:  # the ENOB noise, into the fresh pins of input_stage
+        enob = np.empty(len(in0))
+        for pin in pins:
+            pin += np.multiply(rng.standard_normal(out=enob), ADC_SPEC.noise_rms(), out=enob)
+
+    def convert(*volts: np.ndarray) -> np.ndarray:
+        dac_codes, _ = process_sample(*(quantize_uniform(v, ADC_SPEC) for v in volts))
+        return dequantize(spi_decode(spi_encode(dac_codes)), DAC_SPEC)
+
     delay = latency_samples(cfg.latency, cfg.sample_rate)
-    return Signal(delay_samples(out, delay), cfg.sample_rate)
+    return Signal(delayed_slices(convert, delay, *pins), cfg.sample_rate)

@@ -9,7 +9,8 @@ scaling is reproduced faithfully rather than "fixed".  A pair fed one
 
 The callback is a pure per-sample function, so splitting the signal into
 blocks cannot change its output: the simulation hands it the whole signal
-in one call, and the block size sets only the latency.
+in one call, and the block size sets only the latency.  The codec's ADC
+and DAC sides convert per slice (`signals.delayed_slices`).
 
 The chain latency, `BlockPipelineConfig.latency`, is PIPELINE_BLOCK_COUNT *
 block_samples/fs + FIXED_DELAY.  The two constants (3.0 blocks, 536 us) are
@@ -30,7 +31,7 @@ import numpy as np
 from .distortion import PolynomialDistortion
 from .errors import ShapeMismatch
 from .quantize import INT16_MAX, int16_codes, int16_volts
-from .signals import Signal, delay_samples, input_stage, latency_samples, require_positive
+from .signals import Signal, delayed_slices, input_stage, latency_samples, require_positive
 
 CONVERSION_ADC = 1.0 / 65535.0
 CONVERSION_DAC = 65535.0
@@ -93,15 +94,19 @@ def run_block_pipeline(
     """
     shape = cfg.distortion.apply if cfg.distortion is not None else (lambda x: x)
     pins = input_stage(input_left, input_right, cfg.sample_rate, shape, I2S_NOISE_FLOOR_RMS, rng)
-    channels = [int16_codes(x / FULL_SCALE_VOLTS * INT16_MAX) for x in pins]
 
-    res_l, res_r = proc(channels[0] * CONVERSION_ADC, channels[1] * CONVERSION_ADC)
+    def adc(volts):  # the codec's signed 16-bit codes, as the callback sees them
+        return int16_codes(volts / FULL_SCALE_VOLTS * INT16_MAX) * CONVERSION_ADC
+
+    def dac(values):  # the callback's values, scaled back and re-quantized
+        return int16_volts(int16_codes(values * CONVERSION_DAC), FULL_SCALE_VOLTS)
+
+    res_l, res_r = proc(*(delayed_slices(adc, 0, pin) for pin in pins))
     delay = latency_samples(cfg.latency, cfg.sample_rate)
     outputs = []
     for res in (res_l, res_r):
         res = np.asarray(res, dtype=np.float64)
         if len(res) != len(input_left):
             raise ShapeMismatch("processor must return one output per input sample")
-        volts = int16_volts(int16_codes(res * CONVERSION_DAC), FULL_SCALE_VOLTS)
-        outputs.append(Signal(delay_samples(volts, delay), cfg.sample_rate))
+        outputs.append(Signal(delayed_slices(dac, delay, res), cfg.sample_rate))
     return outputs[0], outputs[1]

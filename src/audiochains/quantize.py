@@ -1,4 +1,4 @@
-"""Uniform quantizer with an effective-number-of-bits noise model, and the one
+"""Uniform quantizer, the ENOB noise level a chain draws, and the one
 code-range rule, `QuantizerSpec.checked_codes`, that every code reader runs."""
 
 from __future__ import annotations
@@ -90,19 +90,15 @@ class QuantizerSpec:
         return math.sqrt(max(q_eff * q_eff - q_raw * q_raw, 0.0) / 12.0)
 
 
-def quantize_uniform(v, spec: QuantizerSpec, rng: np.random.Generator | None = None):
-    """Convert volts to integer codes, saturating at the rails.
+def quantize_uniform(v, spec: QuantizerSpec):
+    """Convert volts to integer codes, saturating at the rails, bit-deterministically.
 
-    With an rng and an ENOB below bits the calibrated Gaussian noise is
-    added first; without either the conversion is bit-deterministic and no
-    random numbers are consumed.
+    The ENOB noise is not added here: a caller that models it adds
+    `spec.noise_rms()` Gaussian noise to v first, as `adcdac` does.
 
     Returns an int64 array of the input's shape.
     """
     v = np.asarray(v, dtype=np.float64)
-    sigma = spec.noise_rms()
-    if sigma > 0.0 and rng is not None:
-        v = v + rng.normal(0.0, sigma, size=v.shape)
     scaled = (v - spec.v_min) / (spec.v_max - spec.v_min) * spec.max_code
     return np.clip(round_half_away(scaled), 0, spec.max_code).astype(np.int64)
 

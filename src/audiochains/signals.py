@@ -27,6 +27,7 @@ from .errors import AliasedStimulus, ShapeMismatch
 from .quantize import round_half_away
 
 PHASOR_BLOCK = 512  # samples per block of `block_phasors`
+SLICE = 8192  # samples per slice of the chains' per-sample stages: 64 KB float64 operands
 
 
 def require_positive(name: str, value: float) -> None:
@@ -148,12 +149,17 @@ def latency_samples(latency: float, sample_rate: float) -> int:
     return int(round_half_away(latency * sample_rate))
 
 
-def delay_samples(samples: np.ndarray, n: int) -> np.ndarray:
-    """Shift right by n whole samples, zero-filling; output length is preserved."""
-    if n < 0:
+def delayed_slices(convert: Callable[..., np.ndarray], delay: int, *inputs) -> np.ndarray:
+    """Run convert, a per-sample conversion of equal-length inputs, on slices of at
+    most SLICE samples, each written straight into the zero-filled output delay
+    whole samples later; samples the delay pushes out of the record never run."""
+    if delay < 0:
         raise ValueError("delay must be non-negative")
-    out = np.zeros(len(samples), dtype=np.float64)
-    out[n:] = samples[: max(len(samples) - n, 0)]
+    out = np.zeros(len(inputs[0]))
+    kept = out[delay:]  # a view: the output samples the delay keeps in the record
+    for start in range(0, len(kept), SLICE):
+        stop = min(start + SLICE, len(kept))
+        kept[start:stop] = convert(*(x[start:stop] for x in inputs))
     return out
 
 
@@ -169,8 +175,8 @@ def input_stage(
 
     shape, the chain's deterministic analog shaping, runs once per distinct
     Signal.  Given an rng, Gaussian noise of noise_rms is then drawn per
-    channel, channel 0 first; rng=None returns the shaped pins and consumes
-    no randomness.
+    channel, channel 0 first, into fresh pins; rng=None returns the shaped
+    pins and consumes no randomness.
     """
     if len(in0) != len(in1):
         raise ShapeMismatch("input signals must have equal length")
@@ -179,7 +185,8 @@ def input_stage(
     shaped = [shape(sig.samples) for sig in ((in0,) if in1 is in0 else (in0, in1))]
     if rng is None:
         return shaped[0], shaped[-1]
-    pins = rng.normal(0.0, noise_rms, size=(2, len(in0)))  # row k: channel k's noise
-    pins[0] += shaped[0]
-    pins[1] += shaped[-1]
-    return pins[0], pins[1]
+    pins = rng.standard_normal(len(in0)), rng.standard_normal(len(in0))
+    for pin, x in zip(pins, (shaped[0], shaped[-1])):
+        pin *= noise_rms
+        pin += x
+    return pins

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -8,7 +9,11 @@ from hypothesis import strategies as st
 
 from audiochains import adcdac
 from audiochains.adcdac import (
+    ADC_SPEC,
+    CONDITIONING_NOISE_RMS,
+    DAC_SPEC,
     SPI_TRANSFER_TIME,
+    THD_DB,
     SampleChainConfig,
     SamplingSpeed,
     process_sample,
@@ -16,7 +21,7 @@ from audiochains.adcdac import (
     spi_decode,
     spi_encode,
 )
-from audiochains.distortion import PolynomialDistortion
+from audiochains.distortion import PolynomialDistortion, calibrate_distortion
 from audiochains.errors import (
     DamageVoltage,
     InvalidCode,
@@ -25,7 +30,9 @@ from audiochains.errors import (
 from audiochains.i2s import BlockPipelineConfig, run_block_pipeline
 from audiochains.measure import estimate_latency, measure_impulse_response, measure_thd
 from audiochains.mls import MlsConfig
-from audiochains.signals import Signal, generate_sine
+from audiochains.frontend import front_end_filter
+from audiochains.quantize import dequantize, quantize_uniform
+from audiochains.signals import SLICE, Signal, generate_sine, input_stage, latency_samples
 
 
 def _oracle_process(code0: int, code1: int) -> tuple[int, bool]:
@@ -353,3 +360,59 @@ def test_chain_thdn_bounded_by_worst_table_entry():
     trimmed = Signal(out.samples[14400:], cfg.sample_rate)
     report = measure_thd(trimmed, 1000.0)
     assert report.thdn_db <= -61.0
+
+
+# ---------------------------------------------------------------- slices
+
+# the CLI's LOW_SPEED thd row: a 0.5 Vrms tone through the calibrated distortion
+LOW_ROW = SampleChainConfig(
+    distortion=calibrate_distortion(THD_DB[SamplingSpeed.LOW_SPEED], 0.5 * np.sqrt(2.0))
+)
+
+
+def _whole_record_chain(in0, in1, cfg, rng):
+    """The sample chain as whole-record stages: the reference for the sliced one."""
+
+    def condition(x):
+        return front_end_filter(Signal(cfg.distortion.apply(x), cfg.sample_rate)).samples
+
+    pins = input_stage(in0, in1, cfg.sample_rate, condition, CONDITIONING_NOISE_RMS, rng)
+    if rng is not None:
+        pins = [pin + rng.normal(0.0, ADC_SPEC.noise_rms(), len(pin)) for pin in pins]
+    dac_codes, _ = process_sample(*(quantize_uniform(pin, ADC_SPEC) for pin in pins))
+    out = dequantize(spi_decode(spi_encode(dac_codes)), DAC_SPEC)
+    delay = latency_samples(cfg.latency, cfg.sample_rate)
+    shifted = np.zeros(len(out))
+    shifted[delay:] = out[: max(len(out) - delay, 0)]
+    return shifted
+
+
+@pytest.mark.parametrize("n", [1, SLICE - 1, SLICE, SLICE + 1, SLICE + 2, 3 * SLICE + 5])
+@pytest.mark.parametrize("seed", [None, 8])
+@pytest.mark.parametrize("distinct", [False, True])
+def test_sliced_chain_is_the_whole_record_chain_byte_for_byte(n, seed, distinct):
+    # at 96 kHz the chain delay is one sample: n = 1 is a delay >= n, and
+    # n = SLICE + 2 keeps a one-sample last slice
+    cfg = LOW_ROW
+    in0 = Signal(generate_sine(1000.0, 0.5, 1.0, cfg.sample_rate).samples[:n], cfg.sample_rate)
+    in1 = Signal(0.8 * in0.samples, cfg.sample_rate) if distinct else in0
+    rng = ref = None
+    if seed is not None:
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = run_sample_pipeline(in0, in1, cfg, rng)
+    assert got.samples.tobytes() == _whole_record_chain(in0, in1, cfg, ref).tobytes()
+    if seed is not None:
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_peak_memory_of_a_row_stays_under_five_record_lengths():
+    # a 3 s, 96 kHz row as the CLI runs it: distortion, front end, both noises
+    cfg = LOW_ROW
+    sine = generate_sine(1000.0, 0.5, 3.0, cfg.sample_rate)
+    tracemalloc.start()
+    try:
+        run_sample_pipeline(sine, sine, cfg, np.random.default_rng(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * sine.samples.nbytes

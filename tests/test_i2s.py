@@ -7,7 +7,9 @@ from audiochains.distortion import calibrate_distortion
 from audiochains.errors import ShapeMismatch
 from audiochains.i2s import (
     CONVERSION_ADC,
+    CONVERSION_DAC,
     FIXED_DELAY,
+    FULL_SCALE_VOLTS,
     I2S_NOISE_FLOOR_RMS,
     PIPELINE_BLOCK_COUNT,
     BlockPipelineConfig,
@@ -16,7 +18,8 @@ from audiochains.i2s import (
 )
 from audiochains.measure import estimate_latency, measure_impulse_response, measure_thd
 from audiochains.mls import MlsConfig
-from audiochains.signals import Signal, generate_sine, latency_samples
+from audiochains.quantize import INT16_MAX, int16_codes, int16_volts
+from audiochains.signals import SLICE, Signal, generate_sine, input_stage, latency_samples
 
 FS = 44100.0
 TABLE_MS = {16: 1.63, 32: 2.7, 64: 4.9, 128: 9.24}
@@ -101,6 +104,41 @@ def test_output_independent_of_block_partitioning():
         outs[block] = left.samples[delay:]
     n = min(len(outs[32]), len(outs[128]))
     assert np.array_equal(outs[32][:n], outs[128][:n])
+
+
+def _whole_record_chain(left, right, cfg, proc, rng):
+    """The block chain as whole-record stages: the reference for the sliced one."""
+    pins = input_stage(left, right, cfg.sample_rate, cfg.distortion.apply, I2S_NOISE_FLOOR_RMS, rng)
+    seen = [int16_codes(x / FULL_SCALE_VOLTS * INT16_MAX) * CONVERSION_ADC for x in pins]
+    delay = latency_samples(cfg.latency, cfg.sample_rate)
+    outputs = []
+    for res in proc(*seen):
+        volts = int16_volts(int16_codes(res * CONVERSION_DAC), FULL_SCALE_VOLTS)
+        shifted = np.zeros(len(volts))
+        shifted[delay:] = volts[: max(len(volts) - delay, 0)]
+        outputs.append(shifted)
+    return outputs
+
+
+# the chain delay at block 16 is 72 samples: n = 1 and n = 72 are delays >= n,
+# and n = SLICE + 73 keeps a one-sample last slice on the DAC side
+@pytest.mark.parametrize("n", [1, 72, SLICE - 1, SLICE, SLICE + 1, SLICE + 73, 3 * SLICE + 5])
+@pytest.mark.parametrize("seed", [None, 9])
+@pytest.mark.parametrize("distinct", [False, True])
+def test_sliced_chain_is_the_whole_record_chain_byte_for_byte(n, seed, distinct):
+    cfg = BlockPipelineConfig(block_samples=16, distortion=calibrate_distortion(-80.0, 0.7))
+    assert latency_samples(cfg.latency, FS) == 72
+    left = Signal(generate_sine(1000.0, 0.5, 1.0, FS).samples[:n], FS)
+    right = Signal(0.8 * left.samples, FS) if distinct else left
+    tanh = lambda l, r: (np.tanh(4.0 * l), np.tanh(4.0 * r))
+    rng = ref = None
+    if seed is not None:
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = run_block_pipeline(left, right, cfg, proc=tanh, rng=rng)
+    want = _whole_record_chain(left, right, cfg, tanh, ref)
+    assert [s.samples.tobytes() for s in got] == [w.tobytes() for w in want]
+    if seed is not None:
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 @pytest.mark.parametrize("block", [16, 128])

@@ -6,10 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from audiochains.adcdac import (
+    ADC_SPEC,
+    DAC_SPEC,
+    SampleChainConfig,
+    process_sample,
+    run_sample_pipeline,
+)
 from audiochains.errors import InvalidCode
 from audiochains.measure import measure_thd
 from audiochains.quantize import QuantizerSpec, dequantize, quantize_uniform, round_half_away
-from audiochains.signals import Signal, generate_sine
+from audiochains.signals import SLICE, Signal, generate_sine, latency_samples
 
 SPEC_3V3 = QuantizerSpec(bits=16, v_min=0.0, v_max=3.3)
 
@@ -137,23 +144,28 @@ def test_enob_equal_bits_is_exactly_noiseless():
     spec = QuantizerSpec(bits=16, v_min=0.0, v_max=3.3, enob=16.0)
     assert spec.noise_rms() == 0.0
     v = np.linspace(0.0, 3.3, 4096)
-    rng = np.random.default_rng(0)
-    state_before = rng.bit_generator.state
-    codes = quantize_uniform(v, spec, rng)
-    assert rng.bit_generator.state == state_before  # no randomness consumed
-    assert np.array_equal(codes, quantize_uniform(v, SPEC_3V3))
+    assert np.array_equal(quantize_uniform(v, spec), quantize_uniform(v, SPEC_3V3))
 
 
 def test_enob_noise_is_drawn_only_with_an_rng():
-    spec = QuantizerSpec(bits=16, v_min=0.0, v_max=3.3, enob=13.0)
-    v = np.linspace(0.0, 3.3, 4096)
-    ideal = quantize_uniform(v, SPEC_3V3)
-    assert np.array_equal(quantize_uniform(v, spec), ideal)
+    # the sample chain draws the ENOB noise, not quantize_uniform: with an rng
+    # it takes n normals per channel after the conditioning noise's n per
+    # channel; without one it draws nothing and is its noiseless transfer
+    cfg = SampleChainConfig()
+    n = SLICE + 5
+    sig = Signal(np.linspace(1.0, 2.3, n), cfg.sample_rate)
     rng, ref = np.random.default_rng(0), np.random.default_rng(0)
-    noisy = quantize_uniform(v, spec, rng)
-    ref.normal(0.0, spec.noise_rms(), size=v.shape)
+    quiet = run_sample_pipeline(sig, sig, cfg, None, front_end=False)
+    noisy = run_sample_pipeline(sig, sig, cfg, rng, front_end=False)
+    ref.standard_normal(4 * n)
     assert rng.bit_generator.state == ref.bit_generator.state
-    assert not np.array_equal(noisy, ideal)
+    codes = quantize_uniform(sig.samples, ADC_SPEC)
+    dac_codes, _ = process_sample(codes, codes)
+    ideal = dequantize(dac_codes, DAC_SPEC)
+    delay = latency_samples(cfg.latency, cfg.sample_rate)
+    assert quiet.samples[:delay].tobytes() == bytes(8 * delay)
+    assert quiet.samples[delay:].tobytes() == ideal[: n - delay].tobytes()
+    assert not np.array_equal(noisy.samples, quiet.samples)
 
 
 def test_enob_noise_rms_value():
@@ -172,7 +184,8 @@ def test_enob_13_full_scale_sine_reaches_sinad_formula():
     amp_rms = (3.3 / 2) / np.sqrt(2.0)
     sine = generate_sine(997.0, amp_rms, 1.0, fs)
     shifted = sine.samples + 1.65
-    codes = quantize_uniform(shifted, spec, np.random.default_rng(42))
+    shifted += np.random.default_rng(42).normal(0.0, spec.noise_rms(), len(shifted))
+    codes = quantize_uniform(shifted, spec)
     out = Signal(dequantize(codes, spec), fs)
     report = measure_thd(out, 997.0)
     assert -report.thdn_db == pytest.approx(6.02 * 13 + 1.76, abs=0.2)

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from audiochains.errors import AliasedStimulus, ShapeMismatch
 from audiochains.signals import (
+    SLICE,
     Signal,
-    delay_samples,
+    delayed_slices,
     generate_sine,
     cosine_samples,
     input_stage,
@@ -183,13 +184,32 @@ def test_sine_is_the_phasors_sine_scaled():
     assert sig.samples.tobytes() == (0.5 * np.sqrt(2.0) * sin).tobytes()
 
 
-def test_delay_samples():
+def test_delayed_slices():
     x = np.array([1.0, 2.0, 3.0, 4.0])
-    assert np.array_equal(delay_samples(x, 0), x)
-    assert np.array_equal(delay_samples(x, 2), [0.0, 0.0, 1.0, 2.0])
-    assert np.array_equal(delay_samples(x, 10), np.zeros(4))
+    same = lambda v: v
+    assert np.array_equal(delayed_slices(same, 0, x), x)
+    assert np.array_equal(delayed_slices(same, 2, x), [0.0, 0.0, 1.0, 2.0])
+    for delay in (4, 10):  # a delay >= n leaves the zero-filled record, converting nothing
+        assert np.array_equal(delayed_slices(lambda v: 1 / 0, delay, x), np.zeros(4))
     with pytest.raises(ValueError):
-        delay_samples(x, -1)
+        delayed_slices(same, -1, x)
+
+
+@pytest.mark.parametrize("n", [1, SLICE - 1, SLICE, SLICE + 1, 3 * SLICE + 5])
+@pytest.mark.parametrize("delay", [0, 1, 3, SLICE])
+def test_delayed_slices_is_the_whole_record_conversion_shifted(n, delay):
+    a, b = np.random.default_rng(n).standard_normal((2, n))
+    seen = []
+
+    def convert(u, v):
+        seen.append(len(u))
+        return u * 3.0 - v
+
+    want = np.zeros(n)
+    want[delay:] = (a * 3.0 - b)[: max(n - delay, 0)]
+    assert delayed_slices(convert, delay, a, b).tobytes() == want.tobytes()
+    kept = max(n - delay, 0)  # only the samples the delay keeps are converted
+    assert seen == [min(SLICE, kept - start) for start in range(0, kept, SLICE)]
 
 
 def test_input_stage_shapes_each_distinct_signal_once_then_adds_noise_channel_0_first():
