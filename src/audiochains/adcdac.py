@@ -3,20 +3,19 @@
 Every input sample is one conversion tick: the two channels are conditioned
 (`front_end_filter`, in the shared `signals.input_stage`: a pair fed one
 `Signal` is distorted and filtered once, the noise after it is still drawn
-per channel) and quantized (`ADC_SPEC`, 16 bits over 0-3.3 V, ENOB 13),
-combined by the fixed per-sample arithmetic, framed as two SPI bytes MSB
-first (`spi_encode`/`spi_decode`), and reconstructed by the 16-bit DAC
-(`DAC_SPEC`, 0-2.5 V), slice by slice (`signals.delayed_slices`).  Both
-noises, `CONDITIONING_NOISE_RMS` and then the ENOB noise, are drawn per
-channel when the pipeline is given an rng, before the first slice; without
+per channel), quantized (`ADC_SPEC`, 16 bits over 0-3.3 V, ENOB 13),
+combined by the fixed per-sample arithmetic and reconstructed by the 16-bit
+DAC (`DAC_SPEC`, 0-2.5 V), slice by slice (`signals.delayed_slices`).  The
+SPI frame between them is the wire format `spi_encode`/`spi_decode`, an
+identity on valid codes that the pipeline does not run.  Given an rng, each
+channel draws one Gaussian, `PIN_NOISE_RMS`, before the first slice; without
 one the chain is its deterministic transfer.  The DAC output keeps its
 `DAC_OFFSET` = +1.25 V standing offset (the measurement side AC-couples),
 and the chain latency `SampleChainConfig.latency` -- the per-speed
 `CONVERSION_TIME` plus the `SPI_TRANSFER_TIME` of one 16-bit frame at
-50 MHz -- is applied as a whole-sample delay (`signals.latency_samples`)
-at the simulation rate.  `SampleChainConfig.realtime_feasible` tells whether
-it fits a sample period and never warns: the CLI warns at hardware rates.
-A code outside its spec raises InvalidCode (`QuantizerSpec.checked_codes`).
+50 MHz -- is applied as a whole-sample delay (`signals.latency_samples`).
+The CLI, not `SampleChainConfig.realtime_feasible`, warns when that overruns
+a sample period.  A code outside its spec raises InvalidCode.
 
 The per-sample arithmetic subtracts `ADC_OFFSET` = 1.625 V although the
 hardware bias (`frontend.BIAS_VOLTAGE`) is 1.65 V; the two constants
@@ -49,11 +48,13 @@ class SamplingSpeed(enum.Enum):
 
 # Characterized THD per speed: the distortion polynomial's calibration target.
 THD_DB = {SamplingSpeed.LOW_SPEED: -76.0, SamplingSpeed.HIGH_SPEED: -67.0}
-# Lumped conditioning-stage noise, rms volts per channel.  Calibrated from
-# noise-power accounting so the default (LOW_SPEED) chain at 1 kHz / 0.5 Vrms
-# reads THD+N = -63 dB once the -76 dB distortion and ENOB-13 noise are in:
-#   sigma^2 = 2 * (0.25 * (10**-6.3 - 10**-7.6) - enob_noise_rms**2 / 2)
+# Lumped conditioning-stage noise, rms volts per channel, and the one Gaussian
+# each pin draws: its sum with the independent ENOB noise of ADC_SPEC, added at
+# the same pin.  Calibrated so the default (LOW_SPEED) chain at 1 kHz / 0.5 Vrms
+# reads THD+N = -63 dB with the -76 dB distortion in: whatever the split, the
+# chain's total input noise is sigma^2 = 0.5 * (10**-6.3 - 10**-7.6).
 CONDITIONING_NOISE_RMS = 4.7404575629334364e-04
+PIN_NOISE_RMS = float(np.hypot(CONDITIONING_NOISE_RMS, ADC_SPEC.noise_rms()))
 
 # Conversion time per speed: table latency minus the 0.32 us SPI transfer,
 # with the (unpublished) processing share folded in.
@@ -84,7 +85,8 @@ class SampleChainConfig:
 
 
 def spi_encode(dac_codes) -> bytes:
-    """Wire bytes of one or more 16-bit DAC codes: two per code, MSB first."""
+    """The board's SPI wire bytes of 16-bit DAC codes, two per code MSB first;
+    an identity round trip with `spi_decode`, so the pipeline does not run it."""
     return DAC_SPEC.checked_codes(dac_codes).astype(">u2").tobytes()
 
 
@@ -124,8 +126,8 @@ def run_sample_pipeline(
 ) -> Signal:
     """Drive the two-channel sample chain and return the DAC output signal.
 
-    With an rng the conditioning noise and then the ADC's ENOB noise are
-    drawn; rng=None runs the chain noiseless and consumes no randomness.
+    With an rng each channel draws one Gaussian of `PIN_NOISE_RMS`; rng=None
+    runs the chain noiseless and consumes no randomness.
     front_end=False bypasses the analog conditioning (the inputs are then
     taken as the pin voltages directly and checked against the damage
     window); useful for measuring the sampling chain's own latency without
@@ -140,15 +142,11 @@ def run_sample_pipeline(
         check_damage(x)
         return x
 
-    pins = input_stage(in0, in1, cfg.sample_rate, condition, CONDITIONING_NOISE_RMS, rng)
-    if rng is not None:  # the ENOB noise, into the fresh pins of input_stage
-        enob = np.empty(len(in0))
-        for pin in pins:
-            pin += np.multiply(rng.standard_normal(out=enob), ADC_SPEC.noise_rms(), out=enob)
+    pins = input_stage(in0, in1, cfg.sample_rate, condition, PIN_NOISE_RMS, rng)
 
     def convert(*volts: np.ndarray) -> np.ndarray:
         dac_codes, _ = process_sample(*(quantize_uniform(v, ADC_SPEC) for v in volts))
-        return dequantize(spi_decode(spi_encode(dac_codes)), DAC_SPEC)
+        return dequantize(dac_codes, DAC_SPEC)
 
     delay = latency_samples(cfg.latency, cfg.sample_rate)
     return Signal(delayed_slices(convert, delay, *pins), cfg.sample_rate)

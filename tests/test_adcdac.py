@@ -12,6 +12,7 @@ from audiochains.adcdac import (
     ADC_SPEC,
     CONDITIONING_NOISE_RMS,
     DAC_SPEC,
+    PIN_NOISE_RMS,
     SPI_TRANSFER_TIME,
     THD_DB,
     SampleChainConfig,
@@ -266,12 +267,19 @@ def test_noise_is_drawn_exactly_when_an_rng_is_given():
     assert quiet.samples.tobytes() == run_sample_pipeline(sine, sine, cfg).samples.tobytes()
     rng, ref = np.random.default_rng(6), np.random.default_rng(6)
     noisy = run_sample_pipeline(sine, sine, cfg, rng)
-    # conditioning noise per channel, then the ADC's ENOB noise per channel
-    ref.normal(0.0, adcdac.CONDITIONING_NOISE_RMS, size=(2, len(sine)))
-    for _ in range(2):
-        ref.normal(0.0, adcdac.ADC_SPEC.noise_rms(), size=len(sine))
+    # one draw per channel: the conditioning and ENOB noises summed
+    ref.standard_normal(2 * len(sine))
     assert rng.bit_generator.state == ref.bit_generator.state
     assert not np.array_equal(noisy.samples, quiet.samples)
+
+
+def test_pin_noise_is_the_calibrated_total_input_noise():
+    # whatever the split between conditioning and ENOB noise, the one pin
+    # draw carries the variance of the -63 dB THD+N closure
+    assert PIN_NOISE_RMS**2 == pytest.approx(0.5 * (10**-6.3 - 10**-7.6), rel=1e-12)
+    assert PIN_NOISE_RMS**2 == pytest.approx(
+        CONDITIONING_NOISE_RMS**2 + ADC_SPEC.noise_rms() ** 2, rel=1e-12
+    )
 
 
 def test_damage_voltage_propagates():
@@ -285,7 +293,7 @@ def test_damage_voltage_propagates():
         run_sample_pipeline(neg, neg, cfg, front_end=False)
 
 
-def test_pipeline_runs_the_public_spi_and_front_end_functions(monkeypatch):
+def test_pipeline_runs_the_public_front_end_and_no_spi_round_trip(monkeypatch):
     calls = []
 
     def spy(name, fn):
@@ -300,12 +308,13 @@ def test_pipeline_runs_the_public_spi_and_front_end_functions(monkeypatch):
     cfg = SampleChainConfig()
     sine = generate_sine(1000.0, 0.5, 0.01, cfg.sample_rate)
     run_sample_pipeline(sine, sine, cfg)
-    # one Signal on both inputs is conditioned once
-    assert calls == ["front_end_filter", "spi_encode", "spi_decode"]
+    # one Signal on both inputs is conditioned once; the SPI frame, an
+    # identity on valid codes, is the wire format only
+    assert calls == ["front_end_filter"]
     calls.clear()
     twin = Signal(sine.samples.copy(), sine.sample_rate)
     run_sample_pipeline(sine, twin, cfg)
-    assert calls == ["front_end_filter", "front_end_filter", "spi_encode", "spi_decode"]
+    assert calls == ["front_end_filter", "front_end_filter"]
 
 
 def test_one_signal_on_both_inputs_matches_two_equal_signals_bit_for_bit(monkeypatch):
@@ -376,11 +385,9 @@ def _whole_record_chain(in0, in1, cfg, rng):
     def condition(x):
         return front_end_filter(Signal(cfg.distortion.apply(x), cfg.sample_rate)).samples
 
-    pins = input_stage(in0, in1, cfg.sample_rate, condition, CONDITIONING_NOISE_RMS, rng)
-    if rng is not None:
-        pins = [pin + rng.normal(0.0, ADC_SPEC.noise_rms(), len(pin)) for pin in pins]
+    pins = input_stage(in0, in1, cfg.sample_rate, condition, PIN_NOISE_RMS, rng)
     dac_codes, _ = process_sample(*(quantize_uniform(pin, ADC_SPEC) for pin in pins))
-    out = dequantize(spi_decode(spi_encode(dac_codes)), DAC_SPEC)
+    out = dequantize(dac_codes, DAC_SPEC)
     delay = latency_samples(cfg.latency, cfg.sample_rate)
     shifted = np.zeros(len(out))
     shifted[delay:] = out[: max(len(out) - delay, 0)]
@@ -405,8 +412,8 @@ def test_sliced_chain_is_the_whole_record_chain_byte_for_byte(n, seed, distinct)
         assert rng.bit_generator.state == ref.bit_generator.state
 
 
-def test_peak_memory_of_a_row_stays_under_five_record_lengths():
-    # a 3 s, 96 kHz row as the CLI runs it: distortion, front end, both noises
+def test_peak_memory_of_a_row_stays_under_four_record_lengths():
+    # a 3 s, 96 kHz row as the CLI runs it: distortion, front end, pin noise
     cfg = LOW_ROW
     sine = generate_sine(1000.0, 0.5, 3.0, cfg.sample_rate)
     tracemalloc.start()
@@ -415,4 +422,4 @@ def test_peak_memory_of_a_row_stays_under_five_record_lengths():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 5 * sine.samples.nbytes
+    assert peak < 4 * sine.samples.nbytes

@@ -149,15 +149,15 @@ def test_enob_equal_bits_is_exactly_noiseless():
 
 def test_enob_noise_is_drawn_only_with_an_rng():
     # the sample chain draws the ENOB noise, not quantize_uniform: with an rng
-    # it takes n normals per channel after the conditioning noise's n per
-    # channel; without one it draws nothing and is its noiseless transfer
+    # it takes n normals per channel, the ENOB and conditioning noises in one
+    # draw; without one it draws nothing and is its noiseless transfer
     cfg = SampleChainConfig()
     n = SLICE + 5
     sig = Signal(np.linspace(1.0, 2.3, n), cfg.sample_rate)
     rng, ref = np.random.default_rng(0), np.random.default_rng(0)
     quiet = run_sample_pipeline(sig, sig, cfg, None, front_end=False)
     noisy = run_sample_pipeline(sig, sig, cfg, rng, front_end=False)
-    ref.standard_normal(4 * n)
+    ref.standard_normal(2 * n)
     assert rng.bit_generator.state == ref.bit_generator.state
     codes = quantize_uniform(sig.samples, ADC_SPEC)
     dac_codes, _ = process_sample(codes, codes)
