@@ -13,9 +13,10 @@ one the chain is its deterministic transfer.  The DAC output keeps its
 `DAC_OFFSET` = +1.25 V standing offset (the measurement side AC-couples),
 and the chain latency `SampleChainConfig.latency` -- the per-speed
 `CONVERSION_TIME` plus the `SPI_TRANSFER_TIME` of one 16-bit frame at
-50 MHz -- is applied as a whole-sample delay (`signals.latency_samples`).
-The CLI, not `SampleChainConfig.realtime_feasible`, warns when that overruns
-a sample period.  A code outside its spec raises InvalidCode.
+50 MHz -- is applied as a whole-sample delay (`signals.latency_samples`)
+at the simulation rate.  `SampleChainConfig.realtime_feasible` tells whether
+it fits a sample period and never warns: the CLI warns at hardware rates.
+A code outside its spec raises InvalidCode (`QuantizerSpec.checked_codes`).
 
 The per-sample arithmetic subtracts `ADC_OFFSET` = 1.625 V although the
 hardware bias (`frontend.BIAS_VOLTAGE`) is 1.65 V; the two constants

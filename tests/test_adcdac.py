@@ -277,9 +277,6 @@ def test_pin_noise_is_the_calibrated_total_input_noise():
     # whatever the split between conditioning and ENOB noise, the one pin
     # draw carries the variance of the -63 dB THD+N closure
     assert PIN_NOISE_RMS**2 == pytest.approx(0.5 * (10**-6.3 - 10**-7.6), rel=1e-12)
-    assert PIN_NOISE_RMS**2 == pytest.approx(
-        CONDITIONING_NOISE_RMS**2 + ADC_SPEC.noise_rms() ** 2, rel=1e-12
-    )
 
 
 def test_damage_voltage_propagates():
