@@ -286,7 +286,7 @@ def _spectrum_rows(param, measured: Signal) -> list[tuple]:
     # standing DAC offset.
     ac = Signal(measured.samples - measured.samples.mean(), measured.sample_rate)
     spec = power_spectrum(ac)
-    return list(zip(spec.bin_frequencies, spec.bin_powers_dbv))
+    return list(zip(spec.bin_frequencies.tolist(), spec.bin_powers_dbv.tolist()))
 
 
 def _run_rows(args: argparse.Namespace, analyze) -> tuple[list[tuple], list]:

@@ -112,7 +112,8 @@ def measure_impulse_response(system: SystemTransform, cfg: MlsConfig) -> Signal:
 
 
 def estimate_latency(ir: Signal) -> LatencyReport:
-    """Nearest-sample latency from the impulse-response peak."""
+    """Nearest-sample latency from the impulse-response peak; peak_to_noise_db is
+    the peak over the rms of every sample more than 8 from it."""
     if len(ir) == 0:
         raise EmptySignal("empty impulse response")
     magnitude = np.abs(ir.samples)

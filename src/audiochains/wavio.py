@@ -7,6 +7,11 @@ a read is exact to within half an LSB per sample.  Code -32768 reads as
 -32768/32767 full scale and is written back exactly; only samples more
 than half an LSB outside [-32768, 32767] are rejected.  Anything but
 little-endian RIFF/WAVE with the canonical 44-byte header is UnsupportedWav.
+
+A write converts and checks each channel `signals.SLICE` samples at a time
+into one interleaved int16 frame buffer, and opens the file only once every
+sample has passed, so a refused write creates no file.  A read returns each
+channel's volts contiguous in memory.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import numpy as np
 
 from .errors import UnsupportedWav
 from .quantize import INT16_MAX, int16_codes, int16_volts
-from .signals import Signal, require_positive
+from .signals import SLICE, Signal, require_positive
 
 
 def wav_rate(sample_rate: float) -> int:
@@ -41,17 +46,21 @@ def write_wav(
         len(right) != len(sig) or right.sample_rate != sig.sample_rate
     ):
         raise ValueError("stereo channels must share length and sample rate")
-    data = np.stack([c.samples for c in channels], axis=1)
-    scaled = data / full_scale * INT16_MAX
-    codes = int16_codes(scaled)
-    if not np.all(np.abs(codes - scaled) <= 0.5):
-        raise ValueError("samples exceed full scale and are not representable")
-    # a path wave.open cannot open leaves a half-built writer whose __del__ raises
+    frames = np.empty((len(sig), len(channels)), dtype="<i2")
+    for ch, c in enumerate(channels):
+        for start in range(0, len(sig), SLICE):
+            scaled = c.samples[start : start + SLICE] / full_scale * INT16_MAX
+            codes = int16_codes(scaled)
+            if not np.all(np.abs(codes - scaled) <= 0.5):
+                raise ValueError("samples exceed full scale and are not representable")
+            frames[start : start + SLICE, ch] = codes
+    # every sample has passed, so the file opens now; a path wave.open cannot
+    # open leaves a half-built writer whose __del__ raises
     with open(path, "wb") as fh, wave.open(fh, "wb") as f:
         f.setnchannels(len(channels))
         f.setsampwidth(2)
         f.setframerate(rate)
-        f.writeframes(codes.astype("<i2").tobytes())
+        f.writeframes(frames.tobytes())
 
 
 def read_wav(path: str, full_scale: float = 1.0) -> list[Signal]:
@@ -72,5 +81,6 @@ def read_wav(path: str, full_scale: float = 1.0) -> list[Signal]:
         raise UnsupportedWav(f"only mono or stereo is supported, got {n_channels} channels")
     whole = len(frames) // (2 * n_channels) * n_channels
     codes = np.frombuffer(frames, dtype="<i2", count=whole).reshape(-1, n_channels)
-    volts = int16_volts(codes, full_scale)
-    return [Signal(volts[:, ch], float(rate)) for ch in range(n_channels)]
+    # one row per channel, so each channel's volts are contiguous; mono needs no copy
+    volts = int16_volts(np.ascontiguousarray(codes.T), full_scale)
+    return [Signal(v, float(rate)) for v in volts]

@@ -21,7 +21,7 @@ from audiochains.measure import (
     measure_impulse_response,
     measure_thd,
 )
-from audiochains.mls import MlsConfig
+from audiochains.mls import MlsConfig, generate_mls
 from audiochains.signals import Signal, generate_sine
 from audiochains.spectrum import power_spectrum
 
@@ -71,6 +71,24 @@ def test_output_dc_offset_does_not_disturb_the_peak():
     report = estimate_latency(ir)
     assert report.peak_sample_index == 37
     assert ir.samples[37] == pytest.approx(1.0, abs=1e-3)
+
+
+def test_the_probe_is_four_periods_of_the_sequence_and_the_first_is_discarded():
+    cfg = MlsConfig(10, 0.5, 1, FS)
+    seen = []
+
+    def warming_up(stimulus):
+        seen.append(stimulus.samples)
+        out = stimulus.samples.copy()
+        out[: 2**10 - 1] = np.random.default_rng(0).standard_normal(2**10 - 1)
+        return Signal(out, FS)
+
+    ir = measure_impulse_response(warming_up, cfg)
+    (stimulus,) = seen
+    assert len(stimulus) == 4 * (2**10 - 1)
+    assert np.array_equal(stimulus, np.tile(generate_mls(cfg).samples, 4))
+    assert ir.samples[0] == pytest.approx(1.0, abs=1e-6)
+    assert np.max(np.abs(ir.samples[1:])) < 1e-6
 
 
 def test_truncated_response_detected():
@@ -130,6 +148,21 @@ def test_latency_report_fields_consistent():
     assert report.peak_sample_index == 300
     assert report.latency_seconds == pytest.approx(300 / FS)
     assert report.peak_to_noise_db > 60.0
+
+
+def test_peak_to_noise_is_the_peak_over_the_rms_beyond_8_samples_of_it():
+    h = np.full(200, 0.01)
+    h[1::2] = -0.01
+    peak = 100
+    h[peak] = 1.0
+    h[peak + 5] = 0.5  # excluded; a narrower window would count it
+    h[peak - 8] = -0.3  # the window's last excluded sample
+    h[[peak - 9, peak + 9]] = 0.02  # the first counted samples
+    report = estimate_latency(Signal(h, FS))
+    counted = len(h) - 17
+    noise_rms = np.sqrt(((counted - 2) * 0.01**2 + 2 * 0.02**2) / counted)
+    assert report.peak_sample_index == peak
+    assert report.peak_to_noise_db == pytest.approx(20 * np.log10(1.0 / noise_rms), abs=1e-9)
 
 
 @settings(max_examples=50)
@@ -236,6 +269,15 @@ def test_a_band_ending_on_the_nyquist_bin_is_read():
 def test_too_short_signal_rejected():
     with pytest.raises(ValueError):
         measure_thd(Signal(_tone(1000.0, 0.5, duration=0.005), FS), 1000.0)
+
+
+def test_the_ten_period_minimum_is_exact():
+    # at 1 kHz and 44.1 kHz ten periods are 441 samples
+    x = np.sin(2 * np.pi * 1000.0 * np.arange(441) / FS)
+    report = measure_thd(Signal(x, FS), 1000.0)
+    assert report.thd_db < -100.0 and report.thdn_db < -100.0
+    with pytest.raises(ValueError, match="at least 10 fundamental periods"):
+        measure_thd(Signal(x[:440], FS), 1000.0)
 
 
 HARMONIC_RELS = np.array([10 ** (-40 / 20), 10 ** (-50 / 20), 10 ** (-60 / 20)])

@@ -1,10 +1,12 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from audiochains.errors import UnsupportedWav
-from audiochains.signals import Signal, generate_sine
+from audiochains.quantize import INT16_MAX
+from audiochains.signals import SLICE, Signal, generate_sine
 from audiochains.wavio import read_wav, write_wav
 
 
@@ -66,6 +68,49 @@ def test_unrepresentable_samples_rejected(tmp_path):
     path = str(tmp_path / "clip.wav")
     with pytest.raises(ValueError):
         write_wav(Signal(np.array([1.5]), 44100.0), path)
+
+
+@pytest.mark.parametrize("edge, code", [(INT16_MAX + 0.5, 32767), (-INT16_MAX - 1.5, -32768)])
+def test_half_an_lsb_past_the_code_range_is_written_and_beyond_it_refused(tmp_path, edge, code):
+    # the volts whose scaled value v / full_scale * INT16_MAX is exactly the edge,
+    # and the next float beyond it; each sits past the first slice
+    volts = edge / INT16_MAX
+    beyond = np.nextafter(volts, np.copysign(np.inf, edge))
+    assert volts / 1.0 * INT16_MAX == edge
+    assert abs(beyond / 1.0 * INT16_MAX) > abs(edge)
+    at = SLICE + 7
+    samples = np.zeros(2 * SLICE + 100)
+    samples[at] = volts
+    path = tmp_path / "edge.wav"
+    write_wav(Signal(samples, 44100.0), str(path))
+    written = np.frombuffer(path.read_bytes()[44:], "<i2")
+    assert written[at] == code and not written[:at].any() and not written[at + 1 :].any()
+    samples[at] = beyond
+    silence = Signal(np.zeros(len(samples)), 44100.0)
+    for left, right in ((Signal(samples, 44100.0), None), (silence, Signal(samples, 44100.0))):
+        refused = tmp_path / "refused.wav"
+        with pytest.raises(ValueError, match="not representable"):
+            write_wav(left, str(refused), right=right)
+        assert not refused.exists()
+
+
+@pytest.mark.parametrize("rate, stereo", [(96000.0, False), (44100.0, True)])
+def test_write_peak_memory_stays_under_one_record_length_per_channel(tmp_path, rate, stereo):
+    # 3 s records: the writer converts slice by slice into the int16 frames
+    left = generate_sine(1000.0, 0.5, 3.0, rate)
+    right = generate_sine(750.0, 0.3, 3.0, rate) if stereo else None
+    n_channels = 2 if stereo else 1
+    path = str(tmp_path / "peak.wav")
+    tracemalloc.start()
+    try:
+        write_wav(left, path, right=right)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n_channels * left.samples.nbytes
+    back = read_wav(path)
+    assert len(back) == n_channels
+    assert all(c.samples.flags.c_contiguous for c in back)
 
 
 def test_fractional_sample_rate_rejected(tmp_path):
