@@ -75,17 +75,18 @@ def test_output_dc_offset_does_not_disturb_the_peak():
 
 def test_the_probe_is_four_periods_of_the_sequence_and_the_first_is_discarded():
     cfg = MlsConfig(10, 0.5, 1, FS)
+    period = 2**10 - 1
     seen = []
 
     def warming_up(stimulus):
         seen.append(stimulus.samples)
         out = stimulus.samples.copy()
-        out[: 2**10 - 1] = np.random.default_rng(0).standard_normal(2**10 - 1)
+        out[:period] = np.random.default_rng(0).standard_normal(period)
         return Signal(out, FS)
 
     ir = measure_impulse_response(warming_up, cfg)
     (stimulus,) = seen
-    assert len(stimulus) == 4 * (2**10 - 1)
+    assert len(stimulus) == 4 * period
     assert np.array_equal(stimulus, np.tile(generate_mls(cfg).samples, 4))
     assert ir.samples[0] == pytest.approx(1.0, abs=1e-6)
     assert np.max(np.abs(ir.samples[1:])) < 1e-6
