@@ -1,0 +1,119 @@
+#!/usr/bin/env python3
+"""Mutation pass over the documented constants and boundaries.
+
+    python scripts/mutants.py [NAME ...]
+
+Each mutant below is a one-line text edit of one source file.  For each (or
+only the NAMEs given), the script copies the tree once into a temporary
+directory, applies the edit there, runs tier-1 with ``-x`` on the copy and
+restores the file.  A failing run kills the mutant.  One line per mutant and
+a tally are printed.  The exit status is 1 when a mutant survives that
+should be killed, or when a mutant's text does not occur exactly once in its
+file; a mutant expected to survive carries its reason, and is reported, not
+judged, whichever way it goes.  Each mutant costs one tier-1 run, up to
+about 20 s on 2 cores, so this is a check to run by hand, not a CI step.
+Standard library only; it uses the interpreter it runs under.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PKG = "src/audiochains/"
+TIER1 = ["-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
+
+# (name, file, old text, new text, reason it survives, or None if it must be killed)
+MUTANTS = [
+    # the four promises a first mutation pass found unpinned
+    ("mls-periods", PKG + "measure.py", "MLS_PERIODS = 4", "MLS_PERIODS = 3", None),
+    ("peak-exclusion", PKG + "measure.py",
+     "keep[max(peak - 8, 0) : peak + 9]", "keep[max(peak - 4, 0) : peak + 5]", None),
+    ("ten-periods", PKG + "measure.py",
+     "n * fundamental_hz < 10 * fs", "n * fundamental_hz < 9 * fs", None),
+    ("wav-half-lsb", PKG + "wavio.py",
+     "np.abs(codes - scaled) <= 0.5", "np.abs(codes - scaled) <= 0.75", None),
+    # the calibration: the targets, the stimulus level and the closed forms
+    ("i2s-thdn", PKG + "i2s.py", "THDN_DB = -68.0", "THDN_DB = -67.9", None),
+    ("adcdac-thdn", PKG + "adcdac.py", "THDN_DB = -63.0", "THDN_DB = -62.9", None),
+    ("calibration-vrms", PKG + "signals.py", "CALIBRATION_VRMS = 0.5", "CALIBRATION_VRMS = 0.49",
+     None),
+    ("pin-noise-factor", PKG + "adcdac.py", "    2 * (10 ** (THDN_DB", "    1 * (10 ** (THDN_DB",
+     None),
+    ("cubic-coefficient", PKG + "distortion.py",
+     "a3=4.0 * 10.0 ** (target_hd3_db", "a3=4.008 * 10.0 ** (target_hd3_db", None),
+    # documented constants of the chains and the analyzer
+    ("harmonic-half-bins", PKG + "measure.py", "HARMONIC_HALF_BINS = 3", "HARMONIC_HALF_BINS = 2",
+     None),
+    ("adc-offset", PKG + "adcdac.py", "ADC_OFFSET = 1.625", "ADC_OFFSET = 1.6251", None),
+    # the symmetric scaling the codec does not use
+    ("conversion-dac", PKG + "i2s.py", "CONVERSION_DAC = 65535.0", "CONVERSION_DAC = 32767.0",
+     None),
+    ("int16-divisor", PKG + "quantize.py",
+     "return codes / INT16_MAX * full_scale", "return codes / (INT16_MAX + 1.0) * full_scale",
+     None),
+    ("warmup", PKG + "cli.py", "WARMUP_SECONDS = 0.15", "WARMUP_SECONDS = 0.1", None),
+    ("min-mls-order", PKG + "cli.py", "MIN_MLS_ORDER = 12", "MIN_MLS_ORDER = 11", None),
+    ("rail-low", PKG + "frontend.py",
+     "RAIL_LOW, RAIL_HIGH = 0.030,", "RAIL_LOW, RAIL_HIGH = 0.031,", None),
+    ("damage-high", PKG + "frontend.py",
+     "DAMAGE_HIGH = -0.2, 3.5", "DAMAGE_HIGH = -0.2, 3.4", None),
+    # equivalent by design
+    ("slice", PKG + "signals.py", "SLICE = 8192", "SLICE = 4096",
+     "the chains convert slice by slice into one output, bit for bit the whole-record result"),
+    ("phasor-block", PKG + "signals.py", "PHASOR_BLOCK = 512", "PHASOR_BLOCK = 256",
+     "the tone's last bits move, but every output stays within the golden manifest's tolerance"),
+]
+
+
+def run_mutant(copy: Path, name, rel, old, new, survives) -> tuple[str, str]:
+    """The printed line and the outcome: killed, survived, expected or missing."""
+    path = copy / rel
+    text = path.read_text()
+    if text.count(old) != 1:
+        return f"{name}: {old!r} occurs {text.count(old)} times in {rel}", "missing"
+    path.write_text(text.replace(old, new))
+    started = time.monotonic()
+    try:
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+        result = subprocess.run([sys.executable, *TIER1], cwd=copy, env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+    finally:
+        path.write_text(text)
+    took = f"({time.monotonic() - started:.1f} s)"
+    if result.returncode == 0:
+        if survives:
+            return f"{name}: survived, as expected: {survives} {took}", "expected"
+        return f"{name}: SURVIVED {took}", "survived"
+    failed = [line for line in result.stdout.splitlines() if line.startswith(("FAILED", "ERROR"))]
+    note = ", although expected to survive" if survives else ""
+    return f"{name}: killed{note} by {failed[0] if failed else 'an error'} {took}", "killed"
+
+
+def main(names: list[str]) -> int:
+    unknown = set(names) - {m[0] for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 2
+    outcomes = {"killed": 0, "expected": 0, "survived": 0, "missing": 0}
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        copy = Path(tmp) / "tree"
+        shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".perfbench_out"))
+        for mutant in MUTANTS:
+            if names and mutant[0] not in names:
+                continue
+            line, outcome = run_mutant(copy, *mutant)
+            outcomes[outcome] += 1
+            print(line, flush=True)
+    print(f"{outcomes['killed']} killed, {outcomes['expected']} survived as expected, "
+          f"{outcomes['survived']} survived unexpectedly, {outcomes['missing']} not found")
+    return 1 if outcomes["survived"] or outcomes["missing"] else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

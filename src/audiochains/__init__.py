@@ -13,7 +13,6 @@ import numpy.fft  # noqa: F401
 import numpy.random  # noqa: F401
 
 from .adcdac import (
-    CONDITIONING_NOISE_RMS,
     CONVERSION_TIME,
     SampleChainConfig,
     SamplingSpeed,

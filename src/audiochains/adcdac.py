@@ -3,13 +3,14 @@
 Every input sample is one conversion tick: the two channels are conditioned
 (`front_end_filter`, in the shared `signals.input_stage`: a pair fed one
 `Signal` is distorted and filtered once, the noise after it is still drawn
-per channel), quantized (`ADC_SPEC`, 16 bits over 0-3.3 V, ENOB 13),
-combined by the fixed per-sample arithmetic and reconstructed by the 16-bit
-DAC (`DAC_SPEC`, 0-2.5 V), slice by slice (`signals.delayed_slices`).  The
-SPI frame between them is the wire format `spi_encode`/`spi_decode`, an
-identity on valid codes that the pipeline does not run.  Given an rng, each
-channel draws one Gaussian, `PIN_NOISE_RMS`, before the first slice; without
-one the chain is its deterministic transfer.  The DAC output keeps its
+per channel), quantized (`ADC_SPEC`, 16 bits over 0-3.3 V), combined by
+the fixed per-sample arithmetic and reconstructed by the 16-bit DAC
+(`DAC_SPEC`, 0-2.5 V), slice by slice (`signals.delayed_slices`).  The SPI
+frame between them is the wire format `spi_encode`/`spi_decode`, an identity
+on valid codes that the pipeline does not run.  Given an rng, each channel
+draws one Gaussian, `PIN_NOISE_RMS`, before the first slice: the input noise
+that `THD_DB` and `THDN_DB` imply at `signals.CALIBRATION_VRMS`.  Without one
+the chain is its deterministic transfer.  The DAC output keeps its
 `DAC_OFFSET` = +1.25 V standing offset (the measurement side AC-couples),
 and the chain latency `SampleChainConfig.latency` -- the per-speed
 `CONVERSION_TIME` plus the `SPI_TRANSFER_TIME` of one 16-bit frame at
@@ -26,6 +27,7 @@ are kept separate so the 25 mV systematic offset stays observable.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,12 +35,13 @@ import numpy as np
 from .distortion import PolynomialDistortion
 from .frontend import check_damage, front_end_filter
 from .quantize import QuantizerSpec, dequantize, quantize_uniform, round_half_away
-from .signals import Signal, delayed_slices, input_stage, latency_samples, require_positive
+from .signals import CALIBRATION_VRMS, Signal, delayed_slices, input_stage, latency_samples
+from .signals import require_positive
 
 SPI_TRANSFER_TIME = 16 / 50e6  # one 16-bit frame at the 50 MHz SPI clock
 ADC_OFFSET = 1.625  # subtracted by the per-sample arithmetic
 DAC_OFFSET = 1.25  # added back before the DAC
-ADC_SPEC = QuantizerSpec(bits=16, v_min=0.0, v_max=3.3, enob=13.0)
+ADC_SPEC = QuantizerSpec(bits=16, v_min=0.0, v_max=3.3)
 DAC_SPEC = QuantizerSpec(bits=16, v_min=0.0, v_max=2.5)
 
 
@@ -49,13 +52,13 @@ class SamplingSpeed(enum.Enum):
 
 # Characterized THD per speed: the distortion polynomial's calibration target.
 THD_DB = {SamplingSpeed.LOW_SPEED: -76.0, SamplingSpeed.HIGH_SPEED: -67.0}
-# Lumped conditioning-stage noise, rms volts per channel, and the one Gaussian
-# each pin draws: its sum with the independent ENOB noise of ADC_SPEC, added at
-# the same pin.  Calibrated so the default (LOW_SPEED) chain at 1 kHz / 0.5 Vrms
-# reads THD+N = -63 dB with the -76 dB distortion in: whatever the split, the
-# chain's total input noise is sigma^2 = 0.5 * (10**-6.3 - 10**-7.6).
-CONDITIONING_NOISE_RMS = 4.7404575629334364e-04
-PIN_NOISE_RMS = float(np.hypot(CONDITIONING_NOISE_RMS, ADC_SPEC.noise_rms()))
+# Characterized THD+N, at LOW_SPEED.  Each pin draws the noise, rms volts, whose
+# power THD+N adds to the LOW_SPEED THD at CALIBRATION_VRMS, twice over: the
+# output averages the two pins, which halves their independent noise power.
+THDN_DB = -63.0
+PIN_NOISE_RMS = CALIBRATION_VRMS * math.sqrt(
+    2 * (10 ** (THDN_DB / 10) - 10 ** (THD_DB[SamplingSpeed.LOW_SPEED] / 10))
+)
 
 # Conversion time per speed: table latency minus the 0.32 us SPI transfer,
 # with the (unpublished) processing share folded in.

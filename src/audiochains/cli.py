@@ -44,7 +44,7 @@ from .errors import RealtimeFeasibilityWarning, UnsupportedOrder, UnsupportedWav
 from .measure import estimate_latency, harmonics_below_nyquist, measure_impulse_response
 from .measure import measure_thd
 from .mls import PRIMITIVE_TAPS, MlsConfig
-from .signals import Signal, generate_sine, latency_samples, require_positive
+from .signals import CALIBRATION_VRMS, Signal, generate_sine, latency_samples, require_positive
 from .spectrum import power_spectrum
 from .wavio import read_wav, wav_rate, write_wav
 
@@ -58,7 +58,6 @@ DEFAULT_RATE = {
 LATENCY_OVERSAMPLE = {"i2s": 1, "adcdac": 16}
 
 STIMULUS_HZ = 1000.0
-STIMULUS_VRMS = 0.5
 # long enough that broadband noise pooled over the analyzer's twenty
 # harmonic bands stays well under the harmonic power itself
 STIMULUS_SECONDS = 3.0
@@ -163,7 +162,7 @@ def _stimulus(args: argparse.Namespace) -> tuple[Signal, Signal]:
             )
         return channels[0], channels[-1]
     sample_rate = args.sample_rate or DEFAULT_RATE[args.chain]
-    sine = generate_sine(STIMULUS_HZ, STIMULUS_VRMS, STIMULUS_SECONDS, sample_rate)
+    sine = generate_sine(STIMULUS_HZ, CALIBRATION_VRMS, STIMULUS_SECONDS, sample_rate)
     return sine, sine
 
 
@@ -177,7 +176,7 @@ def _chain_config(chain: str, param, sample_rate: float, with_distortion: bool):
     if with_distortion:
         distortion = calibrate_distortion(
             target_hd3_db=i2s.THD_DB if chain == "i2s" else adcdac.THD_DB[param],
-            peak_amplitude=STIMULUS_VRMS * np.sqrt(2.0),
+            peak_amplitude=CALIBRATION_VRMS * np.sqrt(2.0),
         )
     if chain == "i2s":
         try:

@@ -5,7 +5,9 @@ The codec quantizes the line input to signed 16-bit data (full scale
 sees those values scaled by 1/65535 -- roughly [-0.5, 0.5], not [-1, 1) --
 and its output is scaled back by 65535 and re-quantized.  That asymmetric
 scaling is reproduced faithfully rather than "fixed".  A pair fed one
-`Signal` is distorted once, in the shared `signals.input_stage`.
+`Signal` is distorted once, in the shared `signals.input_stage`; given an
+rng, each channel then draws the noise floor `I2S_NOISE_FLOOR_RMS`, the
+input noise that `THD_DB` and `THDN_DB` imply at `signals.CALIBRATION_VRMS`.
 
 The callback is a pure per-sample function, so splitting the signal into
 blocks cannot change its output: the simulation hands it the whole signal
@@ -23,6 +25,7 @@ the CLI, not the config, warns about a block outside `STANDARD_BLOCK_SIZES`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -31,7 +34,8 @@ import numpy as np
 from .distortion import PolynomialDistortion
 from .errors import ShapeMismatch
 from .quantize import INT16_MAX, int16_codes, int16_volts
-from .signals import Signal, delayed_slices, input_stage, latency_samples, require_positive
+from .signals import CALIBRATION_VRMS, Signal, delayed_slices, input_stage, latency_samples
+from .signals import require_positive
 
 CONVERSION_ADC = 1.0 / 65535.0
 CONVERSION_DAC = 65535.0
@@ -41,13 +45,12 @@ STANDARD_BLOCK_SIZES = (16, 32, 64, 128)
 PIPELINE_BLOCK_COUNT = 3.0
 FIXED_DELAY = 536e-6
 
-# Characterized THD: the distortion polynomial's calibration target.
+# Characterized THD and THD+N at 1 kHz.  THD_DB calibrates the distortion; the
+# noise floor, rms volts per channel at the line input, is the power THD+N adds
+# to it at CALIBRATION_VRMS.
 THD_DB = -80.0
-# Chain noise floor, rms volts, referred to the line input.  Calibrated from
-# noise-power accounting so the chain at 1 kHz / 0.5 Vrms reads
-# THD+N = -68 dB once the -80 dB distortion is in:
-#   sigma = sqrt(0.25 * (10**-6.8 - 10**-8.0))
-I2S_NOISE_FLOOR_RMS = 1.9267155942569172e-04
+THDN_DB = -68.0
+I2S_NOISE_FLOOR_RMS = CALIBRATION_VRMS * math.sqrt(10 ** (THDN_DB / 10) - 10 ** (THD_DB / 10))
 
 BlockProcessor = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 

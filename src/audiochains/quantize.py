@@ -1,9 +1,8 @@
-"""Uniform quantizer, the ENOB noise level a chain draws, and the one
-code-range rule, `QuantizerSpec.checked_codes`, that every code reader runs."""
+"""Uniform quantizer, signed 16-bit mapping, and the one code-range rule,
+`QuantizerSpec.checked_codes`, that every code reader runs."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +40,7 @@ def int16_volts(codes, full_scale: float = 1.0):
 
 @dataclass(frozen=True)
 class QuantizerSpec:
-    """Bit depth, full-scale range and optional ENOB of one converter.
+    """Bit depth and full-scale range of one converter.
 
     Codes 0 .. 2**bits - 1 map linearly onto [v_min, v_max] with both
     endpoints representable, so the step is (v_max - v_min) / (2**bits - 1).
@@ -50,15 +49,12 @@ class QuantizerSpec:
     bits: int
     v_min: float
     v_max: float
-    enob: float | None = None
 
     def __post_init__(self):
         if not 1 <= self.bits <= 32:
             raise ValueError("bits must be in [1, 32]")
         if not self.v_max > self.v_min:
             raise ValueError("v_max must exceed v_min")
-        if self.enob is not None and not 0.0 < self.enob <= self.bits:
-            raise ValueError("enob must be in (0, bits]")
 
     @property
     def max_code(self) -> int:
@@ -75,26 +71,11 @@ class QuantizerSpec:
             raise InvalidCode(f"codes [{codes.min()}, {codes.max()}] outside [0, {self.max_code}]")
         return codes
 
-    def noise_rms(self) -> float:
-        """Input-referred Gaussian noise rms implied by the ENOB.
-
-        Sized so a full-scale sine through the quantizer reads
-        SINAD = 6.02 * enob + 1.76 dB (within a millidecibel; the step-based
-        form is used so enob == bits yields exactly zero noise).
-        """
-        if self.enob is None:
-            return 0.0
-        span = self.v_max - self.v_min
-        q_eff = span / (2.0 ** self.enob - 1.0)
-        q_raw = span / self.max_code
-        return math.sqrt(max(q_eff * q_eff - q_raw * q_raw, 0.0) / 12.0)
-
 
 def quantize_uniform(v, spec: QuantizerSpec):
     """Convert volts to integer codes, saturating at the rails, bit-deterministically.
 
-    The ENOB noise is not added here: a caller that models it adds
-    `spec.noise_rms()` Gaussian noise to v first, as `adcdac` does.
+    No noise is added here: `adcdac` draws its pin noise before it quantizes.
 
     Returns an int64 array of the input's shape.
     """

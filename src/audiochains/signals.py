@@ -28,6 +28,9 @@ from .quantize import round_half_away
 
 PHASOR_BLOCK = 512  # samples per block of `block_phasors`
 SLICE = 8192  # samples per slice of the chains' per-sample stages: 64 KB float64 operands
+# rms volts of the 1 kHz tone both chains are characterized at: the CLI's
+# stimulus, its distortion calibration and both chains' noise levels
+CALIBRATION_VRMS = 0.5
 
 
 def require_positive(name: str, value: float) -> None:

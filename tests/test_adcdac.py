@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from audiochains import adcdac
 from audiochains.adcdac import (
     ADC_SPEC,
-    CONDITIONING_NOISE_RMS,
     DAC_SPEC,
     PIN_NOISE_RMS,
     SPI_TRANSFER_TIME,
@@ -267,15 +266,15 @@ def test_noise_is_drawn_exactly_when_an_rng_is_given():
     assert quiet.samples.tobytes() == run_sample_pipeline(sine, sine, cfg).samples.tobytes()
     rng, ref = np.random.default_rng(6), np.random.default_rng(6)
     noisy = run_sample_pipeline(sine, sine, cfg, rng)
-    # one draw per channel: the conditioning and ENOB noises summed
+    # one draw per channel of the pin noise
     ref.standard_normal(2 * len(sine))
     assert rng.bit_generator.state == ref.bit_generator.state
     assert not np.array_equal(noisy.samples, quiet.samples)
 
 
 def test_pin_noise_is_the_calibrated_total_input_noise():
-    # whatever the split between conditioning and ENOB noise, the one pin
-    # draw carries the variance of the -63 dB THD+N closure
+    # the one pin draw carries the variance of the -63 dB THD+N closure, as
+    # copied from the paper's numbers rather than from the module's targets
     assert PIN_NOISE_RMS**2 == pytest.approx(0.5 * (10**-6.3 - 10**-7.6), rel=1e-12)
 
 
@@ -361,7 +360,7 @@ def test_shape_mismatch():
 def test_chain_thdn_bounded_by_worst_table_entry():
     cfg = SampleChainConfig()
     sine = generate_sine(1000.0, 0.5, 1.2, cfg.sample_rate)
-    # the rng turns the conditioning and ENOB-13 noise on
+    # the rng turns the pin noise on
     out = run_sample_pipeline(sine, sine, cfg, np.random.default_rng(3))
     trimmed = Signal(out.samples[14400:], cfg.sample_rate)
     report = measure_thd(trimmed, 1000.0)

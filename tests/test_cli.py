@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from audiochains import adcdac, cli, i2s, mls
@@ -772,13 +772,18 @@ def cli_flags(draw):
     max_examples=10, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
 @given(flags=cli_flags())
+# a run that warns: both reruns must warn alike
+@example(flags=["--chain", "i2s", "--measure", "thd", "--seed", "0", "--block-samples", "256"])
 def test_cli_exit_codes_and_reruns_are_byte_identical(tmp_path, flags):
     out = tmp_path / "r.csv"
     results = []
     for _ in range(2):
         out.unlink(missing_ok=True)
-        code = exit_code(*flags, "--out", str(out))
-        results.append((code, out.read_bytes() if out.exists() else None))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = exit_code(*flags, "--out", str(out))
+        warned = [(w.category, str(w.message)) for w in caught]
+        results.append((code, out.read_bytes() if out.exists() else None, warned))
     assert results[0][0] in (0, 2, 3, 4)
     assert results[0] == results[1]
 

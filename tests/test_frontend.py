@@ -92,6 +92,15 @@ def test_check_damage():
         check_damage(np.array([1.0, 5.0]))
 
 
+def test_the_damage_window_is_exact():
+    # the documented -0.2 .. 3.5 V window is closed: its edges pass and one
+    # ulp beyond either raises
+    for edge, outward in ((-0.2, -np.inf), (3.5, np.inf)):
+        check_damage(edge)
+        with pytest.raises(DamageVoltage):
+            check_damage(np.nextafter(edge, outward))
+
+
 def test_highpass_blocks_dc_exactly():
     bh, ah = highpass_coeffs(FS)
     # passband ripple is bounded by the pole radius, ~1e-5 dB at 40 mHz

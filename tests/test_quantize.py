@@ -14,9 +14,8 @@ from audiochains.adcdac import (
     run_sample_pipeline,
 )
 from audiochains.errors import InvalidCode
-from audiochains.measure import measure_thd
 from audiochains.quantize import QuantizerSpec, dequantize, quantize_uniform, round_half_away
-from audiochains.signals import SLICE, Signal, generate_sine, latency_samples
+from audiochains.signals import SLICE, Signal, latency_samples
 
 SPEC_3V3 = QuantizerSpec(bits=16, v_min=0.0, v_max=3.3)
 
@@ -28,10 +27,6 @@ def test_spec_validation():
         QuantizerSpec(bits=33, v_min=0.0, v_max=1.0)
     with pytest.raises(ValueError):
         QuantizerSpec(bits=16, v_min=1.0, v_max=1.0)
-    with pytest.raises(ValueError):
-        QuantizerSpec(bits=16, v_min=0.0, v_max=1.0, enob=17.0)
-    with pytest.raises(ValueError):
-        QuantizerSpec(bits=16, v_min=0.0, v_max=1.0, enob=0.0)
 
 
 def test_round_half_away():
@@ -140,17 +135,10 @@ def test_noiseless_quantizer_is_monotone(v1, v2):
     assert quantize_uniform(lo, SPEC_3V3) <= quantize_uniform(hi, SPEC_3V3)
 
 
-def test_enob_equal_bits_is_exactly_noiseless():
-    spec = QuantizerSpec(bits=16, v_min=0.0, v_max=3.3, enob=16.0)
-    assert spec.noise_rms() == 0.0
-    v = np.linspace(0.0, 3.3, 4096)
-    assert np.array_equal(quantize_uniform(v, spec), quantize_uniform(v, SPEC_3V3))
-
-
-def test_enob_noise_is_drawn_only_with_an_rng():
-    # the sample chain draws the ENOB noise, not quantize_uniform: with an rng
-    # it takes n normals per channel, the ENOB and conditioning noises in one
-    # draw; without one it draws nothing and is its noiseless transfer
+def test_pin_noise_is_drawn_only_with_an_rng():
+    # the sample chain draws the pin noise, not quantize_uniform: with an rng
+    # it takes n normals per channel; without one it draws nothing and is its
+    # noiseless transfer
     cfg = SampleChainConfig()
     n = SLICE + 5
     sig = Signal(np.linspace(1.0, 2.3, n), cfg.sample_rate)
@@ -166,26 +154,3 @@ def test_enob_noise_is_drawn_only_with_an_rng():
     assert quiet.samples[:delay].tobytes() == bytes(8 * delay)
     assert quiet.samples[delay:].tobytes() == ideal[: n - delay].tobytes()
     assert not np.array_equal(noisy.samples, quiet.samples)
-
-
-def test_enob_noise_rms_value():
-    # sigma^2 = (q_eff^2 - q_raw^2)/12 with q_x = span/(2**x - 1)
-    spec = QuantizerSpec(bits=16, v_min=0.0, v_max=3.3, enob=13.0)
-    q13 = 3.3 / (2**13 - 1)
-    q16 = 3.3 / (2**16 - 1)
-    assert spec.noise_rms() == pytest.approx(np.sqrt((q13**2 - q16**2) / 12), rel=1e-12)
-
-
-def test_enob_13_full_scale_sine_reaches_sinad_formula():
-    # SINAD of a full-scale sine through the noisy quantizer should land on
-    # 6.02*enob + 1.76 dB; THD+N of the reconstruction is exactly -SINAD.
-    spec = QuantizerSpec(bits=16, v_min=0.0, v_max=3.3, enob=13.0)
-    fs = 96000.0
-    amp_rms = (3.3 / 2) / np.sqrt(2.0)
-    sine = generate_sine(997.0, amp_rms, 1.0, fs)
-    shifted = sine.samples + 1.65
-    shifted += np.random.default_rng(42).normal(0.0, spec.noise_rms(), len(shifted))
-    codes = quantize_uniform(shifted, spec)
-    out = Signal(dequantize(codes, spec), fs)
-    report = measure_thd(out, 997.0)
-    assert -report.thdn_db == pytest.approx(6.02 * 13 + 1.76, abs=0.2)
