@@ -34,15 +34,15 @@ import numpy as np
 
 from .distortion import PolynomialDistortion
 from .frontend import check_damage, front_end_filter
-from .quantize import QuantizerSpec, dequantize, quantize_uniform, round_half_away
+from .quantize import QuantizerSpec, dequantize, quantize_uniform
 from .signals import CALIBRATION_VRMS, Signal, delayed_slices, input_stage, latency_samples
 from .signals import require_positive
 
 SPI_TRANSFER_TIME = 16 / 50e6  # one 16-bit frame at the 50 MHz SPI clock
 ADC_OFFSET = 1.625  # subtracted by the per-sample arithmetic
 DAC_OFFSET = 1.25  # added back before the DAC
-ADC_SPEC = QuantizerSpec(bits=16, v_min=0.0, v_max=3.3)
-DAC_SPEC = QuantizerSpec(bits=16, v_min=0.0, v_max=2.5)
+ADC_SPEC = QuantizerSpec(v_max=3.3)
+DAC_SPEC = QuantizerSpec(v_max=2.5)
 
 
 class SamplingSpeed(enum.Enum):
@@ -104,20 +104,19 @@ def process_sample(code0, code1):
     tick (two codes) or a whole record (two code arrays): returns the DAC
     codes and clipped flags shaped like the input, numpy scalars for a tick.
 
-    Each input is converted to volts minus the nominal offset, the outputs
-    are averaged, and the result is re-offset and scaled to the DAC range.
-    Overflow saturates (with the clipped flag) instead of reproducing the
-    undefined float-to-unsigned conversion of the reference arithmetic.
+    Each ADC code is converted to volts (`dequantize`, which rejects a code
+    outside `ADC_SPEC`); the mean of the two, less `ADC_OFFSET` and plus
+    `DAC_OFFSET` taken as one constant, is converted to a DAC code
+    (`quantize_uniform`).  Overflow saturates (with the clipped flag: the
+    DAC input lies more than half an LSB outside [0, `DAC_SPEC.v_max`])
+    instead of reproducing the undefined float-to-unsigned conversion of
+    the reference arithmetic.
     """
-    spec = ADC_SPEC
-    code0, code1 = spec.checked_codes(code0), spec.checked_codes(code1)
-    in0 = spec.v_min + code0 * spec.lsb - ADC_OFFSET
-    in1 = spec.v_min + code1 * spec.lsb - ADC_OFFSET
-    out = 0.5 * in0 + 0.5 * in1
-    dac_scale = DAC_SPEC.max_code / (DAC_SPEC.v_max - DAC_SPEC.v_min)
-    raw = round_half_away((out + DAC_OFFSET) * dac_scale)
-    clipped = (raw < 0) | (raw > DAC_SPEC.max_code)
-    return np.clip(raw, 0, DAC_SPEC.max_code).astype(np.int64), clipped
+    volts = dequantize(code0, ADC_SPEC) + dequantize(code1, ADC_SPEC)
+    out = 0.5 * volts + (DAC_OFFSET - ADC_OFFSET)
+    half = DAC_SPEC.lsb / 2
+    clipped = (out < -half) | (out > DAC_SPEC.v_max + half)
+    return quantize_uniform(out, DAC_SPEC), clipped
 
 
 def run_sample_pipeline(

@@ -1,9 +1,13 @@
-"""Uniform quantizer, signed 16-bit mapping, and the one code-range rule,
-`QuantizerSpec.checked_codes`, that every code reader runs."""
+"""The 16-bit converters' transfer (`quantize_uniform` and `dequantize` on a
+`QuantizerSpec`, which keeps only its full scale), signed 16-bit mapping, and
+the one code-range rule, `QuantizerSpec.checked_codes`, that every code
+reader runs."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -40,29 +44,23 @@ def int16_volts(codes, full_scale: float = 1.0):
 
 @dataclass(frozen=True)
 class QuantizerSpec:
-    """Bit depth and full-scale range of one converter.
+    """Full scale of one 16-bit converter.
 
-    Codes 0 .. 2**bits - 1 map linearly onto [v_min, v_max] with both
-    endpoints representable, so the step is (v_max - v_min) / (2**bits - 1).
+    Codes 0 .. max_code map linearly onto [0, v_max] with both endpoints
+    representable, so the step is v_max / max_code.
     """
 
-    bits: int
-    v_min: float
+    max_code: ClassVar[int] = 65535
     v_max: float
 
     def __post_init__(self):
-        if not 1 <= self.bits <= 32:
-            raise ValueError("bits must be in [1, 32]")
-        if not self.v_max > self.v_min:
-            raise ValueError("v_max must exceed v_min")
-
-    @property
-    def max_code(self) -> int:
-        return (1 << self.bits) - 1
+        # signals.require_positive's rule; signals imports this module
+        if not (math.isfinite(self.v_max) and self.v_max > 0):
+            raise ValueError(f"v_max must be positive and finite, got {self.v_max}")
 
     @property
     def lsb(self) -> float:
-        return (self.v_max - self.v_min) / self.max_code
+        return self.v_max / self.max_code
 
     def checked_codes(self, code) -> np.ndarray:
         """code as an array; InvalidCode unless every code is in [0, max_code]."""
@@ -80,11 +78,11 @@ def quantize_uniform(v, spec: QuantizerSpec):
     Returns an int64 array of the input's shape.
     """
     v = np.asarray(v, dtype=np.float64)
-    scaled = (v - spec.v_min) / (spec.v_max - spec.v_min) * spec.max_code
+    scaled = v / spec.v_max * spec.max_code
     return np.clip(round_half_away(scaled), 0, spec.max_code).astype(np.int64)
 
 
 def dequantize(code, spec: QuantizerSpec):
     """Volts of integer codes, an array of the input's shape; rejects out-of-range codes."""
     codes = spec.checked_codes(code)
-    return spec.v_min + codes.astype(np.float64) * (spec.v_max - spec.v_min) / spec.max_code
+    return codes.astype(np.float64) * spec.v_max / spec.max_code

@@ -258,7 +258,7 @@ def test_bit_exact_micro_contracts():
         checked += len(pairs)
 
     # quantizer round trip within half an LSB over a full-range sweep
-    spec = ac.QuantizerSpec(16, 0.0, 3.3)
+    spec = ac.QuantizerSpec(3.3)
     sweep = np.linspace(0.0, 3.3, 200_001)
     back = ac.dequantize(ac.quantize_uniform(sweep, spec), spec)
     worst = float(np.max(np.abs(back - sweep)))

@@ -17,16 +17,15 @@ from audiochains.errors import InvalidCode
 from audiochains.quantize import QuantizerSpec, dequantize, quantize_uniform, round_half_away
 from audiochains.signals import SLICE, Signal, latency_samples
 
-SPEC_3V3 = QuantizerSpec(bits=16, v_min=0.0, v_max=3.3)
+SPEC_3V3 = QuantizerSpec(v_max=3.3)
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        QuantizerSpec(bits=0, v_min=0.0, v_max=1.0)
-    with pytest.raises(ValueError):
-        QuantizerSpec(bits=33, v_min=0.0, v_max=1.0)
-    with pytest.raises(ValueError):
-        QuantizerSpec(bits=16, v_min=1.0, v_max=1.0)
+    # the full scale is positive and finite, signals.require_positive's rule
+    for v_max in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=f"v_max must be positive and finite, got {v_max}"):
+            QuantizerSpec(v_max=v_max)
+    assert (SPEC_3V3.max_code, SPEC_3V3.lsb) == (65535, 3.3 / 65535)
 
 
 def test_round_half_away():
