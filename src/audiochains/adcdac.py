@@ -8,8 +8,8 @@ the fixed per-sample arithmetic and reconstructed by the 16-bit DAC
 (`DAC_SPEC`, 0-2.5 V), slice by slice (`signals.delayed_slices`).  The SPI
 frame between them is the wire format `spi_encode`/`spi_decode`, an identity
 on valid codes that the pipeline does not run.  Given an rng, each channel
-draws one Gaussian, `PIN_NOISE_RMS`, before the first slice: the input noise
-that `THD_DB` and `THDN_DB` imply at `signals.CALIBRATION_VRMS`.  Without one
+draws one Gaussian, the speed's `PIN_NOISE_RMS`, before the first slice: the
+noise its `THD_DB` and `THDN_DB` imply at `signals.CALIBRATION_VRMS`.  Without one
 the chain is its deterministic transfer.  The DAC output keeps its
 `DAC_OFFSET` = +1.25 V standing offset (the measurement side AC-couples),
 and the chain latency `SampleChainConfig.latency` -- the per-speed
@@ -52,13 +52,14 @@ class SamplingSpeed(enum.Enum):
 
 # Characterized THD per speed: the distortion polynomial's calibration target.
 THD_DB = {SamplingSpeed.LOW_SPEED: -76.0, SamplingSpeed.HIGH_SPEED: -67.0}
-# Characterized THD+N, at LOW_SPEED.  Each pin draws the noise, rms volts, whose
-# power THD+N adds to the LOW_SPEED THD at CALIBRATION_VRMS, twice over: the
-# output averages the two pins, which halves their independent noise power.
-THDN_DB = -63.0
-PIN_NOISE_RMS = CALIBRATION_VRMS * math.sqrt(
-    2 * (10 ** (THDN_DB / 10) - 10 ** (THD_DB[SamplingSpeed.LOW_SPEED] / 10))
-)
+# Characterized THD+N per speed.  Each pin draws the noise, rms volts, whose
+# power THD+N adds to THD at CALIBRATION_VRMS, twice over: the output
+# averages the two pins, which halves their independent noise power.
+THDN_DB = {SamplingSpeed.LOW_SPEED: -63.0, SamplingSpeed.HIGH_SPEED: -61.0}
+PIN_NOISE_RMS = {
+    s: CALIBRATION_VRMS * math.sqrt(2 * (10 ** (THDN_DB[s] / 10) - 10 ** (THD_DB[s] / 10)))
+    for s in SamplingSpeed
+}
 
 # Conversion time per speed: table latency minus the 0.32 us SPI transfer,
 # with the (unpublished) processing share folded in.
@@ -129,7 +130,7 @@ def run_sample_pipeline(
 ) -> Signal:
     """Drive the two-channel sample chain and return the DAC output signal.
 
-    With an rng each channel draws one Gaussian of `PIN_NOISE_RMS`; rng=None
+    With an rng each channel draws one Gaussian of its speed's `PIN_NOISE_RMS`; rng=None
     runs the chain noiseless and consumes no randomness.
     front_end=False bypasses the analog conditioning (the inputs are then
     taken as the pin voltages directly and checked against the damage
@@ -145,7 +146,8 @@ def run_sample_pipeline(
         check_damage(x)
         return x
 
-    pins = input_stage(in0, in1, cfg.sample_rate, condition, PIN_NOISE_RMS, rng)
+    noise_rms = PIN_NOISE_RMS[cfg.sampling_speed]
+    pins = input_stage(in0, in1, cfg.sample_rate, condition, noise_rms, rng)
 
     def convert(*volts: np.ndarray) -> np.ndarray:
         dac_codes, _ = process_sample(*(quantize_uniform(v, ADC_SPEC) for v in volts))

@@ -273,9 +273,13 @@ def test_noise_is_drawn_exactly_when_an_rng_is_given():
 
 
 def test_pin_noise_is_the_calibrated_total_input_noise():
-    # the one pin draw carries the variance of the -63 dB THD+N closure, as
-    # copied from the paper's numbers rather than from the module's targets
-    assert PIN_NOISE_RMS**2 == pytest.approx(0.5 * (10**-6.3 - 10**-7.6), rel=1e-12)
+    # the one pin draw carries the variance of each speed's THD+N closure
+    # (-63 dB over -76 dB LOW_SPEED, -61 dB over -67 dB HIGH_SPEED), as copied
+    # from the paper's numbers rather than from the module's targets
+    low, high = PIN_NOISE_RMS[SamplingSpeed.LOW_SPEED], PIN_NOISE_RMS[SamplingSpeed.HIGH_SPEED]
+    assert low**2 == pytest.approx(0.5 * (10**-6.3 - 10**-7.6), rel=1e-12)
+    assert high**2 == pytest.approx(0.5 * (10**-6.1 - 10**-6.7), rel=1e-12)
+    assert low == 4.8788747130469373e-04  # the LOW_SPEED level of the single target
 
 
 def test_damage_voltage_propagates():
@@ -381,7 +385,7 @@ def _whole_record_chain(in0, in1, cfg, rng):
     def condition(x):
         return front_end_filter(Signal(cfg.distortion.apply(x), cfg.sample_rate)).samples
 
-    pins = input_stage(in0, in1, cfg.sample_rate, condition, PIN_NOISE_RMS, rng)
+    pins = input_stage(in0, in1, cfg.sample_rate, condition, PIN_NOISE_RMS[cfg.sampling_speed], rng)
     dac_codes, _ = process_sample(*(quantize_uniform(pin, ADC_SPEC) for pin in pins))
     out = dequantize(dac_codes, DAC_SPEC)
     delay = latency_samples(cfg.latency, cfg.sample_rate)

@@ -99,12 +99,13 @@ def test_noiseless_chain_thd_at_997_hz_is_the_closed_form(row):
 
 
 # THD+N target and the converters' quantization noise power, in V^2
+ADCDAC_QUANTIZATION = adcdac.ADC_SPEC.lsb**2 / 24.0 + adcdac.DAC_SPEC.lsb**2 / 12.0
 NOISE_BUDGET = {
     # one 16-bit step of the codec's +/-1 V full scale
     "i2s block 128": (i2s.THDN_DB, (1.0 / 32767.0) ** 2 / 12.0),
     # two ADC conversions averaged, then the DAC's
-    "adcdac LOW": (adcdac.THDN_DB,
-                   adcdac.ADC_SPEC.lsb**2 / 24.0 + adcdac.DAC_SPEC.lsb**2 / 12.0),
+    "adcdac LOW": (adcdac.THDN_DB[LOW], ADCDAC_QUANTIZATION),
+    "adcdac HIGH": (adcdac.THDN_DB[HIGH], ADCDAC_QUANTIZATION),
 }
 
 
