@@ -39,17 +39,22 @@ MUTANTS = [
      "np.abs(codes - scaled) <= 0.5", "np.abs(codes - scaled) <= 0.75", None),
     # the calibration: the targets, the stimulus level and the closed forms
     ("i2s-thdn", PKG + "i2s.py", "THDN_DB = -68.0", "THDN_DB = -67.9", None),
-    ("adcdac-thdn", PKG + "adcdac.py", "THDN_DB = -63.0", "THDN_DB = -62.9", None),
+    ("adcdac-thdn", PKG + "adcdac.py", "LOW_SPEED: -63.0", "LOW_SPEED: -62.9", None),
+    ("adcdac-thdn-high", PKG + "adcdac.py", "HIGH_SPEED: -61.0", "HIGH_SPEED: -60.9", None),
     ("calibration-vrms", PKG + "signals.py", "CALIBRATION_VRMS = 0.5", "CALIBRATION_VRMS = 0.49",
      None),
-    ("pin-noise-factor", PKG + "adcdac.py", "    2 * (10 ** (THDN_DB", "    1 * (10 ** (THDN_DB",
-     None),
+    ("pin-noise-factor", PKG + "adcdac.py", "math.sqrt(2 * (10 ** (THDN_DB",
+     "math.sqrt(1 * (10 ** (THDN_DB", None),
     ("cubic-coefficient", PKG + "distortion.py",
      "a3=4.0 * 10.0 ** (target_hd3_db", "a3=4.008 * 10.0 ** (target_hd3_db", None),
     # documented constants of the chains and the analyzer
     ("harmonic-half-bins", PKG + "measure.py", "HARMONIC_HALF_BINS = 3", "HARMONIC_HALF_BINS = 2",
      None),
     ("adc-offset", PKG + "adcdac.py", "ADC_OFFSET = 1.625", "ADC_OFFSET = 1.6251", None),
+    # the converters: the code range and the DAC's clip edges
+    ("max-code", PKG + "quantize.py", "max_code: ClassVar[int] = 65535",
+     "max_code: ClassVar[int] = 65534", None),
+    ("dac-clip-edge", PKG + "adcdac.py", "half = DAC_SPEC.lsb / 2", "half = 0.0", None),
     # the symmetric scaling the codec does not use
     ("conversion-dac", PKG + "i2s.py", "CONVERSION_DAC = 65535.0", "CONVERSION_DAC = 32767.0",
      None),

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from audiochains import adcdac
@@ -122,6 +122,11 @@ def test_process_sample_rejects_bad_codes():
     code0=st.integers(min_value=0, max_value=65535),
     code1=st.integers(min_value=0, max_value=65535),
 )
+# both sides of each clip edge: c0 + c1 = 14893 | 14894 and 114190 | 114191
+@example(code0=14893, code1=0)
+@example(code0=0, code1=14894)
+@example(code0=65535, code1=48655)
+@example(code0=48656, code1=65535)
 def test_process_sample_matches_oracle_and_is_symmetric(code0, code1):
     result = process_sample(code0, code1)
     assert result == _oracle_process(code0, code1)

@@ -774,6 +774,11 @@ def cli_flags(draw):
 @given(flags=cli_flags())
 # a run that warns: both reruns must warn alike
 @example(flags=["--chain", "i2s", "--measure", "thd", "--seed", "0", "--block-samples", "256"])
+# I/O errors: a missing --wav-in, and a --wav-out under a missing directory
+@example(flags=["--chain", "i2s", "--measure", "thd", "--seed", "0",
+                "--wav-in", "/nonexistent/in.wav"])
+@example(flags=["--chain", "adcdac", "--measure", "spectrum", "--seed", "0",
+                "--sampling-speed", "low", "--wav-out", "/nonexistent/dir/out.wav"])
 def test_cli_exit_codes_and_reruns_are_byte_identical(tmp_path, flags):
     out = tmp_path / "r.csv"
     results = []
@@ -785,6 +790,8 @@ def test_cli_exit_codes_and_reruns_are_byte_identical(tmp_path, flags):
         warned = [(w.category, str(w.message)) for w in caught]
         results.append((code, out.read_bytes() if out.exists() else None, warned))
     assert results[0][0] in (0, 2, 3, 4)
+    if any(flag.startswith("/nonexistent/") for flag in flags):
+        assert results[0][:2] == (4, None)
     assert results[0] == results[1]
 
 
@@ -892,9 +899,30 @@ def test_unreadable_wav_exits_4(tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize("measure", ["thd", "spectrum"])
+def test_a_step_in_a_wav_in_exits_3_with_one_line_and_leaves_no_file(tmp_path, capsys, measure):
+    # 8 s at -1 V let the 40 mHz coupling settle at the bias minus 1 V, so the
+    # step to +1 V lifts the pin 2 V, past the 3.5 V damage limit
+    stim = tmp_path / "step.wav"
+    write_wav(Signal(np.repeat([-1.0, 1.0], [64000, 8000]), 8000.0), str(stim))
+    out, wav_out = tmp_path / "x.csv", tmp_path / "x.wav"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli(
+            "--chain", "adcdac", "--measure", measure, "--sampling-speed", "low",
+            "--wav-in", str(stim), "--out", str(out), "--wav-out", str(wav_out),
+        )
+    assert (code, caught) == (3, [])
+    assert capsys.readouterr().err.splitlines() == [
+        "audiochains: chain fault: voltage range [0.649, 3.518] V exceeds "
+        "[-0.2, 3.5] V absolute maximum"
+    ]
+    assert sorted(os.listdir(tmp_path)) == ["step.wav"]
+
+
 def test_chain_fault_exits_3(tmp_path, monkeypatch):
-    # damage voltages cannot be provoked through the +/-1 V wav interface,
-    # so fault the chain directly to pin the exit-code mapping
+    # a latency run reads no --wav-in, so fault its chain directly to pin the
+    # exit-code mapping there
     def boom(scenario):
         raise DamageVoltage("pin at 4.2 V")
 
