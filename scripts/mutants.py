@@ -55,6 +55,11 @@ MUTANTS = [
     ("max-code", PKG + "quantize.py", "max_code: ClassVar[int] = 65535",
      "max_code: ClassVar[int] = 65534", None),
     ("dac-clip-edge", PKG + "adcdac.py", "half = DAC_SPEC.lsb / 2", "half = 0.0", None),
+    # the one rounding rule, ties to even, in both converter forms
+    ("tie-rule-int16", PKG + "quantize.py", "np.clip(np.rint(x),", "np.clip(np.floor(x + 0.5),",
+     None),
+    ("tie-rule-adc", PKG + "quantize.py", "np.clip(np.rint(scaled),",
+     "np.clip(np.floor(scaled + 0.5),", None),
     # the symmetric scaling the codec does not use
     ("conversion-dac", PKG + "i2s.py", "CONVERSION_DAC = 65535.0", "CONVERSION_DAC = 32767.0",
      None),

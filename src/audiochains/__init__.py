@@ -56,7 +56,7 @@ from .measure import (
     measure_thd,
 )
 from .mls import PRIMITIVE_TAPS, MlsConfig, generate_mls
-from .quantize import QuantizerSpec, dequantize, quantize_uniform, round_half_away
+from .quantize import QuantizerSpec, dequantize, quantize_uniform
 from .signals import Signal, generate_sine
 from .spectrum import Spectrum, power_spectrum
 from .wavio import read_wav, write_wav

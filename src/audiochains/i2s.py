@@ -18,7 +18,7 @@ The chain latency, `BlockPipelineConfig.latency`, is PIPELINE_BLOCK_COUNT *
 block_samples/fs + FIXED_DELAY.  The two constants (3.0 blocks, 536 us) are
 a least-squares fit of the four characterized block sizes; the residual is
 attributed to codec group delay.  It is applied as a whole-sample delay
-(`signals.latency_samples`, ties away from zero), not interpolated.  A
+(`signals.latency_samples`, ties to even), not interpolated.  A
 config whose latency in samples leaves the float range raises OverflowError;
 the CLI, not the config, warns about a block outside `STANDARD_BLOCK_SIZES`.
 """

@@ -1,28 +1,19 @@
 """The 16-bit converters' transfer (`quantize_uniform` and `dequantize` on a
 `QuantizerSpec`, which keeps only its full scale), signed 16-bit mapping, and
 the one code-range rule, `QuantizerSpec.checked_codes`, that every code
-reader runs."""
+reader runs.  Both conversions round half to even (`np.rint`, IEEE 754's
+roundTiesToEven), the package's one rounding rule, which
+`signals.latency_samples` follows too."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
 
 from .errors import InvalidCode
-
-
-def round_half_away(x):
-    """Round to the nearest integer with ties away from zero.
-
-    np.round ties to even; the converter model needs a fixed directional
-    rule so code values are reproducible bit for bit.  Equal, signed zeros
-    included, to sign(x) * floor(|x| + 0.5); -0.0 takes +0.5 and gives +0.0.
-    """
-    return np.trunc(x + (0.5 - (x < 0)))
-
+from .signals import require_positive
 
 INT16_MAX = 32767.0
 
@@ -30,11 +21,11 @@ INT16_MAX = 32767.0
 def int16_codes(x):
     """Round code-unit values to signed 16-bit codes, saturating at the rails.
 
-    Ties go away from zero and the result is clipped to [-32768, 32767]; it
+    Ties go to the even code and the result is clipped to [-32768, 32767]; it
     stays a float array so callers can keep working in code units.  Volts
     map onto code units as volts / full_scale * INT16_MAX.
     """
-    return np.clip(round_half_away(x), -INT16_MAX - 1.0, INT16_MAX)
+    return np.clip(np.rint(x), -INT16_MAX - 1.0, INT16_MAX)
 
 
 def int16_volts(codes, full_scale: float = 1.0):
@@ -54,9 +45,7 @@ class QuantizerSpec:
     v_max: float
 
     def __post_init__(self):
-        # signals.require_positive's rule; signals imports this module
-        if not (math.isfinite(self.v_max) and self.v_max > 0):
-            raise ValueError(f"v_max must be positive and finite, got {self.v_max}")
+        require_positive("v_max", self.v_max)
 
     @property
     def lsb(self) -> float:
@@ -79,7 +68,7 @@ def quantize_uniform(v, spec: QuantizerSpec):
     """
     v = np.asarray(v, dtype=np.float64)
     scaled = v / spec.v_max * spec.max_code
-    return np.clip(round_half_away(scaled), 0, spec.max_code).astype(np.int64)
+    return np.clip(np.rint(scaled), 0, spec.max_code).astype(np.int64)
 
 
 def dequantize(code, spec: QuantizerSpec):

@@ -24,7 +24,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import AliasedStimulus, ShapeMismatch
-from .quantize import round_half_away
 
 PHASOR_BLOCK = 512  # samples per block of `block_phasors`
 SLICE = 8192  # samples per slice of the chains' per-sample stages: 64 KB float64 operands
@@ -148,8 +147,9 @@ def generate_sine(
 
 
 def latency_samples(latency: float, sample_rate: float) -> int:
-    """A latency in seconds as whole samples at sample_rate, ties away from zero."""
-    return int(round_half_away(latency * sample_rate))
+    """A latency in seconds as whole samples at sample_rate, ties to even;
+    OverflowError beyond the float range."""
+    return int(round(latency * sample_rate))
 
 
 def delayed_slices(convert: Callable[..., np.ndarray], delay: int, *inputs) -> np.ndarray:

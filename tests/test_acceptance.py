@@ -217,12 +217,9 @@ def _oracle_process(code0: int, code1: int) -> tuple[int, bool]:
     value = (in0 / 2 + in1 / 2 + Fraction(5, 4)) * 65535 / Fraction(5, 2)
     floor = value.numerator // value.denominator
     frac = value - floor
-    if frac > Fraction(1, 2):
-        rounded = floor + 1
-    elif frac < Fraction(1, 2):
-        rounded = floor
-    else:
-        rounded = floor + 1 if value >= 0 else floor
+    # 100 * value = 66 * (c0 + c1) - 983025 is odd: never a tie
+    assert frac != Fraction(1, 2)
+    rounded = floor + 1 if frac > Fraction(1, 2) else floor
     clipped = rounded < 0 or rounded > 65535
     return min(max(rounded, 0), 65535), clipped
 

@@ -44,12 +44,9 @@ def _oracle_process(code0: int, code1: int) -> tuple[int, bool]:
     value = (out + Fraction(5, 4)) * 65535 / Fraction(5, 2)
     floor = value.numerator // value.denominator
     frac = value - floor
-    if frac > Fraction(1, 2):
-        rounded = floor + 1
-    elif frac < Fraction(1, 2):
-        rounded = floor
-    else:  # exact tie: away from zero
-        rounded = floor + 1 if value >= 0 else floor
+    # 100 * value = 66 * (c0 + c1) - 983025 is odd: never a tie
+    assert frac != Fraction(1, 2)
+    rounded = floor + 1 if frac > Fraction(1, 2) else floor
     clipped = rounded < 0 or rounded > 65535
     return min(max(rounded, 0), 65535), clipped
 
@@ -198,7 +195,7 @@ def test_zero_input_settles_at_the_code_implied_offset():
     # steady-state arithmetic oracle: bias quantizes to code 32768, the
     # arithmetic subtracts 1.625 and re-offsets by 1.25
     conv_adc = Fraction(33, 10) / 65535
-    bias_code = 32768  # 1.65/3.3 is an exact float tie, rounded away from zero
+    bias_code = 32768  # 1.65/3.3 is an exact float tie, 32767.5, rounded to even
     out_v = bias_code * conv_adc - Fraction(13, 8) + Fraction(5, 4)
     dac_code, _ = _oracle_process(bias_code, bias_code)
     expected = float(Fraction(dac_code) * Fraction(5, 2) / 65535)

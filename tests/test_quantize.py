@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 from audiochains.adcdac import (
     ADC_SPEC,
@@ -14,7 +13,8 @@ from audiochains.adcdac import (
     run_sample_pipeline,
 )
 from audiochains.errors import InvalidCode
-from audiochains.quantize import QuantizerSpec, dequantize, quantize_uniform, round_half_away
+from audiochains.i2s import BlockPipelineConfig
+from audiochains.quantize import QuantizerSpec, dequantize, int16_codes, quantize_uniform
 from audiochains.signals import SLICE, Signal, latency_samples
 
 SPEC_3V3 = QuantizerSpec(v_max=3.3)
@@ -28,62 +28,23 @@ def test_spec_validation():
     assert (SPEC_3V3.max_code, SPEC_3V3.lsb) == (65535, 3.3 / 65535)
 
 
-def test_round_half_away():
-    assert round_half_away(0.5) == 1.0
-    assert round_half_away(-0.5) == -1.0
-    assert round_half_away(2.4) == 2.0
-    assert round_half_away(-2.5) == -3.0
-    assert np.array_equal(round_half_away(np.array([1.5, -1.5, 0.49])), [2.0, -2.0, 0.0])
-
-
-def _sign_floor_rounding(x):
-    """The defining form of round-half-away, kept here as the reference."""
-    return np.sign(x) * np.floor(np.abs(x) + 0.5)
-
-
-def _bits(x):
-    return np.asarray(x, dtype=np.float64).tobytes()
-
-
-_ROUNDING_EDGES = [
-    0.0,
-    -0.0,
-    0.49999999999999994,  # largest double below 0.5: x + 0.5 rounds up to 1.0
-    -0.49999999999999994,
-    *(k + 0.5 for k in range(-4, 4)),  # exact ties
-    2.0**51 + 0.5,
-    2.0**52,
-    2.0**52 + 1.0,  # x + 0.5 is a tie at the last bit: rounds to even
-    -(2.0**52 + 1.0),
-    2.0**53 + 2.0,
-    -1.7976931348623157e308,
-    5e-324,
-    -5e-324,
-]
-
-_finite_or_edge = st.one_of(
-    st.floats(allow_nan=False, allow_infinity=False),
-    st.integers(-(2**60), 2**60).map(lambda k: k + 0.5),
-    st.sampled_from(_ROUNDING_EDGES),
-)
-
-
-@settings(max_examples=300)
-@given(x=hnp.arrays(np.float64, st.integers(0, 40), elements=_finite_or_edge))
-def test_round_half_away_is_the_sign_floor_form_bit_for_bit(x):
-    assert _bits(round_half_away(x)) == _bits(_sign_floor_rounding(x))
-
-
-def test_round_half_away_edges_bit_for_bit_on_arrays_and_scalars():
-    edges = np.array(_ROUNDING_EDGES)
-    assert _bits(round_half_away(edges)) == _bits(_sign_floor_rounding(edges))
-    assert not np.signbit(round_half_away(-0.0))
-    assert np.signbit(round_half_away(-0.25))
-    # callers such as int(round_half_away(latency * fs)) pass scalars
-    for v in _ROUNDING_EDGES:
-        for scalar in (v, np.float64(v)):
-            assert _bits(round_half_away(scalar)) == _bits(_sign_floor_rounding(scalar))
-    assert int(round_half_away(11.68e-6 * 96000.0)) == 1
+def test_ties_round_to_the_even_neighbour():
+    # the one rounding rule, half to even, bit for bit with signed zeros
+    x = [-2.5, -1.5, -0.5, -0.49999999999999994, 0.49999999999999994, 0.5, 1.5, 2.5,
+         32766.5, -32767.5]
+    even = [-2.0, -2.0, -0.0, -0.0, 0.0, 0.0, 2.0, 2.0, 32766.0, -32768.0]
+    assert int16_codes(np.array(x)).tobytes() == np.array(even).tobytes()
+    # ADC inputs whose scaled value, as quantize_uniform computes it, is an
+    # exact tie k + 1/2
+    ties = np.array([2.5177386129549097e-05, 0.00022659647516594185, 0.00032730601968413824])
+    scaled = ties / ADC_SPEC.v_max * ADC_SPEC.max_code
+    assert [Fraction(s) for s in scaled] == [Fraction(k, 2) for k in (1, 9, 13)]
+    assert quantize_uniform(ties, ADC_SPEC).tolist() == [0, 4, 6]
+    assert (latency_samples(0.5, 5.0), latency_samples(0.5, 7.0)) == (2, 4)
+    # a tie the CLI reaches: --chain i2s --measure latency --sample-rate 187500
+    cfg = BlockPipelineConfig(block_samples=64, sample_rate=187500.0)
+    assert cfg.latency * cfg.sample_rate == 292.5
+    assert latency_samples(cfg.latency, cfg.sample_rate) == 292
 
 
 def test_rails():
@@ -94,9 +55,10 @@ def test_rails():
     assert quantize_uniform(5.0, SPEC_3V3) == 65535
 
 
-def test_midpoint_ties_away_from_zero():
+def test_the_midpoint_tie_rounds_to_32768():
     # Exact-rational oracle: 1.65/3.3 is exactly one half in binary floating
-    # point, so the scaled value is the exact tie 32767.5.
+    # point, so the scaled value is the exact tie 32767.5, and 32768 is its
+    # even neighbour.
     scaled = Fraction(165, 330) * 65535
     assert scaled == Fraction(65535, 2)
     assert quantize_uniform(1.65, SPEC_3V3) == 32768
