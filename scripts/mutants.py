@@ -72,6 +72,34 @@ MUTANTS = [
      "RAIL_LOW, RAIL_HIGH = 0.030,", "RAIL_LOW, RAIL_HIGH = 0.031,", None),
     ("damage-high", PKG + "frontend.py",
      "DAMAGE_HIGH = -0.2, 3.5", "DAMAGE_HIGH = -0.2, 3.4", None),
+    # the other numeric constants README's module table names
+    ("fixed-delay", PKG + "i2s.py", "FIXED_DELAY = 536e-6", "FIXED_DELAY = 540e-6", None),
+    ("pipeline-blocks", PKG + "i2s.py", "PIPELINE_BLOCK_COUNT = 3.0", "PIPELINE_BLOCK_COUNT = 3.01",
+     None),
+    ("i2s-thd", PKG + "i2s.py", "THD_DB = -80.0", "THD_DB = -79.9", None),
+    ("i2s-full-scale", PKG + "i2s.py", "FULL_SCALE_VOLTS = 1.0", "FULL_SCALE_VOLTS = 1.001", None),
+    ("conversion-low", PKG + "adcdac.py", "LOW_SPEED: 11.68e-6", "LOW_SPEED: 11.78e-6", None),
+    ("conversion-high", PKG + "adcdac.py", "HIGH_SPEED: 9.28e-6", "HIGH_SPEED: 9.38e-6", None),
+    ("spi-transfer", PKG + "adcdac.py", "SPI_TRANSFER_TIME = 16 / 50e6",
+     "SPI_TRANSFER_TIME = 16 / 40e6", None),
+    ("dac-offset", PKG + "adcdac.py", "DAC_OFFSET = 1.25", "DAC_OFFSET = 1.2501", None),
+    ("adcdac-thd", PKG + "adcdac.py", "LOW_SPEED: -76.0", "LOW_SPEED: -75.9", None),
+    ("adcdac-thd-high", PKG + "adcdac.py", "HIGH_SPEED: -67.0", "HIGH_SPEED: -66.9", None),
+    ("bias-voltage", PKG + "frontend.py", "BIAS_VOLTAGE = 1.65", "BIAS_VOLTAGE = 1.66", None),
+    ("coupling-cutoff", PKG + "frontend.py", "COUPLING_CUTOFF = 0.040", "COUPLING_CUTOFF = 0.041",
+     None),
+    ("sallen-key-cutoff", PKG + "frontend.py", "SALLEN_KEY_CUTOFF = 40000.0",
+     "SALLEN_KEY_CUTOFF = 40100.0", None),
+    ("sallen-key-q", PKG + "frontend.py", "SALLEN_KEY_Q = 0.7071", "SALLEN_KEY_Q = 0.7072", None),
+    ("rail-high", PKG + "frontend.py", "RAIL_HIGH = 0.030, 3.270", "RAIL_HIGH = 0.030, 3.269",
+     None),
+    ("damage-low", PKG + "frontend.py", "DAMAGE_HIGH = -0.2,", "DAMAGE_HIGH = -0.19,", None),
+    # every output stays within the golden manifest's tolerance; the allocation bound kills it
+    ("frontend-block", PKG + "frontend.py", "BLOCK = 32", "BLOCK = 16", None),
+    ("max-segment", PKG + "spectrum.py", "MAX_SEGMENT = 16384", "MAX_SEGMENT = 8192", None),
+    ("max-harmonics", PKG + "measure.py", "MAX_HARMONICS = 20", "MAX_HARMONICS = 19", None),
+    ("weak-regime", PKG + "distortion.py", "WEAK_REGIME_LIMIT_DB = -40.0",
+     "WEAK_REGIME_LIMIT_DB = -41.0", None),
     # equivalent by design
     ("slice", PKG + "signals.py", "SLICE = 8192", "SLICE = 4096",
      "the chains convert slice by slice into one output, bit for bit the whole-record result"),

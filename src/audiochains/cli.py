@@ -23,8 +23,8 @@ power of two, a latency too long for order 24 or for the discarded warm-up,
 rounding to 0 samples or overflowing a float, which names the flags given, a
 THD rate that leaves the calibrated 3rd harmonic no band, a record too large
 to allocate and an argument holding a line break), 3 chain fault (damage
-voltage), 4 I/O error (an unwritable ``--out`` or ``--wav-out`` before any
-chain runs).
+voltage), 4 I/O error (an unreadable ``--wav-in``, or an unwritable ``--out``
+or ``--wav-out`` before any chain runs).
 """
 
 from __future__ import annotations

@@ -12,6 +12,9 @@ outputs are compared with the committed `golden_outputs.json`:
   rows, so a 1e-6 dB move of any one row fails;
 * the sha256 of every WAV.
 
+The same outputs are judged against the paper's figures by
+`scripts/reproduce_tables.py`'s `PAPER` and `misses`.
+
 A change that moves an output regenerates the manifest in the same diff and
 names every moved cell in CHANGES.md:
 
@@ -38,6 +41,7 @@ ROOT = Path(__file__).resolve().parent.parent
 MANIFEST = Path(__file__).with_name("golden_outputs.json")
 sys.path.insert(0, str(ROOT / "scripts"))
 from compare_outputs import SCENARIOS  # noqa: E402
+from reproduce_tables import PAPER, misses  # noqa: E402
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::audiochains.errors.NonStandardBlockSizeWarning"  # i2s_latency_256
@@ -124,6 +128,23 @@ def test_the_manifest_holds_exactly_the_scenario_set():
 @pytest.mark.parametrize("name", [name for name, _ in SCENARIOS])
 def test_outputs_match_the_manifest(outputs, name):
     assert mismatches(outputs[name], json.loads(MANIFEST.read_text())[name]) == []
+
+
+@pytest.mark.parametrize("name", list(PAPER))
+def test_outputs_meet_the_paper(outputs, name):
+    assert misses(name, outputs[name].get("rows", [])) == []
+
+
+@pytest.mark.parametrize("rows, missed", [
+    ([["128", "-79.5", "-69.0"]], 0),  # each figure exactly at its tolerance
+    ([["128", repr(float(np.nextafter(-79.5, 0.0))), "-68.0"]], 1),
+    ([["128", "-80.0", repr(float(np.nextafter(-69.0, -np.inf)))]], 1),
+    ([["128", "nan", "-68.0"]], 1),
+    ([["64", "-80.0", "-68.0"]], 2),  # the paper's row is absent
+    ([["16", "0.0", "0.0"], ["128", "-80.0", "-68.0"]], 0),  # a row the paper does not list
+])
+def test_misses_judges_each_figure_at_its_tolerance(rows, missed):
+    assert len(misses("i2s_thd", rows)) == missed
 
 
 if __name__ == "__main__":

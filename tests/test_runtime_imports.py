@@ -14,15 +14,13 @@ import audiochains
 
 PACKAGE_ROOT = str(Path(audiochains.__file__).resolve().parent.parent)
 
-# the six default scenarios; a spectrum run sweeps one value
-SCENARIOS = [
-    ["--chain", "i2s", "--measure", "latency"],
-    ["--chain", "adcdac", "--measure", "latency"],
-    ["--chain", "i2s", "--measure", "thd"],
-    ["--chain", "adcdac", "--measure", "thd"],
-    ["--chain", "i2s", "--measure", "spectrum", "--block-samples", "128"],
-    ["--chain", "adcdac", "--measure", "spectrum", "--sampling-speed", "low"],
-]
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
+from compare_outputs import SCENARIOS as ALL_SCENARIOS  # noqa: E402
+
+# the six default scenarios; a spectrum run sweeps one value and writes its WAV
+SCENARIOS = [dict(ALL_SCENARIOS)[name] for name in (
+    "i2s_latency", "adcdac_latency", "i2s_thd", "adcdac_thd", "i2s_spectrum", "adcdac_spectrum"
+)]
 
 BLOCKED_RUN = """
 import importlib.abc, json, sys
