@@ -65,7 +65,8 @@ def main(argv: list[str] | None = None) -> int:
             status = status or run_status
             rows = [] if run_status else cli.read_csv(path)[2]
             for label, *values in (row for row in rows if row[0] in PAPER[name]):
-                cells = (f"{float(v):>12.6g} ({f:g})" for v, (f, _) in zip(values, PAPER[name][label]))
+                figures = [figure for figure, _ in PAPER[name][label]]
+                cells = (f"{float(v):>12.6g} ({f:g})" for v, f in zip(values, figures))
                 print(f"{name:>14} {label:>10}  " + "  ".join(cells))
             missed += misses(name, rows)
     for miss in missed:
