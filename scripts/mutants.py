@@ -100,6 +100,13 @@ MUTANTS = [
     ("max-harmonics", PKG + "measure.py", "MAX_HARMONICS = 20", "MAX_HARMONICS = 19", None),
     ("weak-regime", PKG + "distortion.py", "WEAK_REGIME_LIMIT_DB = -40.0",
      "WEAK_REGIME_LIMIT_DB = -41.0", None),
+    # comparisons at their exact edge (tests/test_boundaries.py)
+    ("warmup-edge", PKG + "cli.py", "cfg.latency >= WARMUP_SECONDS", "cfg.latency > WARMUP_SECONDS",
+     None),
+    ("analysis-edge", PKG + "cli.py", "n < int(0.1 * rate)", "n <= int(0.1 * rate)", None),
+    ("block-edge", PKG + "i2s.py", "b < 1", "b <= 1", None),
+    ("feasible-edge", PKG + "adcdac.py", "self.latency < 1.0", "self.latency <= 1.0", None),
+    ("noise-edge", PKG + "measure.py", "noise_rms > 0.0", "noise_rms >= 0.0", None),
     # equivalent by design
     ("slice", PKG + "signals.py", "SLICE = 8192", "SLICE = 4096",
      "the chains convert slice by slice into one output, bit for bit the whole-record result"),

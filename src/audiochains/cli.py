@@ -8,8 +8,10 @@ CSV report; sweeps map one row per swept parameter.  CSV layouts:
     spectrum     frequency_hz,power_dbv
 
 The first line is a ``#`` comment holding the exact command line, numbers
-carry 17 significant digits, and rows are LF-terminated, so identical flags
-reproduce byte-identical files.  Each latency row sizes its MLS to the
+carry 17 significant digits, and rows are LF-terminated, so on one host
+with one numpy and OpenBLAS build identical flags reproduce byte-identical
+files.  Across hosts the dB cells agree within 1e-9 dB, and the latency
+cells and WAVs have agreed exactly.  Each latency row sizes its MLS to the
 smallest order >= 12 whose period holds twice the predicted latency.  Every
 row is checked before any chain runs, and the check ends by creating
 ``--out`` and ``--wav-out`` as temporary files beside their targets; they
@@ -303,8 +305,8 @@ def _run_rows(args: argparse.Namespace, analyze) -> tuple[list[tuple], list]:
     n = len(stimulus[0]) - skip  # samples each row analyzes
     if n < int(0.1 * rate):
         raise ValueError(
-            f"stimulus too short: need at least {WARMUP_SECONDS + 0.1:.2f} s "
-            f"(warm-up plus analysis), got {stimulus[0].duration:.3f} s"
+            f"stimulus too short: {len(stimulus[0])} samples at {rate:g} Hz, need at least "
+            f"{skip + int(0.1 * rate)} (the {WARMUP_SECONDS:g} s warm-up plus 0.1 s of analysis)"
         )
     if args.measure != "spectrum" and 3 not in harmonics_below_nyquist(n, STIMULUS_HZ, rate):
         raise ValueError(

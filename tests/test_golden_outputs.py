@@ -6,7 +6,8 @@ outputs are compared with the committed `golden_outputs.json`:
 
 * exit statuses and latency cells exactly;
 * `thd_db`, `thdn_db` and `power_dbv` within 1e-9 dB, because BLAS dot
-  products may differ in their last bits across CPU kernels;
+  products and numpy's SIMD-dispatched ufunc loops may differ in their
+  last bits across CPU kernels;
 * per spectrum CSV, the row count, the peak row, the rows nearest 1 kHz
   and 3 kHz, and the means of `power_dbv` over 64 consecutive chunks of
   rows, so a 1e-6 dB move of any one row fails;

@@ -121,6 +121,13 @@ def test_fractional_sample_rate_rejected(tmp_path):
     assert not path.exists()
 
 
+def test_an_unopenable_path_raises_only_its_oserror(tmp_path):
+    # wave.open(path) would leave a half-built writer whose __del__ raises;
+    # pyproject.toml turns such an unraisable exception into a failure
+    with pytest.raises(FileNotFoundError):
+        write_wav(Signal(np.zeros(16), 8000.0), str(tmp_path / "missing" / "x.wav"))
+
+
 def test_mismatched_stereo_rejected(tmp_path):
     path = str(tmp_path / "bad.wav")
     left = Signal(np.zeros(10), 44100.0)
