@@ -107,6 +107,10 @@ MUTANTS = [
     ("block-edge", PKG + "i2s.py", "b < 1", "b <= 1", None),
     ("feasible-edge", PKG + "adcdac.py", "self.latency < 1.0", "self.latency <= 1.0", None),
     ("noise-edge", PKG + "measure.py", "noise_rms > 0.0", "noise_rms >= 0.0", None),
+    ("spectrum-edge", PKG + "spectrum.py", "if n < 2:", "if n <= 2:", None),
+    ("fundamental-edge", PKG + "measure.py", "if p1_fit <= 0.0:", "if p1_fit < 0.0:", None),
+    # work no output shows: an i2s row runs its right channel only for the stereo WAV
+    ("right-channel", PKG + "cli.py", "stereo=wav)", "stereo=True)", None),
     # equivalent by design
     ("slice", PKG + "signals.py", "SLICE = 8192", "SLICE = 4096",
      "the chains convert slice by slice into one output, bit for bit the whole-record result"),

@@ -269,11 +269,12 @@ def _run_latency(args: argparse.Namespace) -> tuple[list[tuple], list]:
     return rows, configs
 
 
-def _run_chain(chain: str, cfg, stimulus: tuple[Signal, Signal], rng, front_end=True) -> tuple:
-    """(left, right) from i2s or (out,) from adcdac; front_end=False bypasses its front end."""
+def _run_chain(chain: str, cfg, stimulus: tuple, rng, front_end=True, stereo=True) -> tuple:
+    """(left, right) from i2s, or (left,) unless stereo (only the stereo WAV reads a
+    right); (out,) from adcdac, averaging both pins; front_end=False bypasses its front end."""
     in0, in1 = stimulus
     if chain == "i2s":
-        return i2s.run_block_pipeline(in0, in1, cfg, rng=rng)
+        return i2s.run_block_pipeline(in0, in1 if stereo else None, cfg, rng=rng)
     return (adcdac.run_sample_pipeline(in0, in1, cfg, rng, front_end=front_end),)
 
 
@@ -318,9 +319,10 @@ def _run_rows(args: argparse.Namespace, analyze) -> tuple[list[tuple], list]:
     _stage_outputs(args)
     for index, (param, cfg) in enumerate(zip(args.params, configs)):
         rng = _param_rng(args.seed, param)
-        outputs = _run_chain(chain, cfg, stimulus, rng)
+        wav = index == 0 and args.wav_out  # the one reader of an i2s right channel
+        outputs = _run_chain(chain, cfg, stimulus, rng, stereo=wav)
         rows.extend(analyze(param, Signal(outputs[0].samples[skip:], rate)))
-        if index == 0 and args.wav_out:
+        if wav:
             if chain == "i2s":
                 write_wav(outputs[0], args.staged["wav_out"], right=outputs[1])
             else:

@@ -8,6 +8,8 @@ scaling is reproduced faithfully rather than "fixed".  A pair fed one
 `Signal` is distorted once, in the shared `signals.input_stage`; given an
 rng, each channel then draws the noise floor `I2S_NOISE_FLOOR_RMS`, the
 input noise that `THD_DB` and `THDN_DB` imply at `signals.CALIBRATION_VRMS`.
+Without a right input the chain runs the left channel alone, bit for bit the
+left of a stereo run; the CLI runs the right channel only for its stereo WAV.
 
 The callback is a pure per-sample function, so splitting the signal into
 blocks cannot change its output: the simulation hands it the whole signal
@@ -52,12 +54,12 @@ THD_DB = -80.0
 THDN_DB = -68.0
 I2S_NOISE_FLOOR_RMS = CALIBRATION_VRMS * math.sqrt(10 ** (THDN_DB / 10) - 10 ** (THD_DB / 10))
 
-BlockProcessor = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+BlockProcessor = Callable[..., tuple[np.ndarray, ...]]
 
 
-def passthrough(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Identity processor: output sample equals input sample."""
-    return left, right
+def passthrough(*channels: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Identity processor: output sample equals input sample, per channel."""
+    return channels
 
 
 @dataclass(frozen=True)
@@ -81,19 +83,20 @@ class BlockPipelineConfig:
 
 def run_block_pipeline(
     input_left: Signal,
-    input_right: Signal,
+    input_right: Signal | None,
     cfg: BlockPipelineConfig,
     proc: BlockProcessor = passthrough,
     rng: np.random.Generator | None = None,
-) -> tuple[Signal, Signal]:
-    """Drive the block pipeline and return both delayed output channels.
+) -> tuple[Signal, ...]:
+    """Drive the block pipeline and return its delayed outputs: (left, right),
+    or with input_right None (left,), bit for bit the left of a stereo call.
 
     Distortion, then the noise floor `I2S_NOISE_FLOOR_RMS`, act before the
     codec ADC in `input_stage`: one Signal on both inputs is distorted once,
-    and the noise is drawn per channel when an rng is given (rng=None runs
-    the chain noiseless and consumes no randomness).  The pure per-sample
-    callback proc is called once with the whole left and right signals and
-    must return one output per input sample.
+    and the noise is drawn per channel, left first, when an rng is given
+    (rng=None runs the chain noiseless and consumes no randomness).  The pure
+    per-sample callback proc is called once with each channel's whole signal
+    and must return one output per channel and input sample.
     """
     shape = cfg.distortion.apply if cfg.distortion is not None else (lambda x: x)
     pins = input_stage(input_left, input_right, cfg.sample_rate, shape, I2S_NOISE_FLOOR_RMS, rng)
@@ -104,12 +107,14 @@ def run_block_pipeline(
     def dac(values):  # the callback's values, scaled back and re-quantized
         return int16_volts(int16_codes(values * CONVERSION_DAC), FULL_SCALE_VOLTS)
 
-    res_l, res_r = proc(*(delayed_slices(adc, 0, pin) for pin in pins))
+    results = proc(*(delayed_slices(adc, 0, pin) for pin in pins))
+    if len(results) != len(pins):
+        raise ShapeMismatch("processor must return one output per channel")
     delay = latency_samples(cfg.latency, cfg.sample_rate)
     outputs = []
-    for res in (res_l, res_r):
+    for res in results:
         res = np.asarray(res, dtype=np.float64)
         if len(res) != len(input_left):
             raise ShapeMismatch("processor must return one output per input sample")
         outputs.append(Signal(delayed_slices(dac, delay, res), cfg.sample_rate))
-    return outputs[0], outputs[1]
+    return tuple(outputs)

@@ -168,28 +168,31 @@ def delayed_slices(convert: Callable[..., np.ndarray], delay: int, *inputs) -> n
 
 def input_stage(
     in0: Signal,
-    in1: Signal,
+    in1: Signal | None,
     sample_rate: float,
     shape: Callable[[np.ndarray], np.ndarray],
     noise_rms: float,
     rng: np.random.Generator | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The line-input stage both chains share: each channel's converter input.
+) -> tuple[np.ndarray, ...]:
+    """The line-input stage both chains share: each channel's converter input,
+    channel 0's alone when in1 is None.
 
     shape, the chain's deterministic analog shaping, runs once per distinct
     Signal.  Given an rng, Gaussian noise of noise_rms is then drawn per
     channel, channel 0 first, into fresh pins; rng=None returns the shaped
     pins and consumes no randomness.
     """
-    if len(in0) != len(in1):
+    channels = (in0,) if in1 is None else (in0, in1)
+    if any(len(sig) != len(in0) for sig in channels):
         raise ShapeMismatch("input signals must have equal length")
-    if in0.sample_rate != in1.sample_rate or in0.sample_rate != sample_rate:
+    if any(sig.sample_rate != sample_rate for sig in channels):
         raise ShapeMismatch("input sample rates must equal the chain's sample_rate")
-    shaped = [shape(sig.samples) for sig in ((in0,) if in1 is in0 else (in0, in1))]
+    shaped = [shape(in0.samples)]
+    shaped += [shaped[0] if sig is in0 else shape(sig.samples) for sig in channels[1:]]
     if rng is None:
-        return shaped[0], shaped[-1]
-    pins = rng.standard_normal(len(in0)), rng.standard_normal(len(in0))
-    for pin, x in zip(pins, (shaped[0], shaped[-1])):
+        return tuple(shaped)
+    pins = tuple(rng.standard_normal(len(in0)) for _ in shaped)
+    for pin, x in zip(pins, shaped):
         pin *= noise_rms
         pin += x
     return pins

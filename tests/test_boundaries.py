@@ -12,9 +12,11 @@ import pytest
 
 from audiochains import cli
 from audiochains.adcdac import SampleChainConfig, SamplingSpeed
+from audiochains.errors import FundamentalNotFound
 from audiochains.i2s import BlockPipelineConfig
-from audiochains.measure import estimate_latency
+from audiochains.measure import estimate_latency, measure_thd
 from audiochains.signals import Signal, generate_sine
+from audiochains.spectrum import power_spectrum
 from audiochains.wavio import write_wav
 
 
@@ -72,3 +74,22 @@ def test_a_response_with_nothing_beyond_its_peak_reads_an_infinite_peak_to_noise
     assert (clean.peak_sample_index, clean.peak_to_noise_db) == (100, np.inf)
     impulse[200] = 1e-3
     assert estimate_latency(Signal(impulse, 1.0)).peak_to_noise_db < np.inf
+
+
+def test_two_samples_are_the_shortest_spectrum():
+    # spectrum.power_spectrum: n < 2; the 2-sample Hann window is [0, 1]
+    spec = power_spectrum(Signal(np.array([0.5, -0.25]), 8.0))
+    assert spec.bin_frequencies.tolist() == [0.0, 4.0]
+    assert spec.bin_powers_dbv == pytest.approx([20.0 * np.log10(0.25)] * 2, abs=1e-12)
+    assert spec.bin_powers_dbv[0] == pytest.approx(-12.04, abs=0.005)
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        power_spectrum(Signal(np.array([0.5]), 8.0))
+
+
+def test_a_record_of_zeros_has_no_fundamental():
+    # measure_thd: p1_fit <= 0.0; a zero fit power is never divided by
+    silence = Signal(np.zeros(44100), 44100.0)
+    with pytest.raises(FundamentalNotFound, match="no energy at the stated fundamental"):
+        measure_thd(silence, 1000.0)
+    faint = generate_sine(1000.0, 1e-6, 1.0, 44100.0)
+    assert np.isfinite(measure_thd(faint, 1000.0).thdn_db)

@@ -1,3 +1,4 @@
+import inspect
 import os
 import time
 import warnings
@@ -333,6 +334,25 @@ def test_a_sweep_builds_its_stimulus_once_and_leaves_it_unchanged(
     # both pipelines read the shared arrays without writing to them
     for sig, before in sigs:
         assert sig.samples.tobytes() == before
+
+
+@pytest.mark.parametrize("wav_out", [False, True], ids=["csv", "wav-out"])
+def test_an_i2s_thd_sweep_runs_the_right_channel_only_for_the_stereo_wav(
+    tmp_path, monkeypatch, wav_out
+):
+    # no output shows the right channel of a row that writes no WAV, so a spy pins the saving
+    run = i2s.run_block_pipeline
+    rights = []
+
+    def spy(*args, **kwargs):
+        rights.append(inspect.signature(run).bind(*args, **kwargs).arguments["input_right"])
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(i2s, "run_block_pipeline", spy)
+    wav_args = ("--wav-out", str(tmp_path / "x.wav")) if wav_out else ()
+    assert run_cli("--chain", "i2s", "--measure", "thd", "--out", str(tmp_path / "x.csv"),
+                   *wav_args) == 0
+    assert [right is not None for right in rights] == [wav_out, False, False, False]
 
 
 # ---------------------------------------------------------------- exit codes
@@ -720,25 +740,6 @@ def test_cli_exit_codes_and_reruns_are_byte_identical(tmp_path, flags):
     if any(flag.startswith("/nonexistent/") for flag in flags):
         assert results[0][:2] == (4, None)
     assert results[0] == results[1]
-
-
-def test_io_error_exits_4(tmp_path):
-    code = run_cli(
-        "--chain", "i2s", "--measure", "latency", "--block-samples", "16",
-        "--out", str(tmp_path / "missing_dir" / "x.csv"),
-    )
-    assert code == 4
-
-
-def test_unwritable_wav_out_exits_4_with_one_line(tmp_path, capsys):
-    # wave.open(path) that cannot open the path leaves a half-built writer
-    # behind, whose __del__ raised once the run had exited
-    code = run_cli(
-        "--chain", "i2s", "--measure", "thd", "--block-samples", "128",
-        "--out", str(tmp_path / "x.csv"), "--wav-out", str(tmp_path / "missing" / "x.wav"),
-    )
-    assert code == 4
-    assert capsys.readouterr().err.count("\n") == 1
 
 
 def _count_chain_runs(monkeypatch) -> list:

@@ -170,6 +170,31 @@ def test_bad_processor_length_detected():
     sig = Signal(np.zeros(64), FS)
     with pytest.raises(ShapeMismatch):
         run_block_pipeline(sig, sig, cfg, proc=lambda l, r: (l[:-1], r))
+    with pytest.raises(ShapeMismatch, match="per input sample"):
+        run_block_pipeline(sig, None, cfg, proc=lambda l: (l[:-1],))
+    with pytest.raises(ShapeMismatch, match="per channel"):
+        run_block_pipeline(sig, sig, cfg, proc=lambda l, r: (l,))
+
+
+@pytest.mark.parametrize("seed", [None, 5])
+def test_a_one_channel_call_is_the_left_of_a_stereo_call_bit_for_bit(seed):
+    cfg = BlockPipelineConfig(block_samples=32, distortion=calibrate_distortion(-80.0, 0.7))
+    left = generate_sine(1000.0, 0.5, 0.5, FS)
+    right = generate_sine(3000.0, 0.2, 0.5, FS)
+    calls = []
+
+    def tanh(*channels):
+        calls.append(len(channels))
+        return tuple(np.tanh(4.0 * x) for x in channels)
+
+    def rng():
+        return None if seed is None else np.random.default_rng(seed)
+
+    one = run_block_pipeline(left, None, cfg, proc=tanh, rng=rng())
+    both = run_block_pipeline(left, right, cfg, proc=tanh, rng=rng())
+    assert (len(one), len(both), calls) == (1, 2, [1, 2])
+    assert one[0].samples.tobytes() == both[0].samples.tobytes()
+    assert passthrough(left.samples)[0] is left.samples
 
 
 def test_nonstandard_block_size_constructs_without_a_warning():

@@ -231,6 +231,17 @@ def test_input_stage_shapes_each_distinct_signal_once_then_adds_noise_channel_0_
     assert [p.tobytes() for p in split] == [p.tobytes() for p in pins]
 
 
+def test_input_stage_without_channel_1_draws_one_channel_0_noise():
+    sig = Signal(np.linspace(-1.0, 1.0, 64), 8000.0)
+    rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+    (pin,) = input_stage(sig, None, 8000.0, lambda x: 2.0 * x, 0.1, rng)
+    assert pin.tobytes() == (2.0 * sig.samples + 0.1 * ref.standard_normal(64)).tobytes()
+    assert rng.bit_generator.state == ref.bit_generator.state  # one 64-sample draw, no more
+    assert input_stage(sig, None, 8000.0, lambda x: x, 0.1, None)[0] is sig.samples
+    with pytest.raises(ShapeMismatch):
+        input_stage(sig, None, 16000.0, lambda x: x, 0.0, None)
+
+
 def test_input_stage_checks_the_pair_and_draws_noise_only_with_an_rng():
     sig = Signal(np.zeros(8), 8000.0)
     quiet = input_stage(sig, sig, 8000.0, lambda x: x, 0.1, None)
