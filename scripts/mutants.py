@@ -110,12 +110,21 @@ MUTANTS = [
     ("spectrum-edge", PKG + "spectrum.py", "if n < 2:", "if n <= 2:", None),
     ("fundamental-edge", PKG + "measure.py", "if p1_fit <= 0.0:", "if p1_fit < 0.0:", None),
     # work no output shows: an i2s row runs its right channel only for the stereo WAV
-    ("right-channel", PKG + "cli.py", "stereo=wav)", "stereo=True)", None),
+    ("right-channel", PKG + "cli.py", "stimulus[1] if wav else None", "stimulus[1]", None),
+    ("latency-right-channel", PKG + "cli.py", "run_block_pipeline(stimulus, None,",
+     "run_block_pipeline(stimulus, stimulus,", None),
     # equivalent by design
     ("slice", PKG + "signals.py", "SLICE = 8192", "SLICE = 4096",
      "the chains convert slice by slice into one output, bit for bit the whole-record result"),
     ("phasor-block", PKG + "signals.py", "PHASOR_BLOCK = 512", "PHASOR_BLOCK = 256",
      "the tone's last bits move, but every output stays within the golden manifest's tolerance"),
+    # no pair of ADC codes puts the DAC input on a clip edge: of the 2**32 pairs the nearest
+    # lies 1.11e-5 V from the low edge and 1.18e-5 V from the high one; half an LSB is 1.91e-5 V
+    ("clip-low-edge", PKG + "adcdac.py", "out < -half", "out <= -half",
+     "no pair of ADC codes gives a DAC input of exactly -half an LSB"),
+    ("clip-high-edge", PKG + "adcdac.py", "out > DAC_SPEC.v_max + half",
+     "out >= DAC_SPEC.v_max + half",
+     "no pair of ADC codes gives a DAC input of exactly v_max plus half an LSB"),
 ]
 
 

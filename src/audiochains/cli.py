@@ -1,7 +1,9 @@
 """Command-line scenarios reproducing the characterization tables.
 
 Each run measures one chain (block codec or sample ADC/DAC) and writes a
-CSV report; sweeps map one row per swept parameter.  CSV layouts:
+CSV report; sweeps map one row per swept parameter.  An i2s row that does
+not write the stereo ``--wav-out``, latency rows included, runs the left
+channel alone.  CSV layouts:
 
     latency      parameter,latency_seconds
     thd          parameter,thd_db,thdn_db
@@ -258,24 +260,16 @@ def _run_latency(args: argparse.Namespace) -> tuple[list[tuple], list]:
         rng = _param_rng(args.seed, param)
 
         def system(stimulus: Signal) -> Signal:
-            if chain == "adcdac":
-                # Conditioning bypassed: its group delay is folded into the
-                # calibrated conversion time.  Bias keeps the MLS in range.
-                stimulus = Signal(stimulus.samples + frontend.BIAS_VOLTAGE, stimulus.sample_rate)
-            return _run_chain(chain, cfg, (stimulus, stimulus), rng, front_end=False)[0]
+            if chain == "i2s":
+                return i2s.run_block_pipeline(stimulus, None, cfg, rng=rng)[0]
+            # Conditioning bypassed: its group delay is folded into the
+            # calibrated conversion time.  Bias keeps the MLS in range.
+            pin = Signal(stimulus.samples + frontend.BIAS_VOLTAGE, stimulus.sample_rate)
+            return adcdac.run_sample_pipeline(pin, pin, cfg, rng, front_end=False)
 
         report = estimate_latency(measure_impulse_response(system, mls))
         rows.append((_row_label(param), report.latency_seconds))
     return rows, configs
-
-
-def _run_chain(chain: str, cfg, stimulus: tuple, rng, front_end=True, stereo=True) -> tuple:
-    """(left, right) from i2s, or (left,) unless stereo (only the stereo WAV reads a
-    right); (out,) from adcdac, averaging both pins; front_end=False bypasses its front end."""
-    in0, in1 = stimulus
-    if chain == "i2s":
-        return i2s.run_block_pipeline(in0, in1 if stereo else None, cfg, rng=rng)
-    return (adcdac.run_sample_pipeline(in0, in1, cfg, rng, front_end=front_end),)
 
 
 def _thd_rows(param, measured: Signal) -> list[tuple]:
@@ -320,14 +314,17 @@ def _run_rows(args: argparse.Namespace, analyze) -> tuple[list[tuple], list]:
     for index, (param, cfg) in enumerate(zip(args.params, configs)):
         rng = _param_rng(args.seed, param)
         wav = index == 0 and args.wav_out  # the one reader of an i2s right channel
-        outputs = _run_chain(chain, cfg, stimulus, rng, stereo=wav)
-        rows.extend(analyze(param, Signal(outputs[0].samples[skip:], rate)))
-        if wav:
-            if chain == "i2s":
-                write_wav(outputs[0], args.staged["wav_out"], right=outputs[1])
-            else:
-                # the output carries the DAC's standing offset
-                write_wav(outputs[0], args.staged["wav_out"], full_scale=adcdac.DAC_SPEC.v_max)
+        if chain == "i2s":
+            out, *right = i2s.run_block_pipeline(
+                stimulus[0], stimulus[1] if wav else None, cfg, rng=rng
+            )
+            if wav:
+                write_wav(out, args.staged["wav_out"], right=right[0])
+        else:
+            out = adcdac.run_sample_pipeline(*stimulus, cfg, rng)
+            if wav:  # the output carries the DAC's standing offset
+                write_wav(out, args.staged["wav_out"], full_scale=adcdac.DAC_SPEC.v_max)
+        rows.extend(analyze(param, Signal(out.samples[skip:], rate)))
     return rows, configs
 
 

@@ -9,7 +9,8 @@ scaling is reproduced faithfully rather than "fixed".  A pair fed one
 rng, each channel then draws the noise floor `I2S_NOISE_FLOOR_RMS`, the
 input noise that `THD_DB` and `THDN_DB` imply at `signals.CALIBRATION_VRMS`.
 Without a right input the chain runs the left channel alone, bit for bit the
-left of a stereo run; the CLI runs the right channel only for its stereo WAV.
+left of a stereo run; every CLI row that does not write the stereo WAV,
+latency rows included, runs the left channel alone.
 
 The callback is a pure per-sample function, so splitting the signal into
 blocks cannot change its output: the simulation hands it the whole signal

@@ -72,10 +72,6 @@ class Signal:
     def __len__(self) -> int:
         return self.samples.size
 
-    @property
-    def duration(self) -> float:
-        return self.samples.size / self.sample_rate
-
 
 def block_phasors(
     n: int, freq: float, rate: float, phase: float = 0.0

@@ -336,9 +336,13 @@ def test_a_sweep_builds_its_stimulus_once_and_leaves_it_unchanged(
         assert sig.samples.tobytes() == before
 
 
-@pytest.mark.parametrize("wav_out", [False, True], ids=["csv", "wav-out"])
+@pytest.mark.parametrize(
+    "measure, wav_out",
+    [("thd", False), ("thd", True), ("latency", False)],
+    ids=["csv", "wav-out", "latency"],
+)
 def test_an_i2s_thd_sweep_runs_the_right_channel_only_for_the_stereo_wav(
-    tmp_path, monkeypatch, wav_out
+    tmp_path, monkeypatch, measure, wav_out
 ):
     # no output shows the right channel of a row that writes no WAV, so a spy pins the saving
     run = i2s.run_block_pipeline
@@ -350,7 +354,7 @@ def test_an_i2s_thd_sweep_runs_the_right_channel_only_for_the_stereo_wav(
 
     monkeypatch.setattr(i2s, "run_block_pipeline", spy)
     wav_args = ("--wav-out", str(tmp_path / "x.wav")) if wav_out else ()
-    assert run_cli("--chain", "i2s", "--measure", "thd", "--out", str(tmp_path / "x.csv"),
+    assert run_cli("--chain", "i2s", "--measure", measure, "--out", str(tmp_path / "x.csv"),
                    *wav_args) == 0
     assert [right is not None for right in rights] == [wav_out, False, False, False]
 
@@ -660,7 +664,7 @@ def test_a_chain_fault_prints_only_its_error(tmp_path, capsys, monkeypatch):
     def faulty(*args, **kwargs):
         raise DamageVoltage("pin at 4.2 V")
 
-    monkeypatch.setattr(cli, "_run_chain", faulty)
+    monkeypatch.setattr(adcdac, "run_sample_pipeline", faulty)
     flags = ("--chain", "adcdac", "--measure", "thd", "--out", str(tmp_path / "x.csv"))
     assert _refusal(monkeypatch, capsys, *flags) == (
         3, 1, [], ["audiochains: chain fault: pin at 4.2 V"]
@@ -744,13 +748,16 @@ def test_cli_exit_codes_and_reruns_are_byte_identical(tmp_path, flags):
 
 def _count_chain_runs(monkeypatch) -> list:
     runs = []
-    run_chain = cli._run_chain
 
-    def counted(*args, **kwargs):
-        runs.append(args)
-        return run_chain(*args, **kwargs)
+    def counted(run):
+        def wrapper(*args, **kwargs):
+            runs.append(args)
+            return run(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "_run_chain", counted)
+        return wrapper
+
+    monkeypatch.setattr(i2s, "run_block_pipeline", counted(i2s.run_block_pipeline))
+    monkeypatch.setattr(adcdac, "run_sample_pipeline", counted(adcdac.run_sample_pipeline))
     return runs
 
 

@@ -29,6 +29,8 @@ churn the diff; entries of scenarios no longer in the set are dropped.
 import hashlib
 import json
 import os
+import platform
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -129,6 +131,50 @@ def test_the_manifest_holds_exactly_the_scenario_set():
 @pytest.mark.parametrize("name", [name for name, _ in SCENARIOS])
 def test_outputs_match_the_manifest(outputs, name):
     assert mismatches(outputs[name], json.loads(MANIFEST.read_text())[name]) == []
+
+
+def _blas_is_openblas() -> bool:
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:  # an older numpy prints its config and cannot name its BLAS
+        return False
+    return "openblas" in config["Build Dependencies"]["blas"]["name"]
+
+
+def _features_above_baseline() -> list[str]:
+    """The features numpy dispatches to above its build baseline that this CPU
+    has, in the running numpy's names (numpy 1.x says AVX2 where 2.x says X86_V3)."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    return [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name)]
+
+
+@pytest.mark.skipif(
+    not _blas_is_openblas() or platform.machine() not in ("x86_64", "AMD64"),
+    reason="needs OpenBLAS and its x86 kernels",
+)
+def test_outputs_match_the_manifest_on_another_blas_kernel_and_baseline_loops(tmp_path):
+    # another CPU's arithmetic, imitated in one process: the dB cells move in their last bits
+    env = dict(
+        os.environ,
+        OPENBLAS_CORETYPE="Sandybridge",
+        NPY_DISABLE_CPU_FEATURES=" ".join(_features_above_baseline()),
+        PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")]),
+    )
+    script = (
+        "import json, sys; from pathlib import Path; from test_golden_outputs import run_scenarios;"
+        " Path(sys.argv[2]).write_text(json.dumps(run_scenarios(Path(sys.argv[1]))))"
+    )
+    report = tmp_path / "outputs.json"
+    result = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", script, str(tmp_path), str(report)],
+        env=env, capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    got, want = json.loads(report.read_text()), json.loads(MANIFEST.read_text())
+    assert {name: mismatches(got[name], want[name]) for name in want} == {n: [] for n in want}
 
 
 @pytest.mark.parametrize("name", list(PAPER))

@@ -38,7 +38,6 @@ def test_signal_is_float64_and_sized():
     sig = Signal([1, 2, 3], 8000)
     assert sig.samples.dtype == np.float64
     assert len(sig) == 3
-    assert sig.duration == pytest.approx(3 / 8000)
 
 
 def test_signal_fields_are_frozen_but_float64_samples_are_shared():
