@@ -3,15 +3,18 @@
 
     python scripts/compare_outputs.py BASE_DIR HEAD_DIR
 
-Each tree's `src/` is put on PYTHONPATH for its own runs, which happen in a
-fresh directory per tree, so WAV outputs feed the later `--wav-in` runs of
-the same tree.  For every output file the script prints "byte-identical",
-or for a CSV the largest |delta| per column (line 1, which echoes the
-command line and so the `--out` path, is ignored) and for a WAV the largest
-|delta| in 16-bit codes.  It exits 1 only when a scenario's exit status
-differs between the trees; moved numbers are reported, not judged.
+Each tree's scenarios run through `run_scenarios` in one fresh interpreter
+with the tree's `src/` on PYTHONPATH, in one directory per tree, so WAV
+outputs feed the later `--wav-in` runs of the same tree.  For every output
+file the script prints "byte-identical", or for a CSV the largest |delta|
+per column (line 1, which echoes the command line and so the `--out` path,
+is ignored) and for a WAV the largest |delta| in 16-bit codes.  It exits 1
+only when a scenario's exit status differs between the trees, and echoes the
+stderr of a tree where a scenario fails; moved numbers are reported, not
+judged.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -59,16 +62,41 @@ SCENARIOS = [
 ]
 
 
+def run_scenarios(workdir: str) -> dict:
+    """Exit status per scenario, each run in list order in `workdir` through
+    `cli.main` of the `audiochains` on the path; argparse's SystemExit gives
+    its code."""
+    from audiochains import cli  # the tree's package, on the caller's path
+
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        status = {}
+        for name, args in SCENARIOS:
+            try:
+                status[name] = cli.main([*args, "--out", f"{name}.csv"])
+            except SystemExit as exc:
+                status[name] = exc.code
+        return status
+    finally:
+        os.chdir(cwd)
+
+
 def run_tree(tree: str, workdir: str) -> dict:
-    """Exit status per scenario, running the tree's own package."""
-    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
-    status = {}
-    for name, args in SCENARIOS:
-        cmd = [sys.executable, "-m", "audiochains", *args, "--out", f"{name}.csv"]
-        proc = subprocess.run(cmd, cwd=workdir, env=env, capture_output=True, text=True)
-        status[name] = proc.returncode
-        if proc.returncode:
-            print(f"  {tree}: {name} exited {proc.returncode}: {proc.stderr.strip()}")
+    """Exit status per scenario, running the tree's own package in one interpreter."""
+    path = [os.path.join(os.path.abspath(tree), "src"), os.path.dirname(os.path.abspath(__file__))]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    script = "import json, sys, compare_outputs as c; print(json.dumps(c.run_scenarios(sys.argv[1])))"
+    proc = subprocess.run([sys.executable, "-c", script, workdir], env=env, capture_output=True,
+                          text=True)
+    if proc.returncode:
+        sys.exit(f"{tree}: the scenario runner exited {proc.returncode}:\n{proc.stderr}")
+    status = json.loads(proc.stdout)
+    for name, code in status.items():
+        if code:
+            print(f"  {tree}: {name} exited {code}")
+    if any(status.values()):
+        print(f"  {tree} stderr:\n{proc.stderr.rstrip()}")
     return status
 
 

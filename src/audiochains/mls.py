@@ -80,11 +80,8 @@ def lfsr_bits(order: int, seed: int, count: int) -> np.ndarray:
     start with the seed's bits, LSB first.  A sweep asks for the same
     sequence once per row; the result is cached, hence read-only.
     """
-    taps = PRIMITIVE_TAPS.get(order)
-    if taps is None:
-        raise UnsupportedOrder(f"no primitive taps for order {order}")
-    if seed % (1 << order) == 0:
-        raise ValueError("seed must be nonzero modulo 2**order")
+    MlsConfig(order, seed=seed)  # the order and seed rules
+    taps = PRIMITIVE_TAPS[order]
     if count < 0:
         raise ValueError("count must be nonnegative")
     bits, done, lag = seed % (1 << order), order, 1

@@ -116,13 +116,6 @@ def test_predicted_latency_table():
     assert SPI_TRANSFER_TIME == pytest.approx(0.32e-6, rel=1e-12)
 
 
-def test_config_rejects_a_rate_that_is_not_positive():
-    for rate in (0.0, -1.0, float("nan"), float("inf")):
-        message = f"sample_rate must be positive and finite, got {rate}"
-        with pytest.raises(ValueError, match=message):
-            SampleChainConfig(sample_rate=rate)
-
-
 def test_low_speed_at_96k_is_infeasible_without_a_warning():
     # feasibility is a fact about a hardware rate; only the caller knows one
     with warnings.catch_warnings():

@@ -1,8 +1,9 @@
 """Golden outputs of the `scripts/compare_outputs.py` scenario set.
 
-Every scenario runs in-process through `cli.main`, in list order and in one
-directory, so later `--wav-in` runs read earlier `--wav-out` files.  The
-outputs are compared with the committed `golden_outputs.json`:
+Every scenario runs through `compare_outputs.run_scenarios`, the set's one
+runner: through `cli.main`, in list order and in one directory, so later
+`--wav-in` runs read earlier `--wav-out` files.  The outputs are compared
+with the committed `golden_outputs.json`:
 
 * exit statuses and latency cells exactly;
 * `thd_db`, `thdn_db` and `power_dbv` within 1e-9 dB, because BLAS dot
@@ -12,6 +13,18 @@ outputs are compared with the committed `golden_outputs.json`:
   and 3 kHz, and the means of `power_dbv` over 64 consecutive chunks of
   rows, so a 1e-6 dB move of any one row fails;
 * the sha256 of every WAV.
+
+The set runs twice: once in the interpreter running the tests, and once in
+a fresh one, which holds the runtime promises that the first, with scipy and
+pytest loaded, cannot.  The fresh interpreter refuses and records every
+scipy import, so the package runs on numpy alone: importing the CLI
+attempts no scipy import and loads no `numpy.ma`, and the 16 scenarios,
+`--wav-in` reads and 5-192 kHz rates included, import no numpy or scipy
+module that the CLI's import did not, so no row imports one lazily.  Every
+scenario exits 0, and its outputs match the manifest.  Where OpenBLAS runs
+on x86, that run also takes another CPU's arithmetic: an older OpenBLAS
+kernel and numpy's baseline loops, under which the dB cells move in their
+last bits.
 
 The same outputs are judged against the paper's figures by
 `scripts/reproduce_tables.py`'s `PAPER` and `misses`.
@@ -43,6 +56,7 @@ from audiochains import cli
 ROOT = Path(__file__).resolve().parent.parent
 MANIFEST = Path(__file__).with_name("golden_outputs.json")
 sys.path.insert(0, str(ROOT / "scripts"))
+import compare_outputs  # noqa: E402
 from compare_outputs import SCENARIOS  # noqa: E402
 from reproduce_tables import PAPER, misses  # noqa: E402
 
@@ -68,26 +82,26 @@ def _chunk_means(rows: list[list[str]]) -> list[float]:
     return [float(chunk.mean()) for chunk in np.array_split(power, CHUNKS)]
 
 
-def run_scenarios(workdir: Path) -> dict:
+def summaries(workdir: Path, status: dict) -> dict:
     """Each scenario's exit status, CSV summary and WAV digest, keyed by name."""
-    cwd = os.getcwd()
-    os.chdir(workdir)
-    try:
-        results = {}
-        for name, args in SCENARIOS:
-            entry = results[name] = {"status": cli.main([*args, "--out", f"{name}.csv"])}
-            if os.path.exists(f"{name}.csv"):
-                _, header, rows = cli.read_csv(f"{name}.csv")
-                entry["header"], entry["row_count"] = header, len(rows)
-                if header[0] == "frequency_hz":
-                    entry["rows"], entry["chunk_means"] = _spectrum_rows(rows), _chunk_means(rows)
-                else:
-                    entry["rows"] = rows
-            if os.path.exists(f"{name}.wav"):
-                entry["wav_sha256"] = hashlib.sha256(Path(f"{name}.wav").read_bytes()).hexdigest()
-        return results
-    finally:
-        os.chdir(cwd)
+    results = {}
+    for name, _ in SCENARIOS:
+        entry = results[name] = {"status": status[name]}
+        csv, wav = workdir / f"{name}.csv", workdir / f"{name}.wav"
+        if csv.exists():
+            _, header, rows = cli.read_csv(str(csv))
+            entry["header"], entry["row_count"] = header, len(rows)
+            if header[0] == "frequency_hz":
+                entry["rows"], entry["chunk_means"] = _spectrum_rows(rows), _chunk_means(rows)
+            else:
+                entry["rows"] = rows
+        if wav.exists():
+            entry["wav_sha256"] = hashlib.sha256(wav.read_bytes()).hexdigest()
+    return results
+
+
+def run_scenarios(workdir: Path) -> dict:
+    return summaries(workdir, compare_outputs.run_scenarios(workdir))
 
 
 @pytest.fixture(scope="module")
@@ -151,29 +165,43 @@ def _features_above_baseline() -> list[str]:
     return [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name)]
 
 
-@pytest.mark.skipif(
-    not _blas_is_openblas() or platform.machine() not in ("x86_64", "AMD64"),
-    reason="needs OpenBLAS and its x86 kernels",
-)
+# the runner module and the package are its only imports before the snapshot
+FRESH_RUN = """
+import importlib.abc, json, sys
+
+scipy_imports = []
+
+class RefuseScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            scipy_imports.append(name)
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+
+sys.meta_path.insert(0, RefuseScipy())
+import audiochains.cli, compare_outputs
+numpy_ma = [m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma.")]
+before = set(sys.modules)
+status = compare_outputs.run_scenarios(sys.argv[1])
+added = sorted(m for m in set(sys.modules) - before if m.split(".")[0] in ("numpy", "scipy"))
+print(json.dumps(dict(scipy_imports=scipy_imports, numpy_ma=numpy_ma, added=added, status=status)))
+"""
+
+
 def test_outputs_match_the_manifest_on_another_blas_kernel_and_baseline_loops(tmp_path):
-    # another CPU's arithmetic, imitated in one process: the dB cells move in their last bits
-    env = dict(
-        os.environ,
-        OPENBLAS_CORETYPE="Sandybridge",
-        NPY_DISABLE_CPU_FEATURES=" ".join(_features_above_baseline()),
-        PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")]),
-    )
-    script = (
-        "import json, sys; from pathlib import Path; from test_golden_outputs import run_scenarios;"
-        " Path(sys.argv[2]).write_text(json.dumps(run_scenarios(Path(sys.argv[1]))))"
-    )
-    report = tmp_path / "outputs.json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "scripts")]))
+    if _blas_is_openblas() and platform.machine() in ("x86_64", "AMD64"):
+        # another CPU's arithmetic, imitated in one process: the dB cells move in their last bits
+        env.update(OPENBLAS_CORETYPE="Sandybridge",
+                   NPY_DISABLE_CPU_FEATURES=" ".join(_features_above_baseline()))
     result = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-c", script, str(tmp_path), str(report)],
-        env=env, capture_output=True, text=True,
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", FRESH_RUN, str(tmp_path)],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
     )
     assert result.returncode == 0, result.stderr
-    got, want = json.loads(report.read_text()), json.loads(MANIFEST.read_text())
+    report = json.loads(result.stdout)
+    assert report == dict(scipy_imports=[], numpy_ma=[], added=[],
+                          status={name: 0 for name, _ in SCENARIOS})
+    got, want = summaries(tmp_path, report["status"]), json.loads(MANIFEST.read_text())
     assert {name: mismatches(got[name], want[name]) for name in want} == {n: [] for n in want}
 
 

@@ -141,23 +141,6 @@ def test_balance_one_excess_positive_chip(order):
     assert sig.samples.sum() == 1.0
 
 
-@pytest.mark.parametrize("order", range(2, 17))
-def test_circular_autocorrelation_two_valued(order):
-    length = (1 << order) - 1
-    chips = (2 * lfsr_bits(order, 1, length).astype(np.int64)) - 1
-    if order <= 12:
-        # direct integer arithmetic
-        corr = np.array([int(np.dot(chips, np.roll(chips, -lag))) for lag in range(length)])
-    else:
-        # FFT correlation of integers; round and verify the residual is far
-        # below 1/2 so the rounded values are the exact integer correlation
-        raw = np.fft.irfft(np.abs(np.fft.rfft(chips)) ** 2, n=length)
-        corr = np.rint(raw).astype(np.int64)
-        assert np.max(np.abs(raw - corr)) < 1e-3
-    assert corr[0] == length
-    assert np.all(corr[1:] == -1)
-
-
 def test_length_example_order_4():
     assert len(generate_mls(MlsConfig(4, amplitude=1.0))) == 15
 
@@ -169,16 +152,12 @@ def test_seed_does_not_change_period_or_balance():
 
 
 def test_validation():
-    with pytest.raises(UnsupportedOrder):
-        MlsConfig(1)
-    with pytest.raises(UnsupportedOrder):
-        MlsConfig(25)
-    with pytest.raises(ValueError):
-        MlsConfig(8, seed=0)
-    with pytest.raises(ValueError):
-        MlsConfig(8, seed=256)  # zero modulo 2**8
-    for name in ("amplitude", "sample_rate"):
-        for value in (0.0, float("nan"), float("inf")):
-            message = f"{name} must be positive and finite, got {value}"
-            with pytest.raises(ValueError, match=message):
-                MlsConfig(12, **{name: value})
+    # lfsr_bits checks the order and the seed through MlsConfig
+    for make in (lambda order, seed: MlsConfig(order, seed=seed),
+                 lambda order, seed: lfsr_bits(order, seed, 8)):
+        for order in (1, 25):
+            with pytest.raises(UnsupportedOrder, match=f"^no primitive taps for order {order}$"):
+                make(order, 1)
+        for seed in (0, 256):  # 256 is zero modulo 2**8
+            with pytest.raises(ValueError, match=r"^seed must be nonzero modulo 2\*\*order$"):
+                make(8, seed)

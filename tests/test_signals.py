@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from audiochains.adcdac import SampleChainConfig
+from audiochains.distortion import calibrate_distortion
 from audiochains.errors import AliasedStimulus, ShapeMismatch
+from audiochains.i2s import BlockPipelineConfig
+from audiochains.mls import MlsConfig
+from audiochains.quantize import QuantizerSpec
 from audiochains.signals import (
     SLICE,
     Signal,
@@ -19,6 +24,7 @@ from audiochains.signals import (
     require_below_nyquist,
     sine_samples,
 )
+from audiochains.wavio import read_wav, write_wav
 
 
 def test_signal_rejects_nan_and_bad_rate():
@@ -26,10 +32,6 @@ def test_signal_rejects_nan_and_bad_rate():
         Signal(np.array([0.0, np.nan]), 44100.0)
     with pytest.raises(ValueError):
         Signal(np.array([0.0, np.inf]), 44100.0)
-    for rate in (0.0, float("nan"), float("inf")):
-        message = f"sample_rate must be positive and finite, got {rate}"
-        with pytest.raises(ValueError, match=message):
-            Signal(np.array([0.0]), rate)
     with pytest.raises(ValueError):
         Signal(np.zeros((2, 2)), 44100.0)
 
@@ -68,15 +70,36 @@ def test_sine_rejects_nyquist_and_bad_duration():
         generate_sine(22050.0, 0.5, 1.0, 44100.0)
     with pytest.raises(AliasedStimulus):
         generate_sine(30000.0, 0.5, 1.0, 44100.0)
-    for duration in (0.0, float("nan"), float("inf")):
-        message = f"duration must be positive and finite, got {duration}"
-        with pytest.raises(ValueError, match=message):
-            generate_sine(1000.0, 0.5, duration, 44100.0)
-    # an amplitude meets the same rule: no silence, no inverted tone
-    for amplitude in (0.0, -0.5, float("nan"), float("inf")):
-        message = f"amplitude_rms must be positive and finite, got {amplitude}"
-        with pytest.raises(ValueError, match=message):
-            generate_sine(1000.0, amplitude, 1.0, 44100.0)
+
+
+@pytest.mark.parametrize("name, call", [
+    pytest.param("sample_rate", lambda v, d: Signal(np.zeros(1), v), id="Signal"),
+    pytest.param("duration", lambda v, d: generate_sine(1000.0, 0.5, v, 44100.0),
+                 id="generate_sine-duration"),
+    pytest.param("amplitude_rms", lambda v, d: generate_sine(1000.0, v, 1.0, 44100.0),
+                 id="generate_sine-amplitude_rms"),
+    pytest.param("v_max", lambda v, d: QuantizerSpec(v_max=v), id="QuantizerSpec"),
+    pytest.param("amplitude", lambda v, d: MlsConfig(12, amplitude=v), id="MlsConfig-amplitude"),
+    pytest.param("sample_rate", lambda v, d: MlsConfig(12, sample_rate=v),
+                 id="MlsConfig-sample_rate"),
+    # inf is refused as a rate, not as a latency beyond the float range
+    pytest.param("sample_rate", lambda v, d: BlockPipelineConfig(sample_rate=v),
+                 id="BlockPipelineConfig"),
+    pytest.param("sample_rate", lambda v, d: SampleChainConfig(sample_rate=v),
+                 id="SampleChainConfig"),
+    pytest.param("peak_amplitude", lambda v, d: calibrate_distortion(-80.0, v),
+                 id="calibrate_distortion"),
+    pytest.param("full_scale", lambda v, d: write_wav(
+        Signal(np.zeros(1), 8000.0), str(d / "refused.wav"), full_scale=v), id="write_wav"),
+    pytest.param("full_scale", lambda v, d: read_wav(str(d / "written.wav"), full_scale=v),
+                 id="read_wav"),
+])
+def test_every_caller_runs_the_positive_and_finite_rule(name, call, tmp_path):
+    write_wav(Signal(np.zeros(1), 8000.0), str(tmp_path / "written.wav"))
+    for value in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got {value}$"):
+            call(value, tmp_path)
+    assert not (tmp_path / "refused.wav").exists()  # a refused write creates no file
 
 
 def test_require_below_nyquist_names_the_frequency_and_the_rate():
