@@ -141,6 +141,23 @@ def test_balance_one_excess_positive_chip(order):
     assert sig.samples.sum() == 1.0
 
 
+@pytest.mark.parametrize("order", range(2, 17))
+def test_circular_autocorrelation_two_valued(order):
+    length = (1 << order) - 1
+    chips = (2 * lfsr_bits(order, 1, length).astype(np.int64)) - 1
+    if order <= 12:
+        # direct integer arithmetic
+        corr = np.array([int(np.dot(chips, np.roll(chips, -lag))) for lag in range(length)])
+    else:
+        # FFT correlation of integers; round and verify the residual is far
+        # below 1/2 so the rounded values are the exact integer correlation
+        raw = np.fft.irfft(np.abs(np.fft.rfft(chips)) ** 2, n=length)
+        corr = np.rint(raw).astype(np.int64)
+        assert np.max(np.abs(raw - corr)) < 1e-3
+    assert corr[0] == length
+    assert np.all(corr[1:] == -1)
+
+
 def test_length_example_order_4():
     assert len(generate_mls(MlsConfig(4, amplitude=1.0))) == 15
 
