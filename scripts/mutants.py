@@ -3,7 +3,7 @@
 
     python scripts/mutants.py [NAME ...]
 
-Each mutant below is a one-line text edit of one source file.  For each (or
+Each mutant below edits or adds one line of one source file.  For each (or
 only the NAMEs given), the script copies the tree once into a temporary
 directory, applies the edit there, runs tier-1 with ``-x`` on the copy and
 restores the file.  A failing run kills the mutant.  One line per mutant and
@@ -113,6 +113,15 @@ MUTANTS = [
     ("right-channel", PKG + "cli.py", "stimulus[1] if wav else None", "stimulus[1]", None),
     ("latency-right-channel", PKG + "cli.py", "run_block_pipeline(stimulus, None,",
      "run_block_pipeline(stimulus, stimulus,", None),
+    # the runtime's imports, judged in the golden run's fresh interpreter (tests/conftest.py)
+    ("guarded-scipy-import", PKG + "cli.py", "import numpy as np\n",
+     "import numpy as np\nwith contextlib.suppress(ImportError): import scipy.signal\n",
+     None),
+    ("numpy-ma-import", PKG + "cli.py", "import numpy as np\n",
+     "import numpy as np\nimport numpy.ma\n", None),
+    ("lazy-numpy-import", PKG + "cli.py", "    ac = Signal(measured.samples - measured.samples",
+     "    import numpy.polynomial\n    ac = Signal(measured.samples - measured.samples",
+     None),
     # equivalent by design
     ("slice", PKG + "signals.py", "SLICE = 8192", "SLICE = 4096",
      "the chains convert slice by slice into one output, bit for bit the whole-record result"),

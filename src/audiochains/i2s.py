@@ -115,7 +115,7 @@ def run_block_pipeline(
     outputs = []
     for res in results:
         res = np.asarray(res, dtype=np.float64)
-        if len(res) != len(input_left):
+        if res.shape != input_left.samples.shape:
             raise ShapeMismatch("processor must return one output per input sample")
         outputs.append(Signal(delayed_slices(dac, delay, res), cfg.sample_rate))
     return tuple(outputs)

@@ -31,22 +31,7 @@ from audiochains.mls import MlsConfig
 from audiochains.frontend import front_end_filter
 from audiochains.quantize import dequantize, quantize_uniform
 from audiochains.signals import SLICE, Signal, generate_sine, input_stage, latency_samples
-
-
-def _oracle_process(code0: int, code1: int) -> tuple[int, bool]:
-    """Exact rational-arithmetic model of the per-sample arithmetic."""
-    conv_adc = Fraction(33, 10) / 65535
-    in0 = code0 * conv_adc - Fraction(13, 8)
-    in1 = code1 * conv_adc - Fraction(13, 8)
-    out = in0 / 2 + in1 / 2
-    value = (out + Fraction(5, 4)) * 65535 / Fraction(5, 2)
-    floor = value.numerator // value.denominator
-    frac = value - floor
-    # 100 * value = 66 * (c0 + c1) - 983025 is odd: never a tie
-    assert frac != Fraction(1, 2)
-    rounded = floor + 1 if frac > Fraction(1, 2) else floor
-    clipped = rounded < 0 or rounded > 65535
-    return min(max(rounded, 0), 65535), clipped
+from test_acceptance import _oracle_process  # the exact rational model of process_sample
 
 
 # ---------------------------------------------------------------- SPI framing

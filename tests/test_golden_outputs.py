@@ -1,9 +1,13 @@
 """Golden outputs of the `scripts/compare_outputs.py` scenario set.
 
-Every scenario runs through `compare_outputs.run_scenarios`, the set's one
-runner: through `cli.main`, in list order and in one directory, so later
-`--wav-in` runs read earlier `--wav-out` files.  The outputs are compared
-with the committed `golden_outputs.json`:
+The set runs once per session, through `compare_outputs.run_scenarios`, the
+set's one runner: in the `fresh_run` fixture's fresh interpreter (see
+`conftest.py`), through `cli.main`, in list order and in one directory, so
+later `--wav-in` runs read earlier `--wav-out` files.  Where OpenBLAS runs
+on x86, that run takes another CPU's arithmetic: an older OpenBLAS kernel
+and numpy's baseline loops, under which the dB cells move in their last
+bits.  Every scenario must exit 0, and its outputs are compared with the
+committed `golden_outputs.json`:
 
 * exit statuses and latency cells exactly;
 * `thd_db`, `thdn_db` and `power_dbv` within 1e-9 dB, because BLAS dot
@@ -14,17 +18,7 @@ with the committed `golden_outputs.json`:
   rows, so a 1e-6 dB move of any one row fails;
 * the sha256 of every WAV.
 
-The set runs twice: once in the interpreter running the tests, and once in
-a fresh one, which holds the runtime promises that the first, with scipy and
-pytest loaded, cannot.  The fresh interpreter refuses and records every
-scipy import, so the package runs on numpy alone: importing the CLI
-attempts no scipy import and loads no `numpy.ma`, and the 16 scenarios,
-`--wav-in` reads and 5-192 kHz rates included, import no numpy or scipy
-module that the CLI's import did not, so no row imports one lazily.  Every
-scenario exits 0, and its outputs match the manifest.  Where OpenBLAS runs
-on x86, that run also takes another CPU's arithmetic: an older OpenBLAS
-kernel and numpy's baseline loops, under which the dB cells move in their
-last bits.
+`test_runtime_imports.py` reads the same run's import report.
 
 The same outputs are judged against the paper's figures by
 `scripts/reproduce_tables.py`'s `PAPER` and `misses`.
@@ -41,9 +35,6 @@ churn the diff; entries of scenarios no longer in the set are dropped.
 
 import hashlib
 import json
-import os
-import platform
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -59,10 +50,6 @@ sys.path.insert(0, str(ROOT / "scripts"))
 import compare_outputs  # noqa: E402
 from compare_outputs import SCENARIOS  # noqa: E402
 from reproduce_tables import PAPER, misses  # noqa: E402
-
-pytestmark = pytest.mark.filterwarnings(
-    "ignore::audiochains.errors.NonStandardBlockSizeWarning"  # i2s_latency_256
-)
 
 DB_COLUMNS = {"thd_db", "thdn_db", "power_dbv"}
 DB_TOL = 1e-9
@@ -100,13 +87,11 @@ def summaries(workdir: Path, status: dict) -> dict:
     return results
 
 
-def run_scenarios(workdir: Path) -> dict:
-    return summaries(workdir, compare_outputs.run_scenarios(workdir))
-
-
 @pytest.fixture(scope="module")
-def outputs(tmp_path_factory):
-    return run_scenarios(tmp_path_factory.mktemp("golden"))
+def outputs(fresh_run):
+    """The fresh run's summaries."""
+    report, workdir = fresh_run
+    return summaries(workdir, report["status"])
 
 
 def mismatches(got: dict, want: dict) -> list[str]:
@@ -147,62 +132,10 @@ def test_outputs_match_the_manifest(outputs, name):
     assert mismatches(outputs[name], json.loads(MANIFEST.read_text())[name]) == []
 
 
-def _blas_is_openblas() -> bool:
-    try:
-        config = np.show_config(mode="dicts")
-    except TypeError:  # an older numpy prints its config and cannot name its BLAS
-        return False
-    return "openblas" in config["Build Dependencies"]["blas"]["name"]
-
-
-def _features_above_baseline() -> list[str]:
-    """The features numpy dispatches to above its build baseline that this CPU
-    has, in the running numpy's names (numpy 1.x says AVX2 where 2.x says X86_V3)."""
-    try:
-        from numpy._core import _multiarray_umath as umath
-    except ImportError:  # numpy 1.x
-        from numpy.core import _multiarray_umath as umath
-    return [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name)]
-
-
-# the runner module and the package are its only imports before the snapshot
-FRESH_RUN = """
-import importlib.abc, json, sys
-
-scipy_imports = []
-
-class RefuseScipy(importlib.abc.MetaPathFinder):
-    def find_spec(self, name, path=None, target=None):
-        if name.split(".")[0] == "scipy":
-            scipy_imports.append(name)
-            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
-
-sys.meta_path.insert(0, RefuseScipy())
-import audiochains.cli, compare_outputs
-numpy_ma = [m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma.")]
-before = set(sys.modules)
-status = compare_outputs.run_scenarios(sys.argv[1])
-added = sorted(m for m in set(sys.modules) - before if m.split(".")[0] in ("numpy", "scipy"))
-print(json.dumps(dict(scipy_imports=scipy_imports, numpy_ma=numpy_ma, added=added, status=status)))
-"""
-
-
-def test_outputs_match_the_manifest_on_another_blas_kernel_and_baseline_loops(tmp_path):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "scripts")]))
-    if _blas_is_openblas() and platform.machine() in ("x86_64", "AMD64"):
-        # another CPU's arithmetic, imitated in one process: the dB cells move in their last bits
-        env.update(OPENBLAS_CORETYPE="Sandybridge",
-                   NPY_DISABLE_CPU_FEATURES=" ".join(_features_above_baseline()))
-    result = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-c", FRESH_RUN, str(tmp_path)],
-        cwd=tmp_path, env=env, capture_output=True, text=True,
-    )
-    assert result.returncode == 0, result.stderr
-    report = json.loads(result.stdout)
-    assert report == dict(scipy_imports=[], numpy_ma=[], added=[],
-                          status={name: 0 for name, _ in SCENARIOS})
-    got, want = summaries(tmp_path, report["status"]), json.loads(MANIFEST.read_text())
-    assert {name: mismatches(got[name], want[name]) for name in want} == {n: [] for n in want}
+def test_outputs_match_the_manifest_on_another_blas_kernel_and_baseline_loops(outputs):
+    assert {name: got["status"] for name, got in outputs.items()} == {n: 0 for n, _ in SCENARIOS}
+    want = json.loads(MANIFEST.read_text())
+    assert {name: mismatches(outputs[name], want[name]) for name in want} == {n: [] for n in want}
 
 
 @pytest.mark.parametrize("name", list(PAPER))
@@ -225,7 +158,7 @@ def test_misses_judges_each_figure_at_its_tolerance(rows, missed):
 if __name__ == "__main__":
     old = json.loads(MANIFEST.read_text()) if MANIFEST.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
-        new = run_scenarios(Path(tmp))
+        new = summaries(Path(tmp), compare_outputs.run_scenarios(tmp))
     rewritten = [name for name, got in new.items() if name not in old or mismatches(got, old[name])]
     manifest = {name: new[name] if name in rewritten else old[name] for name in new}
     MANIFEST.write_text(json.dumps(manifest, indent=1) + "\n")

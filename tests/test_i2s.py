@@ -172,6 +172,9 @@ def test_bad_processor_length_detected():
         run_block_pipeline(sig, sig, cfg, proc=lambda l, r: (l[:-1], r))
     with pytest.raises(ShapeMismatch, match="per input sample"):
         run_block_pipeline(sig, None, cfg, proc=lambda l: (l[:-1],))
+    for res in (np.zeros((64, 1)), np.zeros((64, 2)), 0.0):  # 64 long, or no length at all
+        with pytest.raises(ShapeMismatch, match="per input sample"):
+            run_block_pipeline(sig, None, cfg, proc=lambda l, res=res: (res,))
     with pytest.raises(ShapeMismatch, match="per channel"):
         run_block_pipeline(sig, sig, cfg, proc=lambda l, r: (l,))
 
