@@ -113,6 +113,11 @@ MUTANTS = [
     ("right-channel", PKG + "cli.py", "stimulus[1] if wav else None", "stimulus[1]", None),
     ("latency-right-channel", PKG + "cli.py", "run_block_pipeline(stimulus, None,",
      "run_block_pipeline(stimulus, stimulus,", None),
+    # the converting input stage: its slices draw what one n-sample draw per channel draws
+    ("last-slice-draw", PKG + "signals.py", "rng.standard_normal(out=buf[: len(pin)])",
+     "rng.standard_normal(out=buf)[: len(pin)]", None),
+    ("channel-draw-order", PKG + "signals.py", "for x, out in zip(shaped, outputs):",
+     "for x, out in reversed(list(zip(shaped, outputs))):", None),
     # the runtime's imports, judged in the golden run's fresh interpreter (tests/conftest.py)
     ("guarded-scipy-import", PKG + "cli.py", "import numpy as np\n",
      "import numpy as np\nwith contextlib.suppress(ImportError): import scipy.signal\n",

@@ -3,18 +3,18 @@
 Every input sample is one conversion tick: the two channels are conditioned
 (`front_end_filter`, in the shared `signals.input_stage`: a pair fed one
 `Signal` is distorted and filtered once, the noise after it is still drawn
-per channel), quantized (`ADC_SPEC`, 16 bits over 0-3.3 V), combined by
-the fixed per-sample arithmetic and reconstructed by the 16-bit DAC
-(`DAC_SPEC`, 0-2.5 V), slice by slice (`signals.delayed_slices`).  The SPI
-frame between them is the wire format `spi_encode`/`spi_decode`, an identity
-on valid codes that the pipeline does not run.  Given an rng, each channel
-draws one Gaussian, the speed's `PIN_NOISE_RMS`, before the first slice: the
-noise its `THD_DB` and `THDN_DB` imply at `signals.CALIBRATION_VRMS`.  Without one
-the chain is its deterministic transfer.  The DAC output keeps its
-`DAC_OFFSET` = +1.25 V standing offset (the measurement side AC-couples),
-and the chain latency `SampleChainConfig.latency` -- the per-speed
-`CONVERSION_TIME` plus the `SPI_TRANSFER_TIME` of one 16-bit frame at
-50 MHz -- is applied as a whole-sample delay (`signals.latency_samples`)
+per channel), quantized there one pin slice at a time (`ADC_SPEC`, 16 bits
+over 0-3.3 V; no record-length pin exists), combined by the fixed per-sample
+arithmetic and reconstructed by the 16-bit DAC (`DAC_SPEC`, 0-2.5 V), slice by
+slice (`signals.delayed_slices`).  The SPI frame between them is the wire
+format `spi_encode`/`spi_decode`, an identity on valid codes that the pipeline
+does not run.  Given an rng, each channel draws one Gaussian, the speed's
+`PIN_NOISE_RMS`, slice by slice: the noise its `THD_DB` and `THDN_DB` imply at
+`signals.CALIBRATION_VRMS`.  Without one the chain is its deterministic transfer.
+The DAC output keeps its `DAC_OFFSET` = +1.25 V standing offset (the
+measurement side AC-couples), and the chain latency `SampleChainConfig.latency`
+-- the per-speed `CONVERSION_TIME` plus the `SPI_TRANSFER_TIME` of one 16-bit
+frame at 50 MHz -- is applied as a whole-sample delay (`signals.latency_samples`)
 at the simulation rate.  `SampleChainConfig.realtime_feasible` tells whether
 it fits a sample period and never warns: the CLI warns at hardware rates.
 A code outside its spec raises InvalidCode (`QuantizerSpec.checked_codes`).
@@ -130,8 +130,8 @@ def run_sample_pipeline(
 ) -> Signal:
     """Drive the two-channel sample chain and return the DAC output signal.
 
-    With an rng each channel draws one Gaussian of its speed's `PIN_NOISE_RMS`; rng=None
-    runs the chain noiseless and consumes no randomness.
+    With an rng each channel draws one Gaussian of its speed's `PIN_NOISE_RMS`, slice by
+    slice as its ADC converts; rng=None runs the chain noiseless and draws nothing.
     front_end=False bypasses the analog conditioning (the inputs are then
     taken as the pin voltages directly and checked against the damage
     window); useful for measuring the sampling chain's own latency without
@@ -147,11 +147,11 @@ def run_sample_pipeline(
         return x
 
     noise_rms = PIN_NOISE_RMS[cfg.sampling_speed]
-    pins = input_stage(in0, in1, cfg.sample_rate, condition, noise_rms, rng)
+    adc = input_stage(in0, in1, cfg.sample_rate, condition, noise_rms, rng,
+                      lambda volts: quantize_uniform(volts, ADC_SPEC))
 
-    def convert(*volts: np.ndarray) -> np.ndarray:
-        dac_codes, _ = process_sample(*(quantize_uniform(v, ADC_SPEC) for v in volts))
-        return dequantize(dac_codes, DAC_SPEC)
+    def convert(*adc_codes: np.ndarray) -> np.ndarray:
+        return dequantize(process_sample(*adc_codes)[0], DAC_SPEC)
 
     delay = latency_samples(cfg.latency, cfg.sample_rate)
-    return Signal(delayed_slices(convert, delay, *pins), cfg.sample_rate)
+    return Signal(delayed_slices(convert, delay, *adc), cfg.sample_rate)

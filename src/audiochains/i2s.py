@@ -15,7 +15,8 @@ latency rows included, runs the left channel alone.
 The callback is a pure per-sample function, so splitting the signal into
 blocks cannot change its output: the simulation hands it the whole signal
 in one call, and the block size sets only the latency.  The codec's ADC
-and DAC sides convert per slice (`signals.delayed_slices`).
+converts each pin slice as `input_stage` draws it, so no record-length pin
+exists; the DAC converts per slice (`signals.delayed_slices`).
 
 The chain latency, `BlockPipelineConfig.latency`, is PIPELINE_BLOCK_COUNT *
 block_samples/fs + FIXED_DELAY.  The two constants (3.0 blocks, 536 us) are
@@ -94,13 +95,11 @@ def run_block_pipeline(
 
     Distortion, then the noise floor `I2S_NOISE_FLOOR_RMS`, act before the
     codec ADC in `input_stage`: one Signal on both inputs is distorted once,
-    and the noise is drawn per channel, left first, when an rng is given
-    (rng=None runs the chain noiseless and consumes no randomness).  The pure
+    and the noise is drawn per channel, left first, a slice at a time as the
+    ADC converts, given an rng (rng=None runs noiseless and draws nothing).  The pure
     per-sample callback proc is called once with each channel's whole signal
     and must return one output per channel and input sample.
     """
-    shape = cfg.distortion.apply if cfg.distortion is not None else (lambda x: x)
-    pins = input_stage(input_left, input_right, cfg.sample_rate, shape, I2S_NOISE_FLOOR_RMS, rng)
 
     def adc(volts):  # the codec's signed 16-bit codes, as the callback sees them
         return int16_codes(volts / FULL_SCALE_VOLTS * INT16_MAX) * CONVERSION_ADC
@@ -108,8 +107,11 @@ def run_block_pipeline(
     def dac(values):  # the callback's values, scaled back and re-quantized
         return int16_volts(int16_codes(values * CONVERSION_DAC), FULL_SCALE_VOLTS)
 
-    results = proc(*(delayed_slices(adc, 0, pin) for pin in pins))
-    if len(results) != len(pins):
+    shape = cfg.distortion.apply if cfg.distortion is not None else (lambda x: x)
+    codes = input_stage(input_left, input_right, cfg.sample_rate, shape, I2S_NOISE_FLOOR_RMS,
+                        rng, adc)
+    results = proc(*codes)
+    if len(results) != len(codes):
         raise ShapeMismatch("processor must return one output per channel")
     delay = latency_samples(cfg.latency, cfg.sample_rate)
     outputs = []

@@ -169,14 +169,17 @@ def input_stage(
     shape: Callable[[np.ndarray], np.ndarray],
     noise_rms: float,
     rng: np.random.Generator | None,
+    convert: Callable[[np.ndarray], np.ndarray],
 ) -> tuple[np.ndarray, ...]:
-    """The line-input stage both chains share: each channel's converter input,
+    """The line-input stage both chains share: each channel's converted pin,
     channel 0's alone when in1 is None.
 
     shape, the chain's deterministic analog shaping, runs once per distinct
-    Signal.  Given an rng, Gaussian noise of noise_rms is then drawn per
-    channel, channel 0 first, into fresh pins; rng=None returns the shaped
-    pins and consumes no randomness.
+    Signal.  Each channel, channel 0 first, is then run through convert, the
+    chain's ADC, one SLICE-sample pin slice at a time into an output of convert's
+    dtype: no record-length pin exists.  Given an rng, a pin slice is the shaped
+    slice plus Gaussian noise of noise_rms drawn into one reused buffer, the
+    numbers of one n-sample draw per channel; rng=None draws nothing.
     """
     channels = (in0,) if in1 is None else (in0, in1)
     if any(len(sig) != len(in0) for sig in channels):
@@ -185,10 +188,14 @@ def input_stage(
         raise ShapeMismatch("input sample rates must equal the chain's sample_rate")
     shaped = [shape(in0.samples)]
     shaped += [shaped[0] if sig is in0 else shape(sig.samples) for sig in channels[1:]]
-    if rng is None:
-        return tuple(shaped)
-    pins = tuple(rng.standard_normal(len(in0)) for _ in shaped)
-    for pin, x in zip(pins, shaped):
-        pin *= noise_rms
-        pin += x
-    return pins
+    buf = np.empty(min(len(in0), SLICE))  # the one pin slice, reused
+    outputs = tuple(np.empty(len(x), convert(x[:0]).dtype) for x in shaped)  # convert's dtype
+    for x, out in zip(shaped, outputs):
+        for start in range(0, len(x), SLICE):
+            pin = x[start : start + SLICE]
+            if rng is not None:
+                noise = rng.standard_normal(out=buf[: len(pin)])
+                noise *= noise_rms
+                pin = np.add(noise, pin, out=noise)
+            out[start : start + len(pin)] = convert(pin)
+    return outputs

@@ -30,7 +30,7 @@ from audiochains.measure import estimate_latency, measure_impulse_response, meas
 from audiochains.mls import MlsConfig
 from audiochains.frontend import front_end_filter
 from audiochains.quantize import dequantize, quantize_uniform
-from audiochains.signals import SLICE, Signal, generate_sine, input_stage, latency_samples
+from audiochains.signals import SLICE, Signal, generate_sine, latency_samples
 from test_acceptance import _oracle_process  # the exact rational model of process_sample
 
 
@@ -319,12 +319,20 @@ LOW_ROW = SampleChainConfig(
 
 
 def _whole_record_chain(in0, in1, cfg, rng):
-    """The sample chain as whole-record stages: the reference for the sliced one."""
+    """The sample chain as whole-record stages: the reference for the sliced one.
+
+    Each distinct Signal is distorted and filtered once, then each channel,
+    channel 0 first, takes its whole n-sample noise draw into a record-length pin."""
 
     def condition(x):
         return front_end_filter(Signal(cfg.distortion.apply(x), cfg.sample_rate)).samples
 
-    pins = input_stage(in0, in1, cfg.sample_rate, condition, PIN_NOISE_RMS[cfg.sampling_speed], rng)
+    shaped = [condition(in0.samples)]
+    shaped.append(shaped[0] if in1 is in0 else condition(in1.samples))
+    pins = shaped
+    if rng is not None:
+        noise_rms = PIN_NOISE_RMS[cfg.sampling_speed]
+        pins = [noise_rms * rng.standard_normal(len(x)) + x for x in shaped]
     dac_codes, _ = process_sample(*(quantize_uniform(pin, ADC_SPEC) for pin in pins))
     out = dequantize(dac_codes, DAC_SPEC)
     delay = latency_samples(cfg.latency, cfg.sample_rate)

@@ -12,6 +12,7 @@ from audiochains.i2s import (
     FULL_SCALE_VOLTS,
     I2S_NOISE_FLOOR_RMS,
     PIPELINE_BLOCK_COUNT,
+    THD_DB,
     BlockPipelineConfig,
     passthrough,
     run_block_pipeline,
@@ -19,7 +20,7 @@ from audiochains.i2s import (
 from audiochains.measure import estimate_latency, measure_impulse_response, measure_thd
 from audiochains.mls import MlsConfig
 from audiochains.quantize import INT16_MAX, int16_codes, int16_volts
-from audiochains.signals import SLICE, Signal, generate_sine, input_stage, latency_samples
+from audiochains.signals import SLICE, Signal, generate_sine, latency_samples
 
 FS = 44100.0
 TABLE_MS = {16: 1.63, 32: 2.7, 64: 4.9, 128: 9.24}
@@ -107,8 +108,15 @@ def test_output_independent_of_block_partitioning():
 
 
 def _whole_record_chain(left, right, cfg, proc, rng):
-    """The block chain as whole-record stages: the reference for the sliced one."""
-    pins = input_stage(left, right, cfg.sample_rate, cfg.distortion.apply, I2S_NOISE_FLOOR_RMS, rng)
+    """The block chain as whole-record stages: the reference for the sliced one.
+
+    Each distinct Signal is distorted once, then each channel, left first, takes
+    its whole n-sample noise draw into a record-length pin."""
+    shaped = [cfg.distortion.apply(left.samples)]
+    shaped.append(shaped[0] if right is left else cfg.distortion.apply(right.samples))
+    pins = shaped
+    if rng is not None:
+        pins = [I2S_NOISE_FLOOR_RMS * rng.standard_normal(len(x)) + x for x in shaped]
     seen = [int16_codes(x / FULL_SCALE_VOLTS * INT16_MAX) * CONVERSION_ADC for x in pins]
     delay = latency_samples(cfg.latency, cfg.sample_rate)
     outputs = []
@@ -266,3 +274,38 @@ def test_calibrated_distortion_reproduces_target_thd():
     report = measure_thd(trimmed, 1000.0)
     assert report.thd_db == pytest.approx(-80.0, abs=0.5)
     assert report.thdn_db == pytest.approx(-68.0, abs=1.0)
+
+
+@pytest.mark.parametrize("seed", [None, 0])
+def test_a_callback_written_to_the_documented_scale_cancels_the_calibrated_cubic(seed):
+    # The board's purpose: correct a nonlinearity in the callback.  The callback
+    # sees codes / 65535, codes being volts * 32767, so it returns to volts by
+    # 65535 / 32767, inverts y = v + a3 v**3 (one Newton step from v - a3 v**3)
+    # and goes back.  Over a 3 s, 0.5 Vrms row at block 128, noiseless and at
+    # seed 0, THD reads -79.87 / -79.91 dB through passthrough, -104.22 / -94.86
+    # through the inverse, -102.65 / -95.62 on the undistorted chain, and
+    # -82.23 / -82.19 through an inverse that takes the callback's values for volts.
+    dist = calibrate_distortion(THD_DB, 0.5 * np.sqrt(2.0))
+    sine = generate_sine(1000.0, 0.5, 3.0, FS)
+
+    def inverse(volts_per_value):
+        def proc(values):
+            v = values * volts_per_value
+            x = v - dist.a3 * v**3
+            x -= (dist.apply(x) - v) / (1.0 + 3.0 * dist.a3 * x * x)
+            return (x / volts_per_value,)
+
+        return proc
+
+    def thd(proc, distortion):
+        cfg = BlockPipelineConfig(block_samples=128, distortion=distortion)
+        rng = None if seed is None else np.random.default_rng(seed)
+        (out,) = run_block_pipeline(sine, None, cfg, proc=proc, rng=rng)
+        return measure_thd(Signal(out.samples[int(0.15 * FS) :], FS), 1000.0).thd_db
+
+    through = thd(passthrough, dist)
+    undistorted = thd(passthrough, None)
+    inverted = thd(inverse(65535.0 / 32767.0), dist)
+    assert inverted <= through - 12.0
+    assert abs(inverted - undistorted) <= 2.0
+    assert abs(thd(inverse(1.0), dist) - through) <= 3.0

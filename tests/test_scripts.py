@@ -2,6 +2,7 @@
 
 No chain runs here: `reproduce_tables.main` reads CSVs that a stand-in for
 `cli.main` writes, and the comparisons read tiny files under `tmp_path`.
+`PAPER`'s i2s latencies are also held to the chain's fitted latency form.
 """
 
 import sys
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from audiochains import cli
+from audiochains.i2s import FIXED_DELAY, PIPELINE_BLOCK_COUNT
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
 import reproduce_tables  # noqa: E402
@@ -53,6 +55,25 @@ def test_reproduce_tables_prints_one_miss_line_per_missed_figure(monkeypatch, tm
     assert code == 1
     assert [line.split(":")[0] for line in missed] == [
         "MISS i2s_thd 128", "MISS adcdac_thd HIGH_SPEED"]
+
+
+def test_each_i2s_latency_figure_is_predicted_by_the_other_three_and_fits_the_constants():
+    # The i2s latency form PIPELINE_BLOCK_COUNT * b / fs + FIXED_DELAY is fitted to
+    # PAPER's four figures.  A least-squares line through three of them predicts the
+    # fourth within its one-sample tolerance: misses of -0.47, +0.89, -0.62 and +0.95
+    # samples at blocks 16, 32, 64 and 128 (cross-validation; Stone 1974).  The fit
+    # through all four, 2.9995 blocks and 536.52 us, holds i2s.py's 3.0 and 536 us.
+    rate = cli.DEFAULT_RATE["i2s"]
+    x = np.array([int(label) / rate for label in PAPER["i2s_latency"]])
+    figures = [row[0] for row in PAPER["i2s_latency"].values()]
+    y = np.array([figure for figure, _ in figures])
+    for k, (figure, tol) in enumerate(figures):
+        rest = np.arange(len(x)) != k
+        slope, intercept = np.polyfit(x[rest], y[rest], 1)
+        assert abs(slope * x[k] + intercept - figure) <= tol
+    slope, intercept = np.polyfit(x, y, 1)
+    assert abs(PIPELINE_BLOCK_COUNT - slope) <= 1e-3
+    assert abs(FIXED_DELAY - intercept) <= 1e-6
 
 
 def test_reproduce_tables_exits_with_the_clis_nonzero_status(monkeypatch, tmp_path, capsys):

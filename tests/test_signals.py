@@ -234,6 +234,14 @@ def test_delayed_slices_is_the_whole_record_conversion_shifted(n, delay):
     assert seen == [min(SLICE, kept - start) for start in range(0, kept, SLICE)]
 
 
+def _pin(x):  # the identity converter: each channel's pin itself, float64
+    return x
+
+
+def _codes(x):  # a converter of another dtype: hundredths, as int64 codes
+    return np.rint(100.0 * x).astype(np.int64)
+
+
 def test_input_stage_shapes_each_distinct_signal_once_then_adds_noise_channel_0_first():
     sig = Signal(np.linspace(-1.0, 1.0, 64), 8000.0)
     twin = Signal(sig.samples.copy(), 8000.0)
@@ -243,12 +251,12 @@ def test_input_stage_shapes_each_distinct_signal_once_then_adds_noise_channel_0_
         shaped.append(x)
         return 2.0 * x
 
-    pins = input_stage(sig, sig, 8000.0, shape, 0.1, np.random.default_rng(3))
+    pins = input_stage(sig, sig, 8000.0, shape, 0.1, np.random.default_rng(3), _pin)
     assert len(shaped) == 1
     ref = np.random.default_rng(3)
     for pin in pins:
         assert pin.tobytes() == (2.0 * sig.samples + ref.normal(0.0, 0.1, 64)).tobytes()
-    split = input_stage(sig, twin, 8000.0, shape, 0.1, np.random.default_rng(3))
+    split = input_stage(sig, twin, 8000.0, shape, 0.1, np.random.default_rng(3), _pin)
     assert len(shaped) == 3
     assert [p.tobytes() for p in split] == [p.tobytes() for p in pins]
 
@@ -256,20 +264,48 @@ def test_input_stage_shapes_each_distinct_signal_once_then_adds_noise_channel_0_
 def test_input_stage_without_channel_1_draws_one_channel_0_noise():
     sig = Signal(np.linspace(-1.0, 1.0, 64), 8000.0)
     rng, ref = np.random.default_rng(3), np.random.default_rng(3)
-    (pin,) = input_stage(sig, None, 8000.0, lambda x: 2.0 * x, 0.1, rng)
-    assert pin.tobytes() == (2.0 * sig.samples + 0.1 * ref.standard_normal(64)).tobytes()
+    (codes,) = input_stage(sig, None, 8000.0, lambda x: 2.0 * x, 0.1, rng, _codes)
+    assert codes.dtype == np.int64  # the converter's dtype
+    assert codes.tobytes() == _codes(2.0 * sig.samples + 0.1 * ref.standard_normal(64)).tobytes()
     assert rng.bit_generator.state == ref.bit_generator.state  # one 64-sample draw, no more
-    assert input_stage(sig, None, 8000.0, lambda x: x, 0.1, None)[0] is sig.samples
+    (quiet,) = input_stage(sig, None, 8000.0, lambda x: x, 0.1, None, _codes)
+    assert quiet.tobytes() == _codes(sig.samples).tobytes()
     with pytest.raises(ShapeMismatch):
-        input_stage(sig, None, 16000.0, lambda x: x, 0.0, None)
+        input_stage(sig, None, 16000.0, lambda x: x, 0.0, None, _pin)
 
 
 def test_input_stage_checks_the_pair_and_draws_noise_only_with_an_rng():
-    sig = Signal(np.zeros(8), 8000.0)
-    quiet = input_stage(sig, sig, 8000.0, lambda x: x, 0.1, None)
-    assert all(pin is sig.samples for pin in quiet)  # the shaped pins, nothing drawn
+    sig = Signal(np.linspace(-1.0, 1.0, 8), 8000.0)
+    quiet = input_stage(sig, sig, 8000.0, lambda x: x, 0.1, None, _pin)
+    # the shaped pins converted, nothing drawn; each channel its own output
+    assert [pin.tobytes() for pin in quiet] == [sig.samples.tobytes()] * 2
+    assert quiet[0] is not quiet[1] and not np.shares_memory(quiet[0], sig.samples)
     for other, rate in ((Signal(np.zeros(7), 8000.0), 8000.0),
                         (Signal(np.zeros(8), 16000.0), 8000.0),
                         (sig, 16000.0)):
         with pytest.raises(ShapeMismatch):
-            input_stage(sig, other, rate, lambda x: x, 0.0, None)
+            input_stage(sig, other, rate, lambda x: x, 0.0, None, _pin)
+
+
+@pytest.mark.parametrize("seed", [None, 4])
+def test_input_stage_converts_slice_by_slice_as_one_draw_per_channel(seed):
+    # n = SLICE + 1: a full slice, then a one-sample slice, per channel
+    n = SLICE + 1
+    sig = Signal(np.linspace(-1.0, 1.0, n), 8000.0)
+    other = Signal(0.5 * sig.samples, 8000.0)
+    seen = []
+
+    def convert(x):
+        seen.append(len(x))
+        return _codes(x)
+
+    rng = ref = None
+    if seed is not None:
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = input_stage(sig, other, 8000.0, lambda x: 2.0 * x, 0.1, rng, convert)
+    assert [k for k in seen if k] == [SLICE, 1, SLICE, 1]
+    for codes, x in zip(got, (sig.samples, other.samples)):
+        pin = 2.0 * x if ref is None else 0.1 * ref.standard_normal(n) + 2.0 * x
+        assert codes.tobytes() == _codes(pin).tobytes()
+    if seed is not None:  # the state of one n-sample draw per channel, channel 0 first
+        assert rng.bit_generator.state == ref.bit_generator.state
