@@ -147,11 +147,11 @@ def run_sample_pipeline(
         return x
 
     noise_rms = PIN_NOISE_RMS[cfg.sampling_speed]
-    adc = input_stage(in0, in1, cfg.sample_rate, condition, noise_rms, rng,
-                      lambda volts: quantize_uniform(volts, ADC_SPEC))
+    adc_codes = input_stage(in0, in1, cfg.sample_rate, condition, noise_rms, rng,
+                            lambda volts: quantize_uniform(volts, ADC_SPEC))
 
-    def convert(*adc_codes: np.ndarray) -> np.ndarray:
-        return dequantize(process_sample(*adc_codes)[0], DAC_SPEC)
+    def convert(*codes: np.ndarray) -> np.ndarray:
+        return dequantize(process_sample(*codes)[0], DAC_SPEC)
 
     delay = latency_samples(cfg.latency, cfg.sample_rate)
-    return Signal(delayed_slices(convert, delay, *adc), cfg.sample_rate)
+    return Signal(delayed_slices(convert, delay, *adc_codes), cfg.sample_rate)
