@@ -114,10 +114,13 @@ MUTANTS = [
     ("latency-right-channel", PKG + "cli.py", "run_block_pipeline(stimulus, None,",
      "run_block_pipeline(stimulus, stimulus,", None),
     # the converting input stage: its slices draw what one n-sample draw per channel draws
-    ("last-slice-draw", PKG + "signals.py", "rng.standard_normal(out=buf[: len(pin)])",
-     "rng.standard_normal(out=buf)[: len(pin)]", None),
-    ("channel-draw-order", PKG + "signals.py", "for x, out in zip(shaped, outputs):",
-     "for x, out in reversed(list(zip(shaped, outputs))):", None),
+    ("last-slice-draw", PKG + "signals.py", "rng.standard_normal(out=buf[: len(x)])",
+     "rng.standard_normal(out=buf)[: len(x)]", None),
+    ("channel-draw-order", PKG + "signals.py",
+     "tuple(delayed_slices(pin_codes, 0, x) for x in shaped)",
+     "tuple(reversed([delayed_slices(pin_codes, 0, x) for x in reversed(shaped)]))", None),
+    ("converter-probe", PKG + "signals.py", "    buf = np.empty(min(len(in0), SLICE))",
+     "    [convert(x[:0]) for x in shaped]\n    buf = np.empty(min(len(in0), SLICE))", None),
     # the runtime's imports, judged in the golden run's fresh interpreter (tests/conftest.py)
     ("guarded-scipy-import", PKG + "cli.py", "import numpy as np\n",
      "import numpy as np\nwith contextlib.suppress(ImportError): import scipy.signal\n",

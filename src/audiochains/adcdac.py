@@ -3,14 +3,14 @@
 Every input sample is one conversion tick: the two channels are conditioned
 (`front_end_filter`, in the shared `signals.input_stage`: a pair fed one
 `Signal` is distorted and filtered once, the noise after it is still drawn
-per channel), quantized there one pin slice at a time (`ADC_SPEC`, 16 bits
-over 0-3.3 V; no record-length pin exists), combined by the fixed per-sample
-arithmetic and reconstructed by the 16-bit DAC (`DAC_SPEC`, 0-2.5 V), slice by
-slice (`signals.delayed_slices`).  The SPI frame between them is the wire
-format `spi_encode`/`spi_decode`, an identity on valid codes that the pipeline
-does not run.  Given an rng, each channel draws one Gaussian, the speed's
-`PIN_NOISE_RMS`, slice by slice: the noise its `THD_DB` and `THDN_DB` imply at
-`signals.CALIBRATION_VRMS`.  Without one the chain is its deterministic transfer.
+per channel), quantized there to float64 codes (`ADC_SPEC`, 16 bits over
+0-3.3 V), combined by the fixed per-sample arithmetic and reconstructed by the
+16-bit DAC (`DAC_SPEC`, 0-2.5 V), each a slice at a time in the one slice loop,
+`signals.delayed_slices`: no record-length pin exists.  The SPI frame between
+them, `spi_encode`/`spi_decode`, is an identity on valid codes that the
+pipeline does not run.  Given an rng, each channel draws one Gaussian of the
+speed's `PIN_NOISE_RMS`, the noise its `THD_DB` and `THDN_DB` imply at
+`signals.CALIBRATION_VRMS`; without one the chain is its deterministic transfer.
 The DAC output keeps its `DAC_OFFSET` = +1.25 V standing offset (the
 measurement side AC-couples), and the chain latency `SampleChainConfig.latency`
 -- the per-speed `CONVERSION_TIME` plus the `SPI_TRANSFER_TIME` of one 16-bit
@@ -131,7 +131,7 @@ def run_sample_pipeline(
     """Drive the two-channel sample chain and return the DAC output signal.
 
     With an rng each channel draws one Gaussian of its speed's `PIN_NOISE_RMS`, slice by
-    slice as its ADC converts; rng=None runs the chain noiseless and draws nothing.
+    slice as its ADC converts it to float64 codes; rng=None runs the chain noiseless.
     front_end=False bypasses the analog conditioning (the inputs are then
     taken as the pin voltages directly and checked against the damage
     window); useful for measuring the sampling chain's own latency without

@@ -3,7 +3,8 @@
 Everything downstream (both simulated chains and the measurement suite)
 passes signals around as :class:`Signal` values in volts; a Signal shares,
 not copies, a float64 samples array with its caller.  Every frequency meets
-its sample rate in one rule, `require_below_nyquist`.
+its sample rate in one rule, `require_below_nyquist`.  Both chains' ADC
+(`input_stage`, into float64 codes) and DAC run in one slice loop, `delayed_slices`.
 
 Every cosine and sine the package takes of a sampled sinusoid -- the test
 tone, the THD fit's projections and the Hann window -- comes from
@@ -171,15 +172,14 @@ def input_stage(
     rng: np.random.Generator | None,
     convert: Callable[[np.ndarray], np.ndarray],
 ) -> tuple[np.ndarray, ...]:
-    """The line-input stage both chains share: each channel's converted pin,
-    channel 0's alone when in1 is None.
+    """The line-input stage both chains share: each channel's pin converted to
+    float64 codes, channel 0's alone when in1 is None.
 
-    shape, the chain's deterministic analog shaping, runs once per distinct
-    Signal.  Each channel, channel 0 first, is then run through convert, the
-    chain's ADC, one SLICE-sample pin slice at a time into an output of convert's
-    dtype: no record-length pin exists.  Given an rng, a pin slice is the shaped
-    slice plus Gaussian noise of noise_rms drawn into one reused buffer, the
-    numbers of one n-sample draw per channel; rng=None draws nothing.
+    shape, the chain's deterministic analog shaping, runs once per distinct Signal.
+    Each channel, channel 0 first, then runs undelayed through the one slice loop,
+    `delayed_slices`, into convert, the chain's ADC: no record-length pin exists.
+    Given an rng, each pin slice adds Gaussian noise of noise_rms, drawn into one
+    reused buffer, the numbers of one n-sample draw per channel; rng=None draws none.
     """
     channels = (in0,) if in1 is None else (in0, in1)
     if any(len(sig) != len(in0) for sig in channels):
@@ -189,13 +189,12 @@ def input_stage(
     shaped = [shape(in0.samples)]
     shaped += [shaped[0] if sig is in0 else shape(sig.samples) for sig in channels[1:]]
     buf = np.empty(min(len(in0), SLICE))  # the one pin slice, reused
-    outputs = tuple(np.empty(len(x), convert(x[:0]).dtype) for x in shaped)  # convert's dtype
-    for x, out in zip(shaped, outputs):
-        for start in range(0, len(x), SLICE):
-            pin = x[start : start + SLICE]
-            if rng is not None:
-                noise = rng.standard_normal(out=buf[: len(pin)])
-                noise *= noise_rms
-                pin = np.add(noise, pin, out=noise)
-            out[start : start + len(pin)] = convert(pin)
-    return outputs
+
+    def pin_codes(x: np.ndarray) -> np.ndarray:
+        if rng is not None:
+            noise = rng.standard_normal(out=buf[: len(x)])
+            noise *= noise_rms
+            x = np.add(noise, x, out=noise)
+        return convert(x)
+
+    return tuple(delayed_slices(pin_codes, 0, x) for x in shaped)

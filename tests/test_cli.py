@@ -32,6 +32,15 @@ def exit_code(*args) -> int:
         return exc.code
 
 
+def warned_run(*args) -> tuple[int, list[str]]:
+    """Exit code, argparse's included, and every warning, as 'Category: message',
+    of one CLI run."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = exit_code(*args)
+    return code, [f"{w.category.__name__}: {w.message}" for w in caught]
+
+
 # ---------------------------------------------------------------- CSV contract
 
 
@@ -88,46 +97,33 @@ def test_adcdac_latency_run_raises_no_feasibility_warning(tmp_path):
         ) == 0
 
 
-def _feasibility_warnings(*args) -> tuple[int, list[str]]:
-    """Exit code and RealtimeFeasibilityWarning messages of one adcdac run."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code = exit_code("--chain", "adcdac", *args)
-    return code, [str(w.message) for w in caught if w.category is RealtimeFeasibilityWarning]
-
-
 def test_low_speed_distortion_run_keeps_the_feasibility_warning(tmp_path):
     # 12 us per sample does not fit the 10.4 us period of the nominal 96 kHz;
     # HIGH_SPEED's 9.6 us does
-    code, messages = _feasibility_warnings("--measure", "thd", "--out", str(tmp_path / "t.csv"))
+    code, messages = warned_run("--chain", "adcdac", "--measure", "thd",
+                                "--out", str(tmp_path / "t.csv"))
     assert code == 0
     assert len(messages) == 1
-    assert messages[0].startswith("parameter LOW_SPEED: 96000 Hz cannot be sustained")
+    assert messages[0].startswith(
+        "RealtimeFeasibilityWarning: parameter LOW_SPEED: 96000 Hz cannot be sustained")
 
 
 def test_feasible_or_refused_adcdac_runs_raise_no_feasibility_warning(tmp_path):
     out = str(tmp_path / "t.csv")
     high = ("--sampling-speed", "high")
-    assert _feasibility_warnings("--measure", "thd", *high, "--out", out) == (0, [])
+    assert warned_run("--chain", "adcdac", "--measure", "thd", *high, "--out", out) == (0, [])
     # LOW_SPEED overruns 96000.5 Hz too, but a WAV cannot hold that rate: the
     # run is refused before any row warns
     wav_out = ("--sample-rate", "96000.5", "--wav-out", str(tmp_path / "x.wav"))
     low = ("--sampling-speed", "low", *wav_out)
-    assert _feasibility_warnings("--measure", "thd", *low, "--out", out) == (2, [])
-
-
-def _i2s_warnings(*args) -> tuple[int, list[str]]:
-    """Exit code and every warning, as 'Category: message', of one i2s run."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code = exit_code("--chain", "i2s", *args)
-    return code, [f"{w.category.__name__}: {w.message}" for w in caught]
+    assert warned_run("--chain", "adcdac", "--measure", "thd", *low, "--out", out) == (2, [])
 
 
 def test_sweep_refused_at_its_second_block_warns_nothing(tmp_path):
     # 256 is outside the characterized set, but 48 refuses the run
     blocks = ("--block-samples", "256", "--block-samples", "48")
-    assert _i2s_warnings("--measure", "thd", *blocks, "--out", str(tmp_path / "t.csv")) == (2, [])
+    flags = ("--chain", "i2s", "--measure", "thd", *blocks, "--out", str(tmp_path / "t.csv"))
+    assert warned_run(*flags) == (2, [])
 
 
 @pytest.mark.parametrize(
@@ -138,7 +134,7 @@ def test_sweep_refused_at_its_second_block_warns_nothing(tmp_path):
     ],
 )
 def test_nonstandard_block_warns_once_naming_its_row(tmp_path, flags):
-    assert _i2s_warnings(*flags, "--out", str(tmp_path / "t.csv")) == (0, [
+    assert warned_run("--chain", "i2s", *flags, "--out", str(tmp_path / "t.csv")) == (0, [
         "NonStandardBlockSizeWarning: parameter 256: block size outside the "
         "characterized set (16, 32, 64, 128)"
     ])
@@ -417,13 +413,11 @@ def test_latency_too_long_for_any_mls_exits_2_before_generating(tmp_path, capsys
     for blocks in (["4194304"], ["16", "4194304"]):
         probes = _count_probes(monkeypatch)
         start = time.perf_counter()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = run_cli(
-                "--chain", "i2s", "--measure", "latency",
-                *[arg for b in blocks for arg in ("--block-samples", b)],
-                "--out", str(tmp_path / "x.csv"),
-            )
+        code, caught = warned_run(
+            "--chain", "i2s", "--measure", "latency",
+            *[arg for b in blocks for arg in ("--block-samples", b)],
+            "--out", str(tmp_path / "x.csv"),
+        )
         assert code == 2
         assert not caught  # a refused run warns about no block size
         assert time.perf_counter() - start < 1.0  # no order-24 sequence was built
@@ -460,9 +454,8 @@ def test_record_too_large_to_allocate_exits_2(tmp_path, capsys):
 )
 def test_latency_beyond_the_float_range_exits_2(tmp_path, capsys, flags):
     out = tmp_path / "x.csv"
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert run_cli("--chain", "i2s", *flags, "--out", str(out)) == 2
+    code, caught = warned_run("--chain", "i2s", *flags, "--out", str(out))
+    assert code == 2
     assert not caught  # refused before a block size's warning could print its digits
     err = capsys.readouterr().err
     named = " or ".join(f for f in ("--block-samples", "--sample-rate") if f in flags)
@@ -486,11 +479,9 @@ def test_argument_holding_a_line_break_exits_2_writing_nothing(tmp_path):
 def test_adcdac_at_the_reference_48k_runs_warning_nothing_and_closes(tmp_path, capsys):
     # the reference per-sample code's rate: both speeds fit its 20.8 us period
     out = tmp_path / "x.csv"
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code = run_cli(
-            "--chain", "adcdac", "--measure", "thd", "--sample-rate", "48000", "--out", str(out)
-        )
+    code, caught = warned_run(
+        "--chain", "adcdac", "--measure", "thd", "--sample-rate", "48000", "--out", str(out)
+    )
     assert (code, caught, capsys.readouterr().err) == (0, [], "")
     (low, low_thd, low_thdn), (high, high_thd, _) = cli.read_csv(str(out))[2]
     assert (low, high) == ("LOW_SPEED", "HIGH_SPEED")
@@ -536,12 +527,10 @@ def test_latency_outlasting_the_warm_up_exits_2_before_any_row_runs(tmp_path, ca
     # 3 * 4096 / 44.1 kHz + 536 us = 0.279 s: the analyzed record would start
     # inside the delay's zero-fill
     out, wav_out = tmp_path / "x.csv", tmp_path / "x.wav"
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code = run_cli(
-            "--chain", "i2s", "--measure", "thd", "--block-samples", "16",
-            "--block-samples", "4096", "--out", str(out), "--wav-out", str(wav_out),
-        )
+    code, caught = warned_run(
+        "--chain", "i2s", "--measure", "thd", "--block-samples", "16",
+        "--block-samples", "4096", "--out", str(out), "--wav-out", str(wav_out),
+    )
     assert code == 2
     assert not caught  # a refused run warns about no block size
     err = capsys.readouterr().err
@@ -561,12 +550,10 @@ def test_thd_without_a_third_harmonic_band_exits_2_naming_the_rate(tmp_path, cap
     assert not out.exists()
 
 
-def _refusal(monkeypatch, capsys, *args) -> tuple[int, int, list, list[str]]:
+def _refusal(monkeypatch, capsys, *args) -> tuple[int, int, list[str], list[str]]:
     """Exit code, chain runs, warnings and stderr lines of one refused run."""
     runs = _count_chain_runs(monkeypatch)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code = exit_code(*args)
+    code, caught = warned_run(*args)
     return code, len(runs), caught, capsys.readouterr().err.splitlines()
 
 
@@ -684,12 +671,10 @@ def test_warnings_follow_the_written_report(tmp_path):
 @pytest.mark.parametrize("measure", ["latency", "thd", "spectrum"])
 @pytest.mark.parametrize("block", [48, 0, 3, -8, pytest.param(2**1023, id="2**1023")])
 def test_a_bad_block_exits_2_with_one_line_naming_the_flag(tmp_path, capsys, measure, block):
-    with warnings.catch_warnings(record=True):
-        warnings.simplefilter("always")
-        code = exit_code(
-            "--chain", "i2s", "--measure", measure, f"--block-samples={block}",
-            "--out", str(tmp_path / "x.csv"),
-        )
+    code, _ = warned_run(
+        "--chain", "i2s", "--measure", measure, f"--block-samples={block}",
+        "--out", str(tmp_path / "x.csv"),
+    )
     err = capsys.readouterr().err.splitlines()
     assert code == 2 and len(err) == 1 and "Traceback" not in err[0]
     if block == 2**1023:  # a power of two whose latency in samples overflows
@@ -735,10 +720,7 @@ def test_cli_exit_codes_and_reruns_are_byte_identical(tmp_path, flags):
     results = []
     for _ in range(2):
         out.unlink(missing_ok=True)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = exit_code(*flags, "--out", str(out))
-        warned = [(w.category, str(w.message)) for w in caught]
+        code, warned = warned_run(*flags, "--out", str(out))
         results.append((code, out.read_bytes() if out.exists() else None, warned))
     assert results[0][0] in (0, 2, 3, 4)
     if any(flag.startswith("/nonexistent/") for flag in flags):
@@ -840,12 +822,10 @@ def test_a_step_in_a_wav_in_exits_3_with_one_line_and_leaves_no_file(tmp_path, c
     stim = tmp_path / "step.wav"
     write_wav(Signal(np.repeat([-1.0, 1.0], [64000, 8000]), 8000.0), str(stim))
     out, wav_out = tmp_path / "x.csv", tmp_path / "x.wav"
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code = run_cli(
-            "--chain", "adcdac", "--measure", measure, "--sampling-speed", "low",
-            "--wav-in", str(stim), "--out", str(out), "--wav-out", str(wav_out),
-        )
+    code, caught = warned_run(
+        "--chain", "adcdac", "--measure", measure, "--sampling-speed", "low",
+        "--wav-in", str(stim), "--out", str(out), "--wav-out", str(wav_out),
+    )
     assert (code, caught) == (3, [])
     assert capsys.readouterr().err.splitlines() == [
         "audiochains: chain fault: voltage range [0.649, 3.518] V exceeds "

@@ -2,7 +2,8 @@
 
 No chain runs here: `reproduce_tables.main` reads CSVs that a stand-in for
 `cli.main` writes, and the comparisons read tiny files under `tmp_path`.
-`PAPER`'s i2s latencies are also held to the chain's fitted latency form.
+`PAPER`'s i2s latencies are also held to the chain's fitted latency form, and
+its families' roles to the ledger `reproduce_tables.main` prints.
 """
 
 import sys
@@ -21,10 +22,10 @@ from compare_outputs import compare_csv, compare_wav  # noqa: E402
 from reproduce_tables import PAPER  # noqa: E402
 
 
-def _run_tables(monkeypatch, tmp_path, capsys, moved=None, status=0):
-    """reproduce_tables.main on CSVs holding each of the paper's figures, except
-    that moved maps (scenario, row label, column) to a value of its own; every
-    run exits with status."""
+def _tables_output(monkeypatch, tmp_path, capsys, moved=None, status=0):
+    """reproduce_tables.main's exit code and printed lines, on CSVs holding each
+    of the paper's figures, except that moved maps (scenario, row label, column)
+    to a value of its own; every run exits with status."""
     moved = moved or {}
 
     def fake_main(argv):
@@ -38,7 +39,13 @@ def _run_tables(monkeypatch, tmp_path, capsys, moved=None, status=0):
 
     monkeypatch.setattr(cli, "main", fake_main)
     code = reproduce_tables.main(["--outdir", str(tmp_path)])
-    return code, [line for line in capsys.readouterr().out.splitlines() if line.startswith("MISS")]
+    return code, capsys.readouterr().out.splitlines()
+
+
+def _run_tables(monkeypatch, tmp_path, capsys, moved=None, status=0):
+    """The exit code and the MISS lines of `_tables_output`."""
+    code, lines = _tables_output(monkeypatch, tmp_path, capsys, moved, status)
+    return code, [line for line in lines if line.startswith("MISS")]
 
 
 def test_reproduce_tables_exits_0_when_every_figure_is_within_tolerance(
@@ -67,13 +74,26 @@ def test_each_i2s_latency_figure_is_predicted_by_the_other_three_and_fits_the_co
     x = np.array([int(label) / rate for label in PAPER["i2s_latency"]])
     figures = [row[0] for row in PAPER["i2s_latency"].values()]
     y = np.array([figure for figure, _ in figures])
-    for k, (figure, tol) in enumerate(figures):
+    for k, (figure, family) in enumerate(figures):
         rest = np.arange(len(x)) != k
         slope, intercept = np.polyfit(x[rest], y[rest], 1)
-        assert abs(slope * x[k] + intercept - figure) <= tol
+        assert abs(slope * x[k] + intercept - figure) <= family.tol
     slope, intercept = np.polyfit(x, y, 1)
     assert abs(PIPELINE_BLOCK_COUNT - slope) <= 1e-3
     assert abs(FIXED_DELAY - intercept) <= 1e-6
+
+
+def test_reproduce_tables_prints_each_rows_role_and_counts_the_predictions(
+        monkeypatch, tmp_path, capsys):
+    # the i2s latencies are fitted by two parameters; every other figure sets one
+    code, lines = _tables_output(monkeypatch, tmp_path, capsys)
+    assert code == 0
+    assert [line.split()[:3] for line in lines[:-1]] == [
+        *(["i2s_latency", block, "fit"] for block in ("16", "32", "64", "128")),
+        ["adcdac_latency", "LOW_SPEED", "set"], ["adcdac_latency", "HIGH_SPEED", "set"],
+        ["i2s_thd", "128", "set"],
+        ["adcdac_thd", "LOW_SPEED", "set"], ["adcdac_thd", "HIGH_SPEED", "set"]]
+    assert lines[-1] == "12 figures, 10 parameters set from them, 2 predicted"
 
 
 def test_reproduce_tables_exits_with_the_clis_nonzero_status(monkeypatch, tmp_path, capsys):

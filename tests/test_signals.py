@@ -242,6 +242,10 @@ def _codes(x):  # a converter of another dtype: hundredths, as int64 codes
     return np.rint(100.0 * x).astype(np.int64)
 
 
+def _float_code_bytes(x):  # the bytes of _codes as the float64 codes input_stage returns
+    return _codes(x).astype(np.float64).tobytes()
+
+
 def test_input_stage_shapes_each_distinct_signal_once_then_adds_noise_channel_0_first():
     sig = Signal(np.linspace(-1.0, 1.0, 64), 8000.0)
     twin = Signal(sig.samples.copy(), 8000.0)
@@ -265,11 +269,11 @@ def test_input_stage_without_channel_1_draws_one_channel_0_noise():
     sig = Signal(np.linspace(-1.0, 1.0, 64), 8000.0)
     rng, ref = np.random.default_rng(3), np.random.default_rng(3)
     (codes,) = input_stage(sig, None, 8000.0, lambda x: 2.0 * x, 0.1, rng, _codes)
-    assert codes.dtype == np.int64  # the converter's dtype
-    assert codes.tobytes() == _codes(2.0 * sig.samples + 0.1 * ref.standard_normal(64)).tobytes()
+    assert codes.dtype == np.float64  # whatever the converter's dtype
+    assert codes.tobytes() == _float_code_bytes(2.0 * sig.samples + 0.1 * ref.standard_normal(64))
     assert rng.bit_generator.state == ref.bit_generator.state  # one 64-sample draw, no more
     (quiet,) = input_stage(sig, None, 8000.0, lambda x: x, 0.1, None, _codes)
-    assert quiet.tobytes() == _codes(sig.samples).tobytes()
+    assert quiet.tobytes() == _float_code_bytes(sig.samples)
     with pytest.raises(ShapeMismatch):
         input_stage(sig, None, 16000.0, lambda x: x, 0.0, None, _pin)
 
@@ -303,9 +307,9 @@ def test_input_stage_converts_slice_by_slice_as_one_draw_per_channel(seed):
     if seed is not None:
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
     got = input_stage(sig, other, 8000.0, lambda x: 2.0 * x, 0.1, rng, convert)
-    assert [k for k in seen if k] == [SLICE, 1, SLICE, 1]
+    assert seen == [SLICE, 1, SLICE, 1]  # no convert call on an empty slice
     for codes, x in zip(got, (sig.samples, other.samples)):
         pin = 2.0 * x if ref is None else 0.1 * ref.standard_normal(n) + 2.0 * x
-        assert codes.tobytes() == _codes(pin).tobytes()
+        assert codes.tobytes() == _float_code_bytes(pin)
     if seed is not None:  # the state of one n-sample draw per channel, channel 0 first
         assert rng.bit_generator.state == ref.bit_generator.state
