@@ -60,6 +60,9 @@ MUTANTS = [
      None),
     ("tie-rule-adc", PKG + "quantize.py", "np.clip(np.rint(scaled),",
      "np.clip(np.floor(scaled + 0.5),", None),
+    # the one code type: every converter code is a float64 integral value
+    ("int64-codes", PKG + "quantize.py", "np.rint(scaled), 0, spec.max_code)\n",
+     "np.rint(scaled), 0, spec.max_code).astype(np.int64)\n", None),
     # the symmetric scaling the codec does not use
     ("conversion-dac", PKG + "i2s.py", "CONVERSION_DAC = 65535.0", "CONVERSION_DAC = 32767.0",
      None),

@@ -96,14 +96,14 @@ def spi_encode(dac_codes) -> bytes:
 
 
 def spi_decode(wire: bytes) -> np.ndarray:
-    """DAC codes from MSB-first wire bytes, the inverse of `spi_encode`."""
-    return np.frombuffer(wire, ">u2").astype(np.int64)
+    """DAC codes, float64, from MSB-first wire bytes, the inverse of `spi_encode`."""
+    return np.frombuffer(wire, ">u2").astype(np.float64)
 
 
 def process_sample(code0, code1):
     """The per-sample arithmetic from two ADC codes to one DAC code, for one
-    tick (two codes) or a whole record (two code arrays): returns the DAC
-    codes and clipped flags shaped like the input, numpy scalars for a tick.
+    tick (two codes) or a whole record (two code arrays): returns the float64
+    DAC codes and clipped flags shaped like the input, numpy scalars for a tick.
 
     Each ADC code is converted to volts (`dequantize`, which rejects a code
     outside `ADC_SPEC`); the mean of the two, less `ADC_OFFSET` and plus

@@ -1,9 +1,10 @@
 """The 16-bit converters' transfer (`quantize_uniform` and `dequantize` on a
 `QuantizerSpec`, which keeps only its full scale), signed 16-bit mapping, and
-the one code-range rule, `QuantizerSpec.checked_codes`, that every code
-reader runs.  Both conversions round half to even (`np.rint`, IEEE 754's
-roundTiesToEven), the package's one rounding rule, which
-`signals.latency_samples` follows too."""
+the one code-range rule, `QuantizerSpec.checked_codes`, that every code reader
+runs.  Both round half to even (`np.rint`), the one rounding rule, which
+`signals.latency_samples` follows too.  A code is a float64 integral value
+wherever the package holds one, exact below 2**53: integer dtypes appear only
+in the SPI and WAV byte frames."""
 
 from __future__ import annotations
 
@@ -60,18 +61,14 @@ class QuantizerSpec:
 
 
 def quantize_uniform(v, spec: QuantizerSpec):
-    """Convert volts to integer codes, saturating at the rails, bit-deterministically.
-
-    No noise is added here: `adcdac` draws its pin noise before it quantizes.
-
-    Returns an int64 array of the input's shape.
-    """
+    """Convert volts to codes, float64 of the input's shape, saturating at the
+    rails, bit-deterministically.  No noise is added here: `adcdac` draws its
+    pin noise before it quantizes."""
     v = np.asarray(v, dtype=np.float64)
     scaled = v / spec.v_max * spec.max_code
-    return np.clip(np.rint(scaled), 0, spec.max_code).astype(np.int64)
+    return np.clip(np.rint(scaled), 0, spec.max_code)
 
 
 def dequantize(code, spec: QuantizerSpec):
-    """Volts of integer codes, an array of the input's shape; rejects out-of-range codes."""
-    codes = spec.checked_codes(code)
-    return codes.astype(np.float64) * spec.v_max / spec.max_code
+    """Volts of codes, an array of the input's shape; rejects out-of-range codes."""
+    return spec.checked_codes(code) * spec.v_max / spec.max_code

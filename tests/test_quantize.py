@@ -11,6 +11,8 @@ from audiochains.adcdac import (
     SampleChainConfig,
     process_sample,
     run_sample_pipeline,
+    spi_decode,
+    spi_encode,
 )
 from audiochains.errors import InvalidCode
 from audiochains.i2s import BlockPipelineConfig
@@ -49,6 +51,29 @@ def test_rails():
     # saturating outside the range
     assert quantize_uniform(-1.0, SPEC_3V3) == 0
     assert quantize_uniform(5.0, SPEC_3V3) == 65535
+
+
+def test_every_converter_returns_float64_integral_codes():
+    # the package's one code type: no converter hands back an integer dtype
+    def assert_codes(codes, *expected):
+        assert codes.dtype == np.float64
+        assert np.array_equal(codes, np.rint(codes))
+        assert np.asarray(codes).tolist() == list(expected)
+
+    scalar = quantize_uniform(1.65, SPEC_3V3)
+    assert isinstance(scalar, np.float64)
+    assert_codes(scalar.reshape(1), 32768.0)
+    rails = quantize_uniform(np.array([-1e-9, -1.0, 3.3, 5.0]), SPEC_3V3)
+    assert_codes(rails, 0.0, 0.0, 65535.0, 65535.0)
+    # just below the low rail the code is -0.0, which equals 0 and passes the range check
+    assert np.signbit(rails[0]) and dequantize(rails[:1], SPEC_3V3).tolist() == [0.0]
+    tick, clipped = process_sample(30000, 34000)
+    assert isinstance(tick, np.float64) and tick == np.rint(tick) and not clipped
+    codes = quantize_uniform(np.array([1.0, 1.6, 2.3]), ADC_SPEC)
+    assert_codes(codes, 19859.0, 31775.0, 45676.0)
+    dac_codes, _ = process_sample(codes, codes[::-1])
+    assert_codes(dac_codes, *(process_sample(a, b)[0] for a, b in zip(codes, codes[::-1])))
+    assert_codes(spi_decode(spi_encode(dac_codes)), *dac_codes)
 
 
 def test_the_midpoint_tie_rounds_to_32768():
